@@ -105,6 +105,8 @@ def _cmd_query(args) -> int:
         raise UsageError("--terms must list at least one term")
     if args.refine and not args.ontology:
         raise UsageError("--refine requires --ontology")
+    if args.hops is not None and args.hops < 0:
+        raise UsageError("--hops must be non-negative")
     terms = _resolve_terms(lat.context, names)
     q = Query(terms=frozenset(terms))
     if args.refine:

@@ -151,20 +151,25 @@ class Ontology:
         return self._walk(term, self._children, hops)
 
     def term_distance(self, a: str, b: str) -> int | None:
-        """Shortest up-or-down path length when one term subsumes the other."""
+        """Shortest up-or-down path length when one term subsumes the other.
+
+        Both directions search upward, which only visits ancestors: from
+        ``a`` towards ``b``, then from ``b`` towards ``a``.  In a DAG at most
+        one of them can succeed.
+        """
         a = self._require(a)
         b = self._require(b)
         if a == b:
             return 0
-        for step in (self._parents, self._children):
-            dist = {a: 0}
-            queue = deque([a])
+        for start, goal in ((a, b), (b, a)):
+            dist = {start: 0}
+            queue = deque([start])
             while queue:
                 node = queue.popleft()
-                for nxt in step[node]:
+                for nxt in self._parents[node]:
                     if nxt not in dist:
                         dist[nxt] = dist[node] + 1
-                        if nxt == b:
+                        if nxt == goal:
                             return dist[nxt]
                         queue.append(nxt)
         return None
@@ -220,6 +225,8 @@ def _refine(
 ) -> tuple["Query", RefinementReport]:
     from .retrieval import Query
 
+    if hops is not None and hops < 0:
+        raise OntologyError(f"hop bound must be non-negative, got {hops}")
     added: list[Attribute] = []
     dropped: set[str] = set()
     skipped: set[str] = set()

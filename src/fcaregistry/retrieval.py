@@ -1,8 +1,11 @@
-"""Ranked source discovery: insert a query concept, walk its subsumers.
+"""Ranked source discovery: walk upward from the query concept.
 
-The query is overlaid on a copy of the lattice as a virtual object; a BFS
-upward through the Hasse diagram then collects sources by the distance of
-the first concept that contributed them.  The base lattice is never touched.
+Ranks are those of inserting the query into the lattice as a virtual object
+and walking its subsumers breadth-first: each source takes the distance of
+the first concept that contributed it.  They are computed from the query's
+up-set alone, the concepts above the query concept, built from the context
+restricted to the query's terms; the lattice is neither copied nor regrown.
+``insert_query`` does the literal insertion and stays as the reference.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .context import Attribute
-from .errors import QueryError
-from .lattice import ConceptLattice, FormalConcept, insert_object
+from .context import Attribute, FormalContext
+from .errors import LatticeError, QueryError
+from .lattice import ConceptLattice, FormalConcept, _intent_sort_key, insert_object
 from .ontology import (
     Ontology,
     RefinementReport,
@@ -61,17 +64,84 @@ def insert_query(lat: ConceptLattice, q: Query) -> tuple[ConceptLattice, FormalC
     object forces closure to stop there); its extent holds the query label
     plus any sources matching every term.
     """
-    if not q.terms:
-        raise QueryError("query term set must be non-empty")
-    if lat.context.has_object(q.label):
-        raise QueryError(f"query label collides with a source id: {q.label!r}")
+    _check_query(lat, q)
     augmented = insert_object(
         lat, q.label, sorted(q.terms, key=lambda a: a.key), allow_reserved=True
     )
     intent = frozenset(augmented.context.intent_of(q.label))
     concept = augmented.concept_with_intent(intent)
-    assert concept is not None and q.label in concept.extent
+    if concept is None or q.label not in concept.extent:
+        raise LatticeError(f"grown lattice lacks the concept of query {q.label!r}")
     return augmented, concept
+
+
+def _check_query(lat: ConceptLattice, q: Query) -> None:
+    if not q.terms:
+        raise QueryError("query term set must be non-empty")
+    if not q.label:
+        raise QueryError("query label must be non-empty")
+    if lat.context.has_object(q.label):
+        raise QueryError(f"query label collides with a source id: {q.label!r}")
+
+
+class _QueryUpSet:
+    """The concepts above the query concept, as if the query had been inserted.
+
+    Only the context restricted to the query's known terms matters, so
+    objects are grouped by the known terms they carry.  Intents are masks
+    over the context's attributes plus one bit per unknown query term above
+    them; only the query concept's intent holds those bits.  Extents are
+    masks over the context's objects, without the virtual query object.
+    """
+
+    __slots__ = ("known", "query", "intents", "extents", "_groups", "_order")
+
+    def __init__(self, ctx: FormalContext, terms: frozenset[Attribute]):
+        known = 0
+        unknown = []
+        for a in terms:
+            if ctx.has_attribute(a):
+                known |= 1 << ctx._attr_bit(a)
+            else:
+                unknown.append(a)
+        groups: dict[int, int] = {}
+        for i, row in enumerate(ctx._rows):
+            x = known & row
+            groups[x] = groups.get(x, 0) | 1 << i
+        # every intersection of a non-empty set of restricted rows
+        masks: set[int] = set()
+        for x in groups:
+            if x not in masks:
+                masks |= {y & x for y in masks}
+                masks.add(x)
+        query = known | ((1 << len(unknown)) - 1) << len(ctx.attributes)
+        masks.add(query)
+        intents = {b: frozenset(ctx._attrs_from_mask(b & known)) for b in masks}
+        intents[query] |= frozenset(unknown)
+        self.known = known
+        self.query = query
+        self.intents = intents
+        # the groups are disjoint, so their sum is their union
+        self.extents = {b: sum(g for x, g in groups.items() if x & b == b) for b in masks}
+        self._groups = groups
+        ordered = sorted(masks, key=lambda b: _intent_sort_key(intents[b]))
+        self._order = {b: i for i, b in enumerate(ordered)}
+
+    def upper_covers(self, b: int) -> list[int]:
+        """Parents of one up-set concept, in canonical order.
+
+        Each group outside the extent proposes ``b & x``; a proposal is a
+        parent when its proposers are all the objects its extent adds to
+        ``b``'s (Lindig's neighbour test, "Fast Concept Analysis", 2000).
+        """
+        proposed: dict[int, int] = {}
+        for x, g in self._groups.items():
+            c = b & x
+            if c != b:
+                proposed[c] = proposed.get(c, 0) + g.bit_count()
+        size = self.extents[b].bit_count()
+        parents = [c for c, n in proposed.items() if n == self.extents[c].bit_count() - size]
+        return sorted(parents, key=self._order.__getitem__)
 
 
 def search(
@@ -86,30 +156,37 @@ def search(
     step up.  Concepts with an empty intent never contribute, and the walk
     stops once a level has nothing else to offer.
     """
-    augmented, query_concept = insert_query(lat, q)
-    base_ctx = lat.context
+    _check_query(lat, q)
+    ctx = lat.context
+    upset = _QueryUpSet(ctx, q.terms)
     collected: dict[str, RankedResult] = {}
-    frontier = [query_concept]
-    visited = {query_concept}
+    claimed = 0
+    frontier = [upset.query]
+    visited = {upset.query}
     rank = 0
     while frontier:
         contributed = False
-        for concept in frontier:
-            if not concept.intent:
+        for b in frontier:
+            if not b:
                 continue
             contributed = True
-            for source in sorted(concept.extent):
-                if source == q.label or source in collected:
-                    continue
-                shared = frozenset(base_ctx.intent_of(source) & q.terms)
+            fresh = upset.extents[b] & ~claimed
+            claimed |= fresh
+            while fresh:
+                i = (fresh & -fresh).bit_length() - 1
+                fresh &= fresh - 1
+                source = ctx.objects[i]
+                # by equality, not key: Attribute("t", prefix="") has the key of
+                # Attribute("t") without being equal to it
+                shared = frozenset(ctx._attrs_from_mask(ctx._rows[i] & upset.known) & q.terms)
                 collected[source] = RankedResult(
-                    source=source, rank=rank, shared=shared, via_intent=concept.intent
+                    source=source, rank=rank, shared=shared, via_intent=upset.intents[b]
                 )
         if not contributed:
             break
         nxt = []
-        for concept in frontier:
-            for parent in augmented.upper_covers(concept):
+        for b in frontier:
+            for parent in upset.upper_covers(b):
                 if parent not in visited:
                     visited.add(parent)
                     nxt.append(parent)

@@ -84,6 +84,14 @@ class TestQuery:
         rc = main(["query", "--lattice", lattice_file, "--terms", "Ch", "--refine", "generalize"])
         assert rc == 2
 
+    def test_negative_hops_usage_error(self, lattice_file, capsys):
+        rc = main([
+            "query", "--lattice", lattice_file, "--terms", "AO",
+            "--refine", "specialize", "--ontology", ONT, "--hops", "-1",
+        ])
+        assert rc == 2
+        assert "--hops" in capsys.readouterr().err
+
     def test_empty_result_is_success(self, lattice_file, capsys):
         assert main(["query", "--lattice", lattice_file, "--terms", "Ch"]) == 0
         assert "no matching sources" in capsys.readouterr().out

@@ -1,9 +1,12 @@
 import json
+import random
+from collections import deque
 
 import pytest
 
 from fcaregistry import (
     Attribute,
+    Ontology,
     OntologyError,
     Query,
     load_ontology,
@@ -21,6 +24,20 @@ def doc(**kwargs):
 
 def q(*terms):
     return Query(terms=frozenset(Attribute(t) if isinstance(t, str) else t for t in terms))
+
+
+def shortest_path(step, a, b):
+    dist = {a: 0}
+    queue = deque([a])
+    while queue:
+        node = queue.popleft()
+        if node == b:
+            return dist[node]
+        for nxt in step[node]:
+            if nxt not in dist:
+                dist[nxt] = dist[node] + 1
+                queue.append(nxt)
+    return None
 
 
 class TestLoadOntology:
@@ -124,6 +141,20 @@ class TestTermDistance:
         with pytest.raises(OntologyError):
             organisms.term_distance("Human", "Dog")
 
+    def test_matches_shortest_path_either_way_random(self):
+        rng = random.Random(67)
+        for _ in range(20):
+            terms = [f"t{i}" for i in range(rng.randint(2, 25))]
+            edges = {(rng.choice(terms[:i]), t) for i, t in enumerate(terms) if i}
+            for _ in range(5):
+                i, j = sorted(rng.sample(range(len(terms)), 2))
+                edges.add((terms[i], terms[j]))
+            ont = Ontology("T", terms[0], sorted(edges))
+            for a in terms:
+                for b in terms:
+                    down, up = shortest_path(ont._children, a, b), shortest_path(ont._parents, a, b)
+                    assert ont.term_distance(a, b) == (down if down is not None else up)
+
 
 class TestRefinement:
     def test_generalize_chicken(self, organisms, table1):
@@ -170,6 +201,11 @@ class TestRefinement:
         gen, _ = refine_generalize(q("Ch"), organisms, table1)
         both, _ = refine_both(q("Ch"), organisms, table1)
         assert both.terms == gen.terms
+
+    def test_negative_hops_rejected(self, organisms, table1):
+        for fn in (refine_generalize, refine_specialize, refine_both):
+            with pytest.raises(OntologyError, match="hop"):
+                fn(q("Eu"), organisms, table1, hops=-1)
 
     def test_unknown_terms_pass_through(self, organisms, table1):
         refined, report = refine_generalize(q("Banana"), organisms, table1)

@@ -4,8 +4,12 @@ import pytest
 
 from fcaregistry import (
     Attribute,
+    FormalContext,
+    LatticeError,
     Query,
     QueryError,
+    RankedResult,
+    ResultSet,
     build_lattice,
     insert_query,
     result_set_to_json,
@@ -13,6 +17,8 @@ from fcaregistry import (
     search,
     search_refined,
 )
+from fcaregistry import retrieval
+from fcaregistry.lattice import ConceptLattice
 from conftest import make_random_context
 
 
@@ -22,6 +28,55 @@ def q(*attrs):
 
 def ranks(rs):
     return [(r.source, r.rank) for r in rs.results]
+
+
+def reference_search(lat, query):
+    """The walk over the literally grown lattice, as search once did it."""
+    augmented, query_concept = insert_query(lat, query)
+    collected = {}
+    frontier = [query_concept]
+    visited = {query_concept}
+    rank = 0
+    while frontier:
+        contributed = False
+        for concept in frontier:
+            if not concept.intent:
+                continue
+            contributed = True
+            for source in sorted(concept.extent):
+                if source == query.label or source in collected:
+                    continue
+                shared = frozenset(lat.context.intent_of(source) & query.terms)
+                collected[source] = RankedResult(
+                    source=source, rank=rank, shared=shared, via_intent=concept.intent
+                )
+        if not contributed:
+            break
+        nxt = []
+        for concept in frontier:
+            for parent in augmented.upper_covers(concept):
+                if parent not in visited:
+                    visited.add(parent)
+                    nxt.append(parent)
+        frontier = nxt
+        rank += 1
+    ordered = sorted(collected.values(), key=lambda r: (r.rank, -len(r.shared), r.source))
+    return ResultSet(query=query, results=tuple(ordered))
+
+
+def edge_case_context(rng):
+    """A random context that often has an all-zero or an all-one column."""
+    n_obj = rng.randint(0, 9)
+    n_attr = rng.randint(1, 7)
+    density = rng.choice((0.2, 0.4, 0.6))
+    rows = [[int(rng.random() < density) for _ in range(n_attr)] for _ in range(n_obj)]
+    for fill in (0, 1):
+        if rng.random() < 0.3:
+            j = rng.randrange(n_attr)
+            for row in rows:
+                row[j] = fill
+    attrs = [Attribute(term=f"m{j}") for j in range(n_attr)]
+    return FormalContext([f"g{i}" for i in range(n_obj)], attrs, rows)
 
 
 class TestInsertQuery:
@@ -56,6 +111,16 @@ class TestInsertQuery:
             insert_query(
                 table1_lattice, Query(terms=frozenset({attrs_by_term["NS"]}), label="S1")
             )
+        with pytest.raises(QueryError, match="S1"):
+            search(table1_lattice, Query(terms=frozenset({attrs_by_term["NS"]}), label="S1"))
+
+    def test_missing_query_concept_is_a_package_error(self, monkeypatch, table1_lattice, attrs_by_term):
+        def grow_without_concepts(lat, obj, attrs, **kwargs):
+            return ConceptLattice(lat.context.add_object(obj, attrs, **kwargs), [], [])
+
+        monkeypatch.setattr(retrieval, "insert_object", grow_without_concepts)
+        with pytest.raises(LatticeError):
+            insert_query(table1_lattice, q(attrs_by_term["NS"]))
 
 
 class TestSearch:
@@ -88,6 +153,58 @@ class TestSearch:
     def test_empty_terms_rejected(self, table1_lattice):
         with pytest.raises(QueryError):
             search(table1_lattice, Query(terms=frozenset()))
+
+    def test_matches_walk_over_grown_lattice(self):
+        rng = random.Random(61)
+        unknown = [Attribute(term=f"u{j}") for j in range(3)]
+        seen = {"unknown": 0, "all_unknown": 0, "no_objects": 0, "zero_column": 0, "top_intent": 0}
+        for _ in range(400):
+            ctx = edge_case_context(rng)
+            lat = build_lattice(ctx)
+            terms = set(rng.sample(ctx.attributes, rng.randint(0, len(ctx.attributes))))
+            terms |= set(rng.sample(unknown, rng.randint(0 if terms else 1, 2)))
+            if terms and rng.random() < 0.2:
+                # a term with a context attribute's key that is unequal to it
+                twin = rng.choice(sorted(terms, key=lambda a: a.key))
+                terms ^= {twin, Attribute(term=twin.term, prefix="")}
+            query = Query(terms=frozenset(terms))
+            expected = reference_search(lat, query)
+            assert result_set_to_json(search(lat, query)) == result_set_to_json(expected)
+            known = {a for a in terms if ctx.has_attribute(a)}
+            seen["unknown"] += known != terms
+            seen["all_unknown"] += not known
+            seen["no_objects"] += not ctx.objects
+            seen["zero_column"] += any(not ctx.derive_attributes([a]) for a in known)
+            seen["top_intent"] += bool(lat.top.intent)
+        assert min(seen.values()) >= 20, seen
+
+    def test_unknown_term_puts_full_matches_at_rank_one(self):
+        a, b = Attribute("a"), Attribute("b")
+        lat = build_lattice(FormalContext(["g1", "g2", "g3"], [a, b], [[1, 0], [1, 1], [0, 1]]))
+        assert ranks(search(lat, q(a))) == [("g1", 0), ("g2", 0)]
+        query = q(a, Attribute("unknown"))
+        assert ranks(search(lat, query)) == [("g1", 1), ("g2", 1)]
+        assert ranks(reference_search(lat, query)) == [("g1", 1), ("g2", 1)]
+
+    def test_known_term_with_empty_column_finds_nothing(self):
+        a, b = Attribute("a"), Attribute("b")
+        lat = build_lattice(FormalContext(["g1", "g2"], [a, b], [[1, 0], [1, 0]]))
+        assert search(lat, q(b)).results == ()
+        assert reference_search(lat, q(b)).results == ()
+
+    def test_lattice_is_never_regrown(self, monkeypatch, table1_lattice, attrs_by_term, organisms):
+        def refuse(*args, **kwargs):
+            raise AssertionError("search must not grow the lattice")
+
+        monkeypatch.setattr(retrieval, "insert_object", refuse)
+        rs = search(table1_lattice, q(*(attrs_by_term[t] for t in ("NS", "Hu", "MR"))))
+        assert ranks(rs) == [("S2", 1), ("S3", 1), ("S5", 1), ("S1", 2), ("S4", 2), ("S6", 2)]
+        refined = search_refined(table1_lattice, q(Attribute("Ch")), organisms, "generalize")
+        assert refined.sources() == ["S8", "S6", "S1", "S2", "S4"]
+
+    def test_empty_label_rejected(self, table1_lattice, attrs_by_term):
+        with pytest.raises(QueryError):
+            search(table1_lattice, Query(terms=frozenset({attrs_by_term["NS"]}), label=""))
 
     def test_base_lattice_untouched(self, table1, table1_lattice, attrs_by_term):
         before = build_lattice(table1)
