@@ -27,6 +27,7 @@ class Attribute:
 
     Identity is the (prefix, term) pair; the category is descriptive and is
     excluded from equality so that bare query terms match context attributes.
+    An empty prefix is no prefix, so equal attributes are those with equal keys.
     """
 
     term: str
@@ -34,6 +35,8 @@ class Attribute:
     category: str = field(default="Subject", compare=False)
 
     def __post_init__(self) -> None:
+        if self.prefix == "":
+            object.__setattr__(self, "prefix", None)
         if not self.term:
             raise ContextError("attribute term must be non-empty")
         if self.category not in CATEGORIES:

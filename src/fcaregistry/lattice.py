@@ -1,14 +1,19 @@
-"""Concept lattices: incremental construction, a brute-force oracle, Hasse covers.
+"""Concept lattices: construction from row intersections, Hasse covers, oracles.
 
-The builder inserts one object at a time: candidate intents are the previous
-intents plus their intersections with the new row, each re-closed in the grown
-context.  The oracle recomputes the concept set from scratch by intersecting
-row intents to a fixpoint, so the two paths share no code.
+Intersections of closed intents are closed, so the intents of a context are
+M together with every intersection of a non-empty set of object rows;
+``build_lattice`` and ``insert_object`` take them with ``_intersections`` and
+never re-close a candidate.  Covers come from Lindig's neighbour count
+(``_upper_neighbours``).  The loader rebuilds the lattice from the stored
+context and verifies the stored concepts and covers against it.  The oracles
+recompute concepts and covers by brute force and share no code with these
+routines.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -40,7 +45,7 @@ class ConceptLattice:
     Instances are immutable; insertion returns a new lattice.
     """
 
-    __slots__ = ("context", "concepts", "covers", "_index", "_parents", "_children")
+    __slots__ = ("context", "concepts", "covers", "_index", "_by_intent", "_parents", "_children")
 
     def __init__(
         self,
@@ -52,6 +57,7 @@ class ConceptLattice:
         object.__setattr__(self, "concepts", tuple(concepts))
         object.__setattr__(self, "covers", tuple(covers))
         object.__setattr__(self, "_index", {c: i for i, c in enumerate(self.concepts)})
+        object.__setattr__(self, "_by_intent", {c.intent: i for i, c in enumerate(self.concepts)})
         parents: dict[int, list[int]] = {i: [] for i in range(len(self.concepts))}
         children: dict[int, list[int]] = {i: [] for i in range(len(self.concepts))}
         for child, parent in self.covers:
@@ -64,20 +70,22 @@ class ConceptLattice:
         raise AttributeError("ConceptLattice is immutable")
 
     @classmethod
-    def _from_intent_masks(cls, ctx: FormalContext, intent_masks: Iterable[int]) -> "ConceptLattice":
-        pairs = []
-        for im in set(intent_masks):
-            em = ctx._extent_mask_of_intent_mask(im)
-            pairs.append((im, em))
-        pairs.sort(key=lambda p: _intent_sort_key(ctx._attrs_from_mask(p[0])))
+    def _from_intent_masks(cls, ctx: FormalContext, intent_masks: set[int]) -> "ConceptLattice":
+        intents = {im: frozenset(ctx._attrs_from_mask(im)) for im in intent_masks}
+        order = sorted(intents, key=lambda im: _intent_sort_key(intents[im]))
+        extents = {im: ctx._extent_mask_of_intent_mask(im) for im in order}
+        sizes = {im: em.bit_count() for im, em in extents.items()}
+        index = {im: i for i, im in enumerate(order)}
+        counts = Counter(ctx._rows)
+        covers = sorted(
+            (i, index[parent])
+            for i, im in enumerate(order)
+            for parent in _upper_neighbours(im, sizes[im], counts, sizes)
+        )
         concepts = [
-            FormalConcept(
-                extent=frozenset(ctx._objects_from_mask(em)),
-                intent=frozenset(ctx._attrs_from_mask(im)),
-            )
-            for im, em in pairs
+            FormalConcept(extent=frozenset(ctx._objects_from_mask(extents[im])), intent=intents[im])
+            for im in order
         ]
-        covers = _cover_pairs([em for _, em in pairs])
         return cls(ctx, concepts, covers)
 
     def __eq__(self, other) -> bool:
@@ -114,11 +122,8 @@ class ConceptLattice:
         return idx
 
     def concept_with_intent(self, intent: Iterable[Attribute]) -> FormalConcept | None:
-        wanted = frozenset(intent)
-        for c in self.concepts:
-            if c.intent == wanted:
-                return c
-        return None
+        idx = self._by_intent.get(frozenset(intent))
+        return None if idx is None else self.concepts[idx]
 
     def upper_covers(self, concept: FormalConcept) -> list[FormalConcept]:
         """Immediate parents in the Hasse diagram, in canonical order."""
@@ -139,46 +144,41 @@ class ConceptLattice:
         return max(longest.values(), default=0)
 
 
-def _cover_pairs(extent_masks: Sequence[int]) -> list[tuple[int, int]]:
-    """Transitive reduction of the extent-inclusion order, as index pairs."""
-    n = len(extent_masks)
-    covers = []
-    for i in range(n):
-        ei = extent_masks[i]
-        ups = [j for j in range(n) if j != i and ei | extent_masks[j] == extent_masks[j] and ei != extent_masks[j]]
-        for j in ups:
-            ej = extent_masks[j]
-            if not any(
-                k != j and extent_masks[k] | ej == ej and extent_masks[k] != ej
-                for k in ups
-            ):
-                covers.append((i, j))
-    covers.sort()
-    return covers
+def _intersections(rows: Iterable[int], closed: Iterable[int] = ()) -> set[int]:
+    """The smallest set closed under ``&`` that holds ``closed`` and every row.
+
+    ``closed`` must itself be closed under ``&``.  With ``closed`` the
+    intersections of earlier rows, the result is every intersection of a
+    non-empty set of all the rows (Godin, Missaoui & Alaoui, 1995).
+    """
+    masks = set(closed)
+    for x in rows:
+        if x not in masks:
+            masks |= {y & x for y in masks}
+            masks.add(x)
+    return masks
 
 
-def _close_over(mask: int, rows: Sequence[int], full: int) -> int:
-    """Closure of an attribute mask over the given rows (full mask if no row fits)."""
-    out = full
-    hit = False
-    for r in rows:
-        if r & mask == mask:
-            out &= r
-            hit = True
-    return out if hit else full
+def _upper_neighbours(b: int, size: int, counts: dict[int, int], sizes: dict[int, int]) -> list[int]:
+    """Intents of the upper covers of the concept with intent ``b`` and ``size`` objects.
+
+    ``counts`` maps each distinct row to its number of objects, ``sizes``
+    each intent to the size of its extent.  Each row outside the extent
+    proposes ``b & x``; a proposal is a parent when its proposers are all the
+    objects its extent adds to ``b``'s (Lindig's neighbour test, "Fast
+    Concept Analysis", 2000).
+    """
+    proposed: dict[int, int] = {}
+    for x, n in counts.items():
+        c = b & x
+        if c != b:
+            proposed[c] = proposed.get(c, 0) + n
+    return [c for c, n in proposed.items() if n == sizes[c] - size]
 
 
 def build_lattice(ctx: FormalContext) -> ConceptLattice:
-    """Build the concept lattice by inserting the context's objects one by one."""
-    rows = ctx._rows
-    full = ctx._full_attr_mask
-    intents = {full}
-    for k, row in enumerate(rows):
-        candidates = set(intents)
-        candidates.update(y & row for y in intents)
-        seen = rows[: k + 1]
-        intents = {_close_over(c, seen, full) for c in candidates}
-    return ConceptLattice._from_intent_masks(ctx, intents)
+    """Build the concept lattice: its intents are M and every intersection of rows."""
+    return ConceptLattice._from_intent_masks(ctx, _intersections(ctx._rows) | {ctx._full_attr_mask})
 
 
 def insert_object(
@@ -190,17 +190,11 @@ def insert_object(
 ) -> ConceptLattice:
     """Insert one object incrementally; equals a full rebuild on the grown context."""
     ctx = lat.context.add_object(obj, attrs, allow_reserved=allow_reserved)
-    rows = ctx._rows
-    full = ctx._full_attr_mask
-    new_row = rows[-1]
-    old = {ctx._attr_mask(c.intent) for c in lat.concepts}
-    candidates = set(old)
-    candidates.update(y & new_row for y in old)
-    # when the object introduces attributes unknown to the old context, its
-    # own intent and the grown bottom intent are not old-intent intersections
-    candidates.add(new_row)
-    candidates.add(full)
-    intents = {_close_over(c, rows, full) for c in candidates}
+    # new attributes are appended, so old intents keep their masks; an old
+    # concept with an empty extent can only be the bottom, whose intent (the
+    # old M) is not closed once the object brings new attributes
+    old = {ctx._attr_mask(c.intent) for c in lat.concepts if c.extent}
+    intents = _intersections([ctx._rows[-1]], old) | {ctx._full_attr_mask}
     return ConceptLattice._from_intent_masks(ctx, intents)
 
 
@@ -278,11 +272,10 @@ def export_dot(lat: ConceptLattice, reduced_labels: bool = False) -> str:
     if reduced_labels:
         own_objects: dict[int, list[str]] = {i: [] for i in range(len(lat.concepts))}
         own_attrs: dict[int, list[Attribute]] = {i: [] for i in range(len(lat.concepts))}
-        by_intent = {c.intent: i for i, c in enumerate(lat.concepts)}
         for g in ctx.objects:
-            own_objects[by_intent[frozenset(ctx.intent_of(g))]].append(g)
+            own_objects[lat._by_intent[frozenset(ctx.intent_of(g))]].append(g)
         for a in ctx.attributes:
-            own_attrs[by_intent[frozenset(ctx.close_attributes([a]))]].append(a)
+            own_attrs[lat._by_intent[frozenset(ctx.close_attributes([a]))]].append(a)
     lines = ["digraph concept_lattice {", "  rankdir=BT;", "  node [shape=box];"]
     for i, c in enumerate(lat.concepts):
         if reduced_labels:
@@ -299,11 +292,10 @@ def export_dot(lat: ConceptLattice, reduced_labels: bool = False) -> str:
 # -- persistence -------------------------------------------------------------
 
 
-def lattice_to_json(lat: ConceptLattice) -> str:
-    """Serialize a lattice as a self-describing JSON document (stable bytes)."""
+def _lattice_doc(lat: ConceptLattice) -> dict:
     ctx = lat.context
     attr_idx = {a.key: j for j, a in enumerate(ctx.attributes)}
-    doc = {
+    return {
         "format": "fcaregistry-lattice",
         "version": 1,
         "context": {
@@ -326,29 +318,58 @@ def lattice_to_json(lat: ConceptLattice) -> str:
         ],
         "covers": [list(pair) for pair in lat.covers],
     }
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def lattice_to_json(lat: ConceptLattice) -> str:
+    """Serialize a lattice as a self-describing JSON document (stable bytes)."""
+    return json.dumps(_lattice_doc(lat), sort_keys=True, indent=1) + "\n"
+
+
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _expect(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise LatticeError(f"malformed lattice file: {what} must be {_KIND_NAMES[kind]}")
+    return value
+
+
+def _context_from_doc(cdoc: dict) -> FormalContext:
+    objects = _expect(cdoc.get("objects"), list, "'objects'")
+    for g in objects:
+        _expect(g, str, "an object id")
+    attrs = []
+    for a in _expect(cdoc.get("attributes"), list, "'attributes'"):
+        _expect(a, dict, "an attribute entry")
+        prefix = a.get("prefix")
+        if prefix is not None:
+            _expect(prefix, str, "an attribute prefix")
+        term = _expect(a.get("term"), str, "an attribute term")
+        attrs.append(Attribute(term=term, prefix=prefix, category=a.get("category", "Subject")))
+    rows = []
+    for line in _expect(cdoc.get("incidence"), list, "'incidence'"):
+        if _expect(line, str, "an incidence row").strip("01"):
+            raise LatticeError(f"malformed lattice file: incidence cells must be 0 or 1, got {line!r}")
+        rows.append([int(ch) for ch in line])
+    return FormalContext(objects, attrs, rows, allow_reserved_ids=True)
 
 
 def lattice_from_json(text: str) -> ConceptLattice:
-    """Reload a persisted lattice; the result is value-identical to the saved one."""
+    """Reload a persisted lattice; the result is value-identical to the saved one.
+
+    The lattice is rebuilt from the stored context.  The stored concepts and
+    covers must be exactly those the rebuilt lattice would write; any other
+    value raises ``LatticeError``.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LatticeError(f"unreadable lattice file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "fcaregistry-lattice":
         raise LatticeError("not a lattice file (missing format marker)")
-    cdoc = doc["context"]
-    attrs = [
-        Attribute(term=a["term"], prefix=a.get("prefix"), category=a.get("category", "Subject"))
-        for a in cdoc["attributes"]
-    ]
-    rows = [[int(ch) for ch in line] for line in cdoc["incidence"]]
-    ctx = FormalContext(cdoc["objects"], attrs, rows, allow_reserved_ids=True)
-    masks = set()
-    for c in doc["concepts"]:
-        mask = 0
-        for j in c["intent"]:
-            mask |= 1 << j
-        masks.add(mask)
-    # extents and covers are recomputed from the intents; deterministic result
-    return ConceptLattice._from_intent_masks(ctx, masks)
+    lat = build_lattice(_context_from_doc(_expect(doc.get("context"), dict, "'context'")))
+    rebuilt = _lattice_doc(lat)
+    for key in ("concepts", "covers"):
+        if _expect(doc.get(key), list, f"{key!r}") != rebuilt[key]:
+            raise LatticeError(f"malformed lattice file: the stored {key} are not those of its context")
+    return lat

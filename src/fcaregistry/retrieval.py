@@ -19,7 +19,14 @@ from typing import Callable
 
 from .context import Attribute, FormalContext
 from .errors import LatticeError, QueryError
-from .lattice import ConceptLattice, FormalConcept, _intent_sort_key, insert_object
+from .lattice import (
+    ConceptLattice,
+    FormalConcept,
+    _intent_sort_key,
+    _intersections,
+    _upper_neighbours,
+    insert_object,
+)
 from .ontology import (
     Ontology,
     RefinementReport,
@@ -94,7 +101,7 @@ class _QueryUpSet:
     masks over the context's objects, without the virtual query object.
     """
 
-    __slots__ = ("known", "query", "intents", "extents", "_groups", "_order")
+    __slots__ = ("known", "query", "intents", "extents", "_counts", "_sizes", "_order")
 
     def __init__(self, ctx: FormalContext, terms: frozenset[Attribute]):
         known = 0
@@ -108,12 +115,7 @@ class _QueryUpSet:
         for i, row in enumerate(ctx._rows):
             x = known & row
             groups[x] = groups.get(x, 0) | 1 << i
-        # every intersection of a non-empty set of restricted rows
-        masks: set[int] = set()
-        for x in groups:
-            if x not in masks:
-                masks |= {y & x for y in masks}
-                masks.add(x)
+        masks = _intersections(groups)
         query = known | ((1 << len(unknown)) - 1) << len(ctx.attributes)
         masks.add(query)
         intents = {b: frozenset(ctx._attrs_from_mask(b & known)) for b in masks}
@@ -123,24 +125,14 @@ class _QueryUpSet:
         self.intents = intents
         # the groups are disjoint, so their sum is their union
         self.extents = {b: sum(g for x, g in groups.items() if x & b == b) for b in masks}
-        self._groups = groups
+        self._counts = {x: g.bit_count() for x, g in groups.items()}
+        self._sizes = {b: e.bit_count() for b, e in self.extents.items()}
         ordered = sorted(masks, key=lambda b: _intent_sort_key(intents[b]))
         self._order = {b: i for i, b in enumerate(ordered)}
 
     def upper_covers(self, b: int) -> list[int]:
-        """Parents of one up-set concept, in canonical order.
-
-        Each group outside the extent proposes ``b & x``; a proposal is a
-        parent when its proposers are all the objects its extent adds to
-        ``b``'s (Lindig's neighbour test, "Fast Concept Analysis", 2000).
-        """
-        proposed: dict[int, int] = {}
-        for x, g in self._groups.items():
-            c = b & x
-            if c != b:
-                proposed[c] = proposed.get(c, 0) + g.bit_count()
-        size = self.extents[b].bit_count()
-        parents = [c for c, n in proposed.items() if n == self.extents[c].bit_count() - size]
+        """Parents of one up-set concept, in canonical order."""
+        parents = _upper_neighbours(b, self._sizes[b], self._counts, self._sizes)
         return sorted(parents, key=self._order.__getitem__)
 
 
@@ -176,9 +168,8 @@ def search(
                 i = (fresh & -fresh).bit_length() - 1
                 fresh &= fresh - 1
                 source = ctx.objects[i]
-                # by equality, not key: Attribute("t", prefix="") has the key of
-                # Attribute("t") without being equal to it
-                shared = frozenset(ctx._attrs_from_mask(ctx._rows[i] & upset.known) & q.terms)
+                # the known bits are the query's terms: equal attributes have equal keys
+                shared = frozenset(ctx._attrs_from_mask(ctx._rows[i] & upset.known))
                 collected[source] = RankedResult(
                     source=source, rank=rank, shared=shared, via_intent=upset.intents[b]
                 )

@@ -109,6 +109,23 @@ class TestQuery:
     def test_unreadable_lattice(self, tmp_path):
         assert main(["query", "--lattice", str(tmp_path / "no.lat"), "--terms", "Hu"]) == 1
 
+    def test_malformed_lattice_is_data_error(self, lattice_file, capsys):
+        with open(lattice_file, encoding="utf-8") as f:
+            doc = json.load(f)
+        del doc["context"]
+        with open(lattice_file, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        assert main(["query", "--lattice", lattice_file, "--terms", "Hu"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_empty_prefix_is_no_prefix(self, lattice_file, capsys):
+        argv = ["query", "--lattice", lattice_file, "--terms", ":NS", "--format", "machine"]
+        assert main(argv) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert [(r["source"], r["shared"]) for r in results] == [
+            ("S2", ["NS"]), ("S3", ["NS"]), ("S5", ["NS"]), ("S6", ["NS"]),
+        ]
+
 
 class TestClassify:
     def test_by_category(self, lattice_file, tmp_path, capsys):

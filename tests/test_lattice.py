@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 
 import pytest
@@ -15,7 +17,7 @@ from fcaregistry import (
     lattice_from_json,
     lattice_to_json,
 )
-from conftest import make_random_context
+from conftest import edge_case_context, make_random_context
 
 TABLE1_INTENTS = [
     set(),
@@ -31,6 +33,30 @@ TABLE1_INTENTS = [
     {"NS", "PS", "Hu"},
     {"NS", "PS", "AO", "An", "Ve", "Hu", "Mo", "MR"},
 ]
+
+
+#: Edits of a saved table1 lattice file, each with the error it must raise.
+MALFORMED = {
+    "no-context": (lambda doc: doc.pop("context"), "'context' must be an object"),
+    "context-not-object": (lambda doc: doc.update(context=["S1"]), "'context' must be an object"),
+    "objects-not-list": (lambda doc: doc["context"].update(objects="S1"), "'objects' must be a list"),
+    "attribute-not-object": (
+        lambda doc: doc["context"]["attributes"].__setitem__(0, "NS"),
+        "attribute entry must be an object",
+    ),
+    "term-not-string": (
+        lambda doc: doc["context"]["attributes"][0].update(term=5),
+        "attribute term must be a string",
+    ),
+    "cell-not-0-or-1": (
+        lambda doc: doc["context"]["incidence"].__setitem__(0, "2" * 8),
+        "cells must be 0 or 1",
+    ),
+    "concepts-not-list": (lambda doc: doc.update(concepts={}), "'concepts' must be a list"),
+    "covers-not-list": (lambda doc: doc.update(covers=None), "'covers' must be a list"),
+    "no-concepts": (lambda doc: doc.update(concepts=[]), "stored concepts"),
+    "dropped-cover": (lambda doc: doc["covers"].pop(), "stored covers"),
+}
 
 
 def intent_terms(lat):
@@ -57,8 +83,11 @@ class TestBuildLattice:
 
     def test_matches_oracle_on_random_contexts(self):
         rng = random.Random(23)
-        for _ in range(40):
-            ctx = make_random_context(rng)
+        edge_rng = random.Random(24)
+        # duplicate and empty rows, all-zero and all-one columns
+        contexts = [make_random_context(rng) for _ in range(40)]
+        contexts += [edge_case_context(edge_rng) for _ in range(60)]
+        for ctx in contexts:
             lat = build_lattice(ctx)
             oracle = enumerate_concepts_oracle(ctx)
             assert set(lat.concepts) == oracle
@@ -120,8 +149,12 @@ class TestInsertObject:
 
     def test_matches_rebuild_with_new_attributes(self):
         rng = random.Random(37)
-        for _ in range(20):
-            ctx = make_random_context(rng, max_objects=6, max_attributes=5)
+        edge_rng = random.Random(38)
+        contexts = itertools.chain(
+            (make_random_context(rng, max_objects=6, max_attributes=5) for _ in range(20)),
+            (edge_case_context(edge_rng) for _ in range(40)),
+        )
+        for ctx in contexts:
             lat = build_lattice(ctx)
             extra = [Attribute("fresh")] + list(
                 rng.sample(list(ctx.attributes), min(2, len(ctx.attributes)))
@@ -220,3 +253,11 @@ class TestPersistence:
             lattice_from_json("{}")
         with pytest.raises(LatticeError):
             lattice_from_json("not json")
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_rejects_malformed(self, table1_lattice, case):
+        corrupt, message = MALFORMED[case]
+        doc = json.loads(lattice_to_json(table1_lattice))
+        corrupt(doc)
+        with pytest.raises(LatticeError, match=message):
+            lattice_from_json(json.dumps(doc))
