@@ -50,6 +50,14 @@ class Attribute:
         return f"{self.prefix}:{self.term}" if self.prefix else self.term
 
 
+def _bits(mask: int):
+    """Positions of the set bits of a mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _ordered_attrs(attrs: Iterable[Attribute]) -> list[Attribute]:
     """Deduplicate attributes, keeping a deterministic order.
 
@@ -113,12 +121,12 @@ class FormalContext:
                 j = (m & -m).bit_length() - 1
                 cols[j] |= 1 << i
                 m &= m - 1
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "attributes", attributes)
-        object.__setattr__(self, "_rows", tuple(rows))
-        object.__setattr__(self, "_cols", tuple(cols))
-        object.__setattr__(self, "_obj_index", obj_index)
-        object.__setattr__(self, "_attr_index", attr_index)
+        self._fill(objects, attributes, tuple(rows), tuple(cols), obj_index, attr_index)
+
+    def _fill(self, *values) -> None:
+        """Set every slot, in ``__slots__`` order."""
+        for name, value in zip(FormalContext.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("FormalContext is immutable")
@@ -184,6 +192,12 @@ class FormalContext:
         mask = 0
         for a in attrs:
             mask |= 1 << self._attr_bit(a)
+        return mask
+
+    def _obj_mask(self, objs: Iterable[str]) -> int:
+        mask = 0
+        for g in objs:
+            mask |= 1 << self._obj_bit(g)
         return mask
 
     def _attrs_from_mask(self, mask: int) -> set[Attribute]:
@@ -277,25 +291,40 @@ class FormalContext:
         *,
         allow_reserved: bool = False,
     ) -> "FormalContext":
-        """Return a context extended by one row; new attributes are appended to M."""
+        """Return a context extended by one row; new attributes are appended to M.
+
+        Old rows, columns and attribute bits are kept as they are: the new row
+        is one more mask, and its object bit is ORed into its columns.
+        """
         if obj in self._obj_index:
             raise ContextError(f"duplicate object id: {obj!r}")
         if obj == RESERVED_OBJECT_ID and not allow_reserved:
             raise ContextError(f"object id {obj!r} is reserved for queries")
-        ordered = _ordered_attrs(attrs)
-        new_attrs = list(self.attributes)
-        for a in ordered:
-            if a.key not in self._attr_index:
-                new_attrs.append(a)
-        index = {a.key: j for j, a in enumerate(new_attrs)}
-        rows = [[mask >> j & 1 for j in range(len(self.attributes))] + [0] * (len(new_attrs) - len(self.attributes)) for mask in self._rows]
-        new_row = [0] * len(new_attrs)
-        for a in ordered:
-            new_row[index[a.key]] = 1
-        rows.append(new_row)
-        return FormalContext(
-            list(self.objects) + [obj], new_attrs, rows, allow_reserved_ids=True
+        if not obj:
+            raise ContextError("object id must be non-empty")
+        attributes = list(self.attributes)
+        attr_index = dict(self._attr_index)
+        row = 0
+        for a in _ordered_attrs(attrs):
+            j = attr_index.get(a.key)
+            if j is None:
+                j = attr_index[a.key] = len(attributes)
+                attributes.append(a)
+            row |= 1 << j
+        i = len(self.objects)
+        cols = list(self._cols) + [0] * (len(attributes) - len(self.attributes))
+        for j in _bits(row):
+            cols[j] |= 1 << i
+        grown = object.__new__(FormalContext)
+        grown._fill(
+            self.objects + (obj,),
+            tuple(attributes),
+            self._rows + (row,),
+            tuple(cols),
+            {**self._obj_index, obj: i},
+            attr_index,
         )
+        return grown
 
 
 # -- CSV cross-table format ------------------------------------------------

@@ -2,23 +2,38 @@
 
 Intersections of closed intents are closed, so the intents of a context are
 M together with every intersection of a non-empty set of object rows;
-``build_lattice`` and ``insert_object`` take them with ``_intersections`` and
-never re-close a candidate.  Covers come from Lindig's neighbour count
-(``_upper_neighbours``).  The loader rebuilds the lattice from the stored
-context and verifies the stored concepts and covers against it.  The oracles
-recompute concepts and covers by brute force and share no code with these
-routines.
+``build_lattice`` takes them with ``_intersections`` and never re-closes a
+candidate.  Covers come from Lindig's neighbour count (``_upper_neighbours``).
+A lattice keeps each concept's intent and extent as bit masks next to its
+``FormalConcept`` values, in the same canonical order.
+
+``insert_object`` updates a lattice for one new row x instead of rebuilding
+it (Godin, Missaoui & Alaoui, 1995).  An old concept with intent b falls in
+one of three cases:
+
+- b ⊆ x: its extent gains the new object and its upper covers stay;
+- b ⊄ x and b & x is an old intent: nothing changes;
+- b ⊄ x and b & x is new: b is a generator and its upper covers are
+  recomputed.
+
+The new intents are the intersections of x with the old intents that are
+not old intents themselves, plus M; their upper covers are computed too.
+
+The loader rebuilds the lattice from the stored context and verifies the
+stored concepts and covers against it.  The oracles recompute concepts and
+covers by brute force and share no code with these routines.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .context import Attribute, FormalContext
-from .errors import LatticeError
+from .context import Attribute, FormalContext, _bits
+from .errors import ContextError, LatticeError
 
 #: Attribute-count guard for the naive oracle (exponential in the worst case).
 ORACLE_MAX_ATTRIBUTES = 24
@@ -37,56 +52,68 @@ def _intent_sort_key(intent: Iterable[Attribute]):
     return (len(keys), keys)
 
 
+def _concept(ctx: FormalContext, intent: int, extent: int) -> FormalConcept:
+    return FormalConcept(
+        extent=frozenset(ctx._objects_from_mask(extent)),
+        intent=frozenset(ctx._attrs_from_mask(intent)),
+    )
+
+
 class ConceptLattice:
     """All formal concepts of a context, ordered by extent inclusion.
 
     Concepts are kept in canonical order (intent size, then lexicographic
     intent), so the first concept is the top and the last is the bottom.
+    Each concept's intent and extent masks are kept in the same order.
     Instances are immutable; insertion returns a new lattice.
     """
 
-    __slots__ = ("context", "concepts", "covers", "_index", "_by_intent", "_parents", "_children")
+    __slots__ = (
+        "context", "concepts", "covers", "_intents", "_extents", "_pos", "_parents", "_children"
+    )
 
     def __init__(
         self,
         context: FormalContext,
         concepts: Sequence[FormalConcept],
-        covers: Sequence[tuple[int, int]],
+        covers: Iterable[tuple[int, int]],
     ):
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "concepts", tuple(concepts))
-        object.__setattr__(self, "covers", tuple(covers))
-        object.__setattr__(self, "_index", {c: i for i, c in enumerate(self.concepts)})
-        object.__setattr__(self, "_by_intent", {c.intent: i for i, c in enumerate(self.concepts)})
-        parents: dict[int, list[int]] = {i: [] for i in range(len(self.concepts))}
-        children: dict[int, list[int]] = {i: [] for i in range(len(self.concepts))}
-        for child, parent in self.covers:
-            parents[child].append(parent)
-            children[parent].append(child)
-        object.__setattr__(self, "_parents", parents)
-        object.__setattr__(self, "_children", children)
+        """A lattice from concept values; ``insert_object`` can grow it.
+
+        The intents, in this order, and the covers, in any order, must be
+        those of ``build_lattice(context)``; otherwise ``LatticeError``.
+        The extents are kept as given.
+        """
+        concepts = tuple(concepts)
+        ref = build_lattice(context)
+        try:
+            intents = tuple(context._attr_mask(c.intent) for c in concepts)
+            extents = tuple(context._obj_mask(c.extent) for c in concepts)
+        except ContextError as exc:
+            raise LatticeError(f"concept outside the context: {exc}") from exc
+        if intents != ref._intents:
+            raise LatticeError("the concepts are not those of the context in canonical order")
+        if sorted(tuple(pair) for pair in covers) != list(ref.covers):
+            raise LatticeError("the covers are not those of the concepts")
+        self._fill(context, concepts, ref.covers, intents, extents, ref._pos, ref._parents)
+
+    @classmethod
+    def _from_masks(cls, ctx, intents, extents, concepts, pos, parents) -> "ConceptLattice":
+        """A lattice from canonically ordered masks and concepts, the position
+        of each intent, and each concept's sorted parent positions."""
+        lat = object.__new__(cls)
+        covers = tuple((i, p) for i, ps in enumerate(parents) for p in ps)
+        lat._fill(ctx, tuple(concepts), covers, tuple(intents), tuple(extents), pos, parents)
+        return lat
+
+    def _fill(self, context, concepts, covers, intents, extents, pos, parents) -> None:
+        # child lists are built on the first call to lower_covers
+        values = (context, concepts, covers, intents, extents, pos, parents, None)
+        for name, value in zip(ConceptLattice.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ConceptLattice is immutable")
-
-    @classmethod
-    def _from_intent_masks(cls, ctx: FormalContext, intent_masks: set[int]) -> "ConceptLattice":
-        intents = {im: frozenset(ctx._attrs_from_mask(im)) for im in intent_masks}
-        order = sorted(intents, key=lambda im: _intent_sort_key(intents[im]))
-        extents = {im: ctx._extent_mask_of_intent_mask(im) for im in order}
-        sizes = {im: em.bit_count() for im, em in extents.items()}
-        index = {im: i for i, im in enumerate(order)}
-        counts = Counter(ctx._rows)
-        covers = sorted(
-            (i, index[parent])
-            for i, im in enumerate(order)
-            for parent in _upper_neighbours(im, sizes[im], counts, sizes)
-        )
-        concepts = [
-            FormalConcept(extent=frozenset(ctx._objects_from_mask(extents[im])), intent=intents[im])
-            for im in order
-        ]
-        return cls(ctx, concepts, covers)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConceptLattice):
@@ -115,24 +142,36 @@ class ConceptLattice:
     def bottom(self) -> FormalConcept:
         return self.concepts[-1]
 
+    def _index_of_intent(self, intent: Iterable[Attribute]) -> int | None:
+        try:
+            return self._pos.get(self.context._attr_mask(intent))
+        except ContextError:
+            return None
+
     def index_of(self, concept: FormalConcept) -> int:
-        idx = self._index.get(concept)
-        if idx is None:
+        idx = self._index_of_intent(concept.intent)
+        if idx is None or self.concepts[idx] != concept:
             raise LatticeError(f"concept not in lattice: {concept}")
         return idx
 
     def concept_with_intent(self, intent: Iterable[Attribute]) -> FormalConcept | None:
-        idx = self._by_intent.get(frozenset(intent))
+        idx = self._index_of_intent(intent)
         return None if idx is None else self.concepts[idx]
 
     def upper_covers(self, concept: FormalConcept) -> list[FormalConcept]:
         """Immediate parents in the Hasse diagram, in canonical order."""
-        idx = self.index_of(concept)
-        return [self.concepts[p] for p in sorted(self._parents[idx])]
+        return [self.concepts[p] for p in self._parents[self.index_of(concept)]]
 
     def lower_covers(self, concept: FormalConcept) -> list[FormalConcept]:
+        """Immediate children in the Hasse diagram, in canonical order."""
         idx = self.index_of(concept)
-        return [self.concepts[c] for c in sorted(self._children[idx])]
+        if self._children is None:
+            children: list[list[int]] = [[] for _ in self.concepts]
+            # covers are sorted by child, so each list comes out sorted
+            for c, p in self.covers:
+                children[p].append(c)
+            object.__setattr__(self, "_children", children)
+        return [self.concepts[c] for c in self._children[idx]]
 
     def height(self) -> int:
         """Length in edges of the longest bottom-to-top chain."""
@@ -176,9 +215,35 @@ def _upper_neighbours(b: int, size: int, counts: dict[int, int], sizes: dict[int
     return [c for c, n in proposed.items() if n == sizes[c] - size]
 
 
+def _parent_finder(ctx: FormalContext, order: Sequence[int], extents: Sequence[int]):
+    """The position of each intent of ``order``, and a function giving its
+    sorted parent positions.
+
+    ``order`` holds every intent of ``ctx`` and ``extents`` their extents.
+    """
+    sizes = {b: e.bit_count() for b, e in zip(order, extents)}
+    pos = {b: i for i, b in enumerate(order)}
+    counts = Counter(ctx._rows)
+
+    def parents_of(b: int) -> list[int]:
+        return sorted(pos[p] for p in _upper_neighbours(b, sizes[b], counts, sizes))
+
+    return pos, parents_of
+
+
 def build_lattice(ctx: FormalContext) -> ConceptLattice:
     """Build the concept lattice: its intents are M and every intersection of rows."""
-    return ConceptLattice._from_intent_masks(ctx, _intersections(ctx._rows) | {ctx._full_attr_mask})
+    intents = {b: frozenset(ctx._attrs_from_mask(b)) for b in _intersections(ctx._rows)}
+    intents[ctx._full_attr_mask] = frozenset(ctx.attributes)
+    order = sorted(intents, key=lambda b: _intent_sort_key(intents[b]))
+    extents = [ctx._extent_mask_of_intent_mask(b) for b in order]
+    pos, parents_of = _parent_finder(ctx, order, extents)
+    parents = [parents_of(b) for b in order]
+    concepts = [
+        FormalConcept(extent=frozenset(ctx._objects_from_mask(e)), intent=intents[b])
+        for b, e in zip(order, extents)
+    ]
+    return ConceptLattice._from_masks(ctx, order, extents, concepts, pos, parents)
 
 
 def insert_object(
@@ -188,14 +253,62 @@ def insert_object(
     *,
     allow_reserved: bool = False,
 ) -> ConceptLattice:
-    """Insert one object incrementally; equals a full rebuild on the grown context."""
+    """Insert one object; the result is ``build_lattice`` of the grown context.
+
+    Only what the new row x changes is recomputed.  An old concept with
+    intent b falls in one of three cases:
+
+    - b ⊆ x: its extent gains the object and its upper covers stay;
+    - b ⊄ x and b & x is an old intent: nothing changes;
+    - b ⊄ x and b & x is new: b is a generator and its upper covers are
+      recomputed.
+
+    The new intents, the intersections of x with old intents that are not
+    old intents, plus M, are merged into the canonical order and get their
+    upper covers from ``_upper_neighbours``.  Concepts whose extent did not
+    change keep their ``FormalConcept`` values.
+    """
     ctx = lat.context.add_object(obj, attrs, allow_reserved=allow_reserved)
+    x = ctx._rows[-1]
+    g = 1 << (len(ctx.objects) - 1)
+    full = ctx._full_attr_mask
+    old, old_extents = lat._intents, lat._extents
     # new attributes are appended, so old intents keep their masks; an old
     # concept with an empty extent can only be the bottom, whose intent (the
     # old M) is not closed once the object brings new attributes
-    old = {ctx._attr_mask(c.intent) for c in lat.concepts if c.extent}
-    intents = _intersections([ctx._rows[-1]], old) | {ctx._full_attr_mask}
-    return ConceptLattice._from_intent_masks(ctx, intents)
+    order = list(old)
+    if not old_extents[-1] and full != lat.context._full_attr_mask:
+        order.pop()
+    # old intents with a non-empty extent are intersections of rows
+    base = {b for b, e in zip(old, old_extents) if e}
+    new = (_intersections([x], base) | {full}).difference(lat._pos)
+    for b in new:
+        bisect.insort(order, b, key=lambda m: _intent_sort_key(ctx._attrs_from_mask(m)))
+
+    extents, concepts = [], []
+    for b in order:
+        i = lat._pos.get(b)
+        if i is None:
+            e = ctx._extent_mask_of_intent_mask(b)
+            concepts.append(_concept(ctx, b, e))
+        elif b & x == b:
+            e = old_extents[i] | g
+            c = lat.concepts[i]
+            concepts.append(FormalConcept(extent=c.extent | {obj}, intent=c.intent))
+        else:
+            e = old_extents[i]
+            concepts.append(lat.concepts[i])
+        extents.append(e)
+
+    pos, parents_of = _parent_finder(ctx, order, extents)
+    parents = []
+    for b in order:
+        i = lat._pos.get(b)
+        if i is None or b & x in new:
+            parents.append(parents_of(b))
+        else:
+            parents.append([pos[old[p]] for p in lat._parents[i]])
+    return ConceptLattice._from_masks(ctx, order, extents, concepts, pos, parents)
 
 
 def enumerate_concepts_oracle(ctx: FormalContext) -> set[FormalConcept]:
@@ -272,10 +385,10 @@ def export_dot(lat: ConceptLattice, reduced_labels: bool = False) -> str:
     if reduced_labels:
         own_objects: dict[int, list[str]] = {i: [] for i in range(len(lat.concepts))}
         own_attrs: dict[int, list[Attribute]] = {i: [] for i in range(len(lat.concepts))}
-        for g in ctx.objects:
-            own_objects[lat._by_intent[frozenset(ctx.intent_of(g))]].append(g)
+        for g, row in zip(ctx.objects, ctx._rows):
+            own_objects[lat._pos[row]].append(g)
         for a in ctx.attributes:
-            own_attrs[lat._by_intent[frozenset(ctx.close_attributes([a]))]].append(a)
+            own_attrs[lat._pos[ctx._attr_mask(ctx.close_attributes([a]))]].append(a)
     lines = ["digraph concept_lattice {", "  rankdir=BT;", "  node [shape=box];"]
     for i, c in enumerate(lat.concepts):
         if reduced_labels:
@@ -294,7 +407,6 @@ def export_dot(lat: ConceptLattice, reduced_labels: bool = False) -> str:
 
 def _lattice_doc(lat: ConceptLattice) -> dict:
     ctx = lat.context
-    attr_idx = {a.key: j for j, a in enumerate(ctx.attributes)}
     return {
         "format": "fcaregistry-lattice",
         "version": 1,
@@ -310,11 +422,8 @@ def _lattice_doc(lat: ConceptLattice) -> dict:
             ],
         },
         "concepts": [
-            {
-                "extent": sorted(c.extent),
-                "intent": sorted(attr_idx[a.key] for a in c.intent),
-            }
-            for c in lat.concepts
+            {"extent": sorted(c.extent), "intent": list(_bits(b))}
+            for c, b in zip(lat.concepts, lat._intents)
         ],
         "covers": [list(pair) for pair in lat.covers],
     }
@@ -367,6 +476,9 @@ def lattice_from_json(text: str) -> ConceptLattice:
         raise LatticeError(f"unreadable lattice file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "fcaregistry-lattice":
         raise LatticeError("not a lattice file (missing format marker)")
+    version = doc.get("version")
+    if type(version) is not int or version != 1:
+        raise LatticeError(f"unsupported lattice file version: {version!r} (expected 1)")
     lat = build_lattice(_context_from_doc(_expect(doc.get("context"), dict, "'context'")))
     rebuilt = _lattice_doc(lat)
     for key in ("concepts", "covers"):

@@ -186,11 +186,20 @@ def load_ontology(text: str) -> Ontology:
     for key in ("prefix", "root"):
         if key not in doc:
             raise OntologyError(f"ontology document missing field: {key!r}")
-    edges = [tuple(pair) for pair in doc.get("edges", [])]
+        if not isinstance(doc[key], str):
+            raise OntologyError(f"ontology field {key!r} must be a string")
+    edges = doc.get("edges", [])
+    if not isinstance(edges, list):
+        raise OntologyError("ontology field 'edges' must be a list")
     for pair in edges:
-        if len(pair) != 2 or not all(isinstance(t, str) and t for t in pair):
+        if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(t, str) and t for t in pair):
             raise OntologyError(f"bad edge entry: {pair!r}")
-    return Ontology(doc["prefix"], doc["root"], edges, doc.get("aliases"))
+    aliases = doc.get("aliases")
+    if aliases is not None and (
+        not isinstance(aliases, dict) or not all(isinstance(a, str) for a in aliases.values())
+    ):
+        raise OntologyError("ontology field 'aliases' must be an object of strings")
+    return Ontology(doc["prefix"], doc["root"], [tuple(pair) for pair in edges], aliases)
 
 
 # -- query refinement --------------------------------------------------------

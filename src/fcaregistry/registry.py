@@ -86,14 +86,34 @@ class Finding:
     message: str
 
 
+def _string_map(doc: dict, key: str, rid: str) -> dict[str, str]:
+    value = doc.get(key, {})
+    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
+        raise RegistryError(f"record {rid!r}: {key!r} must be an object of strings")
+    return dict(value)
+
+
+def _term_list(doc: dict, key: str, rid: str) -> list[str]:
+    """A term list as given; ``_record_from_doc`` checks that its items are strings."""
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise RegistryError(f"record {rid!r}: {key!r} must be a list of strings")
+    return list(value)
+
+
 def _record_from_doc(doc: dict) -> MetadataRecord:
     if not isinstance(doc, dict):
         raise RegistryError(f"record must be an object, got {type(doc).__name__}")
     rid = doc.get("id")
     if not rid or not isinstance(rid, str):
         raise RegistryError("record is missing a non-empty 'id'")
+    refs_doc = doc.get("ontologies_used", [])
+    if not isinstance(refs_doc, list):
+        raise RegistryError(f"record {rid!r}: 'ontologies_used' must be a list")
     refs = []
-    for ref in doc.get("ontologies_used", []):
+    for ref in refs_doc:
+        if not isinstance(ref, dict) or not isinstance(ref.get("prefix"), str):
+            raise RegistryError(f"record {rid!r}: an 'ontologies_used' entry lacks a string 'prefix'")
         refs.append(
             OntologyRef(
                 prefix=ref["prefix"],
@@ -104,15 +124,17 @@ def _record_from_doc(doc: dict) -> MetadataRecord:
         )
     record = MetadataRecord(
         id=rid,
-        identification=dict(doc.get("identification", {})),
-        subjects=list(doc.get("subjects", [])),
-        organisms=list(doc.get("organisms", [])),
-        quality=list(doc.get("quality", [])),
-        availability=dict(doc.get("availability", {})),
+        identification=_string_map(doc, "identification", rid),
+        subjects=_term_list(doc, "subjects", rid),
+        organisms=_term_list(doc, "organisms", rid),
+        quality=_term_list(doc, "quality", rid),
+        availability=_string_map(doc, "availability", rid),
         ontologies_used=refs,
     )
     declared = record.declared_prefixes()
-    for _, raw in record.terms_by_category():
+    for category, raw in record.terms_by_category():
+        if not isinstance(raw, str):
+            raise RegistryError(f"record {rid!r}: {category} terms must be strings, got {raw!r}")
         prefix, _ = split_term(raw)
         if prefix is not None and prefix not in declared:
             raise RegistryError(
@@ -135,6 +157,8 @@ def parse_records(text: str) -> list[MetadataRecord]:
         items = [doc]
     else:
         raise RegistryError("record document must hold a record or a record list")
+    if not isinstance(items, list):
+        raise RegistryError("'records' must be a list of records")
     records = [_record_from_doc(item) for item in items]
     seen = set()
     for r in records:

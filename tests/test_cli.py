@@ -40,6 +40,13 @@ class TestBuild:
         rc = main(["build", "--context", str(bad), "--out", str(tmp_path / "x")])
         assert rc == 1
 
+    def test_malformed_record_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"id": "S1", "subjects": "NS"}))
+        rc = main(["build", "--records", str(bad), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestQuery:
     def test_golden_query(self, lattice_file, capsys):

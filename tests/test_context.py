@@ -142,6 +142,25 @@ class TestAddObject:
         with pytest.raises(ContextError, match="Query"):
             table1.add_object("Query", [attrs_by_term["NS"]])
 
+    def test_empty_id(self, table1, attrs_by_term):
+        with pytest.raises(ContextError, match="non-empty"):
+            table1.add_object("", [attrs_by_term["NS"]])
+
+    def test_equals_the_context_built_from_rows(self):
+        rng = random.Random(13)
+        for _ in range(50):
+            ctx = make_random_context(rng)
+            fresh = [Attribute("fresh"), Attribute("fresh2")][: rng.randint(0, 2)]
+            row = fresh + rng.sample(list(ctx.attributes), rng.randint(0, len(ctx.attributes)))
+            grown = ctx.add_object("gx", row)
+            attrs = list(ctx.attributes) + fresh
+            keys = {a.key for a in row}
+            rows = [[int(a in ctx.intent_of(g)) for a in attrs] for g in ctx.objects]
+            rows.append([int(a.key in keys) for a in attrs])
+            built = FormalContext(list(ctx.objects) + ["gx"], attrs, rows)
+            assert grown == built
+            assert grown._cols == built._cols
+
 
 class TestGaloisProperties:
     def test_derivations_and_closure_laws(self):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -6,6 +7,7 @@ import pytest
 
 from fcaregistry import (
     Attribute,
+    ConceptLattice,
     FormalConcept,
     FormalContext,
     LatticeError,
@@ -56,6 +58,7 @@ MALFORMED = {
     "covers-not-list": (lambda doc: doc.update(covers=None), "'covers' must be a list"),
     "no-concepts": (lambda doc: doc.update(concepts=[]), "stored concepts"),
     "dropped-cover": (lambda doc: doc["covers"].pop(), "stored covers"),
+    "future-version": (lambda doc: doc.update(version=99), "unsupported lattice file version: 99"),
 }
 
 
@@ -105,6 +108,43 @@ class TestBuildLattice:
             assert 1 <= len(lat.concepts) <= bound
 
 
+def assert_rebuilt(lat, expected):
+    """The lattice has the context ``expected`` and is exactly what
+    ``build_lattice`` makes of it."""
+    assert lat.context == expected
+    ref = build_lattice(expected)
+    assert lat.concepts == ref.concepts
+    assert lat.covers == ref.covers
+    assert lattice_to_json(lat) == lattice_to_json(ref)
+
+
+def rows_to_insert(rng, lat):
+    """One row of each kind the insertion treats apart, keyed by kind."""
+    ctx = lat.context
+    attrs = list(ctx.attributes)
+    rows = {
+        "existing-intent": rng.choice(lat.concepts).intent,
+        "full": attrs,
+        "empty": [],
+        "random": rng.sample(attrs, rng.randint(0, len(attrs))),
+        "new-attributes": [Attribute("fresh"), Attribute("fresh2")]
+        + rng.sample(attrs, rng.randint(0, len(attrs))),
+    }
+    if ctx.objects:
+        rows["duplicate"] = ctx.intent_of(rng.choice(ctx.objects))
+    return {kind: sorted(row, key=lambda a: a.key) for kind, row in rows.items()}
+
+
+def random_lattices(seed, n):
+    rng = random.Random(seed)
+    for i in range(n):
+        if i % 2:
+            ctx = make_random_context(rng, max_objects=7, max_attributes=6)
+        else:
+            ctx = edge_case_context(rng)
+        yield build_lattice(ctx)
+
+
 class TestInsertObject:
     def test_query_overlay_shape(self, table1_lattice, attrs_by_term):
         new_terms = [attrs_by_term[t] for t in ("NS", "Hu", "MR")]
@@ -117,12 +157,13 @@ class TestInsertObject:
         by_intent = {frozenset(a.term for a in c.intent): c for c in grown.concepts}
         assert "Q1" in by_intent[frozenset({"NS", "Hu"})].extent
         assert "Q1" in by_intent[frozenset({"NS"})].extent
+        assert_rebuilt(grown, table1_lattice.context.add_object("Q1", new_terms))
 
     def test_base_case(self):
         empty = build_lattice(FormalContext([], [], []))
         attrs = [Attribute("PS"), Attribute("AO"), Attribute("MR")]
-        grown = insert_object(empty, "S1", attrs)
-        assert grown == build_lattice(FormalContext([], [], []).add_object("S1", attrs))
+        for row in (attrs, []):
+            assert_rebuilt(insert_object(empty, "S1", row), empty.context.add_object("S1", row))
 
     def test_insertion_order_invariance(self, table1, table1_lattice):
         rng = random.Random(31)
@@ -132,9 +173,12 @@ class TestInsertObject:
             rng.shuffle(order)
             lat = build_lattice(FormalContext([], [], []))
             for g in order:
+                expected = lat.context.add_object(g, rows[g])
                 lat = insert_object(lat, g, rows[g])
-            assert set(lat.concepts) == set(table1_lattice.concepts)
-            assert lat.cover_concepts() == table1_lattice.cover_concepts()
+                assert_rebuilt(lat, expected)
+            # canonical order depends on attribute keys, not on their positions
+            assert lat.concepts == table1_lattice.concepts
+            assert lat.covers == table1_lattice.covers
 
     def test_extents_only_grow(self, table1_lattice, attrs_by_term):
         grown = insert_object(table1_lattice, "S9", [attrs_by_term["NS"]])
@@ -159,8 +203,71 @@ class TestInsertObject:
             extra = [Attribute("fresh")] + list(
                 rng.sample(list(ctx.attributes), min(2, len(ctx.attributes)))
             )
-            grown = insert_object(lat, "gx", extra)
-            assert grown == build_lattice(ctx.add_object("gx", extra))
+            assert_rebuilt(insert_object(lat, "gx", extra), ctx.add_object("gx", extra))
+
+    def test_matches_rebuild_for_each_kind_of_row(self):
+        rng = random.Random(43)
+        seen = collections.Counter()
+        for lat in random_lattices(44, 120):
+            for kind, row in rows_to_insert(rng, lat).items():
+                if kind == "new-attributes":
+                    kind += "/empty-bottom" if not lat.bottom.extent else "/non-empty-bottom"
+                seen[kind] += 1
+                assert_rebuilt(insert_object(lat, "gx", row), lat.context.add_object("gx", row))
+        assert min(seen.values()) >= 20 and len(seen) == 7
+
+    def test_chains_of_inserts(self):
+        rng = random.Random(47)
+        for lat in random_lattices(48, 40):
+            for step in range(6):
+                row = rng.choice(list(rows_to_insert(rng, lat).values()))
+                expected = lat.context.add_object(f"gx{step}", row)
+                lat = insert_object(lat, f"gx{step}", row)
+                assert_rebuilt(lat, expected)
+
+    def test_lattice_from_the_public_constructor(self):
+        rng = random.Random(53)
+        for lat in random_lattices(54, 30):
+            public = ConceptLattice(lat.context, lat.concepts, lat.covers[::-1])
+            for row in rows_to_insert(rng, lat).values():
+                assert_rebuilt(insert_object(public, "gx", row), lat.context.add_object("gx", row))
+
+
+class TestConstructor:
+    def test_rebuilds_the_same_lattice(self, table1_lattice):
+        public = ConceptLattice(table1_lattice.context, table1_lattice.concepts, table1_lattice.covers)
+        assert public.concepts == table1_lattice.concepts
+        assert public.covers == table1_lattice.covers
+        assert lattice_to_json(public) == lattice_to_json(table1_lattice)
+
+    def test_covers_in_any_order(self, table1_lattice):
+        shuffled = list(table1_lattice.covers)
+        random.Random(59).shuffle(shuffled)
+        public = ConceptLattice(table1_lattice.context, table1_lattice.concepts, shuffled)
+        assert public.covers == table1_lattice.covers
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cs, cv: ([], []),
+            lambda cs, cv: (cs[::-1], cv),
+            lambda cs, cv: (cs[1:2] + cs[:1] + cs[2:], cv),
+            lambda cs, cv: (cs[:-1], cv),
+            lambda cs, cv: (cs + cs[-1:], cv),
+            lambda cs, cv: (cs, cv[:-1]),
+            lambda cs, cv: (cs, cv + [(len(cs) - 1, 0)]),
+            lambda cs, cv: (
+                cs[:1] + [FormalConcept(frozenset(), frozenset({Attribute("ghost")}))] + cs[2:],
+                cv,
+            ),
+        ],
+        ids=["empty", "reversed", "swapped", "no-bottom", "bottom-twice", "dropped-cover",
+             "extra-cover", "unknown-attribute"],
+    )
+    def test_rejects_what_is_not_the_lattice(self, table1_lattice, edit):
+        concepts, covers = edit(list(table1_lattice.concepts), list(table1_lattice.covers))
+        with pytest.raises(LatticeError):
+            ConceptLattice(table1_lattice.context, concepts, covers)
 
 
 class TestOracle:
@@ -201,6 +308,15 @@ class TestCovers:
         oracle = enumerate_covers_oracle(set(table1_lattice.concepts))
         expected = {p for (c, p) in oracle if c == table1_lattice.bottom}
         assert set(parents) == expected
+
+    def test_upper_and_lower_covers_match_oracle(self, table1_lattice):
+        oracle = enumerate_covers_oracle(table1_lattice.concepts)
+        canonical = table1_lattice.concepts.index
+        for c in table1_lattice.concepts:
+            parents = sorted((p for child, p in oracle if child == c), key=canonical)
+            children = sorted((child for child, p in oracle if p == c), key=canonical)
+            assert table1_lattice.upper_covers(c) == parents
+            assert table1_lattice.lower_covers(c) == children
 
     def test_unknown_concept(self, table1_lattice):
         ghost = FormalConcept(frozenset({"S1"}), frozenset())

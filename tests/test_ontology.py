@@ -74,6 +74,18 @@ class TestLoadOntology:
         with pytest.raises(OntologyError, match="duplicate"):
             load_ontology(doc(edges=[["r", "a"], ["r", "a"]]))
 
+    def test_aliases_not_an_object(self):
+        with pytest.raises(OntologyError, match="'aliases' must be an object of strings"):
+            load_ontology(doc(edges=[["r", "a"]], aliases=["a", "A"]))
+        with pytest.raises(OntologyError, match="'aliases' must be an object of strings"):
+            load_ontology(doc(edges=[["r", "a"]], aliases={"a": 5}))
+
+    def test_edge_not_a_pair_of_strings(self):
+        with pytest.raises(OntologyError, match="bad edge entry: 5"):
+            load_ontology(doc(edges=[["r", "a"], 5]))
+        with pytest.raises(OntologyError, match="bad edge entry"):
+            load_ontology(doc(edges=["ra"]))
+
     def test_missing_fields(self):
         with pytest.raises(OntologyError):
             load_ontology('{"root": "r"}')

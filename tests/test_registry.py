@@ -50,6 +50,24 @@ class TestParseRecords:
         with pytest.raises(RegistryError, match="id"):
             parse_records('{"records": [{"subjects": ["NS"]}]}')
 
+    def test_records_not_a_list(self):
+        with pytest.raises(RegistryError, match="'records' must be a list"):
+            parse_records('{"records": 5}')
+
+    def test_term_list_as_string(self):
+        # a string would iterate into one-letter terms
+        with pytest.raises(RegistryError, match="'subjects' must be a list of strings"):
+            parse_records(json.dumps({"id": "S1", "subjects": "NS"}))
+
+    def test_ontology_entry_without_prefix(self):
+        text = json.dumps({"id": "S1", "ontologies_used": [{"name": "Living organisms"}]})
+        with pytest.raises(RegistryError, match="string 'prefix'"):
+            parse_records(text)
+
+    def test_non_string_term(self):
+        with pytest.raises(RegistryError, match="Organism terms must be strings, got 5"):
+            parse_records(json.dumps({"id": "S1", "organisms": ["Hu", 5]}))
+
 
 class TestBuildContext:
     def test_reproduces_table1_up_to_ordering(self, corpus, table1):

@@ -101,7 +101,9 @@ class TestInsertQuery:
 
     def test_missing_query_concept_is_a_package_error(self, monkeypatch, table1_lattice, attrs_by_term):
         def grow_without_concepts(lat, obj, attrs, **kwargs):
-            return ConceptLattice(lat.context.add_object(obj, attrs, **kwargs), [], [])
+            grown = lat.context.add_object(obj, attrs, **kwargs)
+            # the public constructor would refuse this lattice
+            return ConceptLattice._from_masks(grown, [], [], [], {}, [])
 
         monkeypatch.setattr(retrieval, "insert_object", grow_without_concepts)
         with pytest.raises(LatticeError):
