@@ -205,17 +205,22 @@ def load_ontology(text: str) -> Ontology:
 # -- query refinement --------------------------------------------------------
 
 
-def _attribute_for_term(ont: Ontology, ctx: FormalContext, term: str) -> Attribute | None:
+def _attribute_for_term(
+    ont: Ontology, by_key: dict[tuple[str, str], Attribute], term: str
+) -> Attribute | None:
     """The context attribute carrying an ontology term, under name or alias.
 
-    Attributes with a prefix must match the ontology's prefix; bare
-    attributes match by term text alone.
+    ``by_key`` maps the context's attribute keys to its attributes.  Bare
+    attributes match by term text alone; prefixed ones must carry the
+    ontology's prefix.  The name is tried before the alias, and for each
+    spelling the bare attribute before the prefixed one.
     """
+    prefixes = ("", ont.prefix or "")
     for spelling in ont.names_of(term):
-        for prefix in (None, ont.prefix):
-            candidate = Attribute(term=spelling, prefix=prefix)
-            if ctx.has_attribute(candidate):
-                return ctx.attribute_like(candidate)
+        for prefix in prefixes:
+            attr = by_key.get((prefix, spelling))
+            if attr is not None:
+                return attr
     return None
 
 
@@ -236,6 +241,7 @@ def _refine(
 
     if hops is not None and hops < 0:
         raise OntologyError(f"hop bound must be non-negative, got {hops}")
+    by_key = {a.key: a for a in ctx.attributes}
     added: list[Attribute] = []
     dropped: set[str] = set()
     skipped: set[str] = set()
@@ -250,7 +256,7 @@ def _refine(
         if mode in ("specialize", "both"):
             related.extend(ont.descendants(node, hops))
         for name in related:
-            attr = _attribute_for_term(ont, ctx, name)
+            attr = _attribute_for_term(ont, by_key, name)
             if attr is None:
                 dropped.add(name)
             elif attr not in q.terms and attr not in added:

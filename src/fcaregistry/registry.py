@@ -216,10 +216,11 @@ def build_context(
 ) -> FormalContext:
     """One object per record with terms left, one attribute per distinct term.
 
-    Attributes are keyed by (prefix, term, category) in first-occurrence
-    order; records with no retained attribute are dropped, mirroring the
-    category-projection view.  Identification and availability fields only
-    binarize through explicit rules.
+    Attributes are keyed by (prefix, term), in first-occurrence order: a
+    term listed under several categories is one attribute, with the category
+    it first appears under.  Records with no retained attribute are dropped,
+    mirroring the category-projection view.  Identification and availability
+    fields only binarize through explicit rules.
     """
     cfg = cfg or BinarizationConfig()
     if not cfg.categories_included:

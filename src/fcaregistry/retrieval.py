@@ -6,16 +6,20 @@ the first concept that contributed it.  They are computed from the query's
 up-set alone, the concepts above the query concept, built from the context
 restricted to the query's terms; the lattice is neither copied nor regrown.
 ``insert_query`` does the literal insertion and stays as the reference.
+
+``result_set_to_json`` emits the bytes of ``json.dumps(doc, sort_keys=True,
+indent=1)`` for the answer document, from a writer for that fixed schema
+instead of the generic encoder.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from json.encoder import encode_basestring_ascii as _encode
+from typing import Callable, Iterable
 
 from .context import Attribute, FormalContext
 from .errors import LatticeError, QueryError
@@ -152,6 +156,8 @@ def search(
     ctx = lat.context
     upset = _QueryUpSet(ctx, q.terms)
     collected: dict[str, RankedResult] = {}
+    # one shared set per distinct row restricted to the query's known terms
+    shared_of: dict[int, frozenset[Attribute]] = {}
     claimed = 0
     frontier = [upset.query]
     visited = {upset.query}
@@ -169,7 +175,10 @@ def search(
                 fresh &= fresh - 1
                 source = ctx.objects[i]
                 # the known bits are the query's terms: equal attributes have equal keys
-                shared = frozenset(ctx._attrs_from_mask(ctx._rows[i] & upset.known))
+                x = ctx._rows[i] & upset.known
+                shared = shared_of.get(x)
+                if shared is None:
+                    shared = shared_of[x] = frozenset(ctx._attrs_from_mask(x))
                 collected[source] = RankedResult(
                     source=source, rank=rank, shared=shared, via_intent=upset.intents[b]
                 )
@@ -215,9 +224,9 @@ def search_refined(
     refined, report = refiners[mode](q, ont, lat.context, hops)
     original = sorted(q.terms, key=lambda a: a.key)
 
-    def distance_key(result: RankedResult) -> float:
+    def distance(shared_terms: frozenset[Attribute]) -> float:
         best = math.inf
-        for shared in result.shared:
+        for shared in shared_terms:
             if shared.prefix is not None and shared.prefix != ont.prefix:
                 continue
             if ont.resolve(shared.term) is None:
@@ -232,6 +241,16 @@ def search_refined(
                     best = min(best, d)
         return best
 
+    # the key depends on the shared set alone, and search hands out one
+    # object per distinct set
+    distances: dict[frozenset[Attribute], float] = {}
+
+    def distance_key(result: RankedResult) -> float:
+        d = distances.get(result.shared)
+        if d is None:
+            d = distances[result.shared] = distance(result.shared)
+        return d
+
     rs = search(lat, refined, tie_break=distance_key)
     return ResultSet(query=refined, results=rs.results, refinement_applied=report)
 
@@ -239,33 +258,70 @@ def search_refined(
 # -- serialization -----------------------------------------------------------
 
 
+def _string_list(strings: Iterable[str], indent: str) -> str:
+    """The sorted strings as a JSON list laid out as ``json.dumps(indent=1)`` does.
+
+    ``indent`` is the indentation of the line the list's closing bracket
+    would stand on; items stand one space deeper.
+    """
+    strings = sorted(strings)
+    if not strings:
+        return "[]"
+    item = "\n" + indent + " "
+    return "[" + item + ("," + item).join(map(_encode, strings)) + "\n" + indent + "]"
+
+
 def result_set_to_json(rs: ResultSet) -> str:
-    """Machine-readable rendering; byte-deterministic for equal inputs."""
-    doc = {
-        "query": {
-            "label": rs.query.label,
-            "terms": sorted(str(t) for t in rs.query.terms),
-        },
-        "refinement": None
-        if rs.refinement_applied is None
-        else {
-            "mode": rs.refinement_applied.mode,
-            "added": sorted(str(a) for a in rs.refinement_applied.added),
-            "dropped_candidates": sorted(rs.refinement_applied.dropped_candidates),
-            "hops": rs.refinement_applied.hops_used,
-            "skipped_terms": sorted(rs.refinement_applied.skipped_terms),
-        },
-        "results": [
-            {
-                "source": r.source,
-                "rank": r.rank,
-                "shared": sorted(str(a) for a in r.shared),
-                "via_intent": sorted(str(a) for a in r.via_intent),
-            }
-            for r in rs.results
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    """Machine-readable rendering; byte-deterministic for equal inputs.
+
+    The text equals ``json.dumps(doc, sort_keys=True, indent=1) + "\n"`` of
+    the document with ``query``, ``refinement`` and ``results`` keys, and is
+    written by a writer for that fixed schema: strings are escaped by the C
+    encoder, and each distinct term set is rendered once.
+    """
+    query, ref = rs.query, rs.refinement_applied
+    if ref is None:
+        refinement = "null"
+    else:
+        hops = "null" if ref.hops_used is None else int.__repr__(ref.hops_used)
+        refinement = (
+            "{\n"
+            f'  "added": {_string_list(map(str, ref.added), "  ")},\n'
+            f'  "dropped_candidates": {_string_list(ref.dropped_candidates, "  ")},\n'
+            f'  "hops": {hops},\n'
+            f'  "mode": {_encode(ref.mode)},\n'
+            f'  "skipped_terms": {_string_list(ref.skipped_terms, "  ")}\n'
+            " }"
+        )
+    # search hands out one object per distinct term set
+    rendered: dict[frozenset[Attribute], str] = {}
+
+    def term_set(terms: frozenset[Attribute]) -> str:
+        text = rendered.get(terms)
+        if text is None:
+            text = rendered[terms] = _string_list(map(str, terms), "   ")
+        return text
+
+    items = [
+        "  {\n"
+        f'   "rank": {int.__repr__(r.rank)},\n'
+        f'   "shared": {term_set(r.shared)},\n'
+        f'   "source": {_encode(r.source)},\n'
+        f'   "via_intent": {term_set(r.via_intent)}\n'
+        "  }"
+        for r in rs.results
+    ]
+    results = "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
+    return (
+        "{\n"
+        ' "query": {\n'
+        f'  "label": {_encode(query.label)},\n'
+        f'  "terms": {_string_list(map(str, query.terms), "  ")}\n'
+        " },\n"
+        f' "refinement": {refinement},\n'
+        f' "results": {results}\n'
+        "}\n"
+    )
 
 
 def _style_enabled() -> bool:

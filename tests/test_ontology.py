@@ -6,6 +6,7 @@ import pytest
 
 from fcaregistry import (
     Attribute,
+    FormalContext,
     Ontology,
     OntologyError,
     Query,
@@ -14,6 +15,7 @@ from fcaregistry import (
     refine_generalize,
     refine_specialize,
 )
+from fcaregistry.ontology import _attribute_for_term
 
 
 def doc(**kwargs):
@@ -231,3 +233,37 @@ class TestRefinement:
                 assert q(term).terms <= refined.terms
                 for a in report.added:
                     assert table1.has_attribute(a)
+
+    def test_term_lookup_matches_probing_each_spelling(self):
+        """The key map finds the attribute that probing name, then alias, would."""
+
+        def probe(ont, ctx, term):
+            for spelling in ont.names_of(term):
+                for prefix in (None, ont.prefix):
+                    candidate = Attribute(term=spelling, prefix=prefix)
+                    if ctx.has_attribute(candidate):
+                        return ctx.attribute_like(candidate)
+            return None
+
+        rng = random.Random(71)
+        found = missed = 0
+        for _ in range(60):
+            terms = [f"t{i}" for i in range(rng.randint(1, 12))]
+            edges = sorted({(rng.choice(terms[:i]), t) for i, t in enumerate(terms) if i})
+            aliases = {t: f"a{i}" for i, t in enumerate(terms) if rng.random() < 0.5}
+            ont = Ontology(rng.choice(("T", "")), terms[0], edges, aliases)
+            spellings = terms + list(aliases.values()) + ["zz"]
+            attrs = {}
+            for spelling in rng.sample(spellings, rng.randint(0, len(spellings))):
+                for prefix in rng.sample((None, "T", "U"), rng.randint(1, 3)):
+                    category = rng.choice(("Subject", "Organism"))
+                    a = Attribute(term=spelling, prefix=prefix, category=category)
+                    attrs.setdefault(a.key, a)
+            ctx = FormalContext([], list(attrs.values()), [])
+            by_key = {a.key: a for a in ctx.attributes}
+            for term in terms:
+                expected = probe(ont, ctx, term)
+                assert _attribute_for_term(ont, by_key, term) is expected
+                found += expected is not None
+                missed += expected is None
+        assert found >= 100 and missed >= 100, (found, missed)

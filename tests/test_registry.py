@@ -113,6 +113,17 @@ class TestBuildContext:
         assert rule_attrs[0].category == "Identification"
         assert ctx.derive_attributes(rule_attrs) == set(ctx.objects)
 
+    def test_term_under_two_categories_is_one_attribute(self):
+        records = [
+            MetadataRecord(id="A", subjects=["NCBI:Mouse"]),
+            MetadataRecord(id="B", organisms=["NCBI:Mouse"], quality=["q"]),
+        ]
+        ctx = build_context(records)
+        mice = [a for a in ctx.attributes if a.term == "Mouse"]
+        assert len(mice) == 1
+        assert mice[0].prefix == "NCBI" and mice[0].category == "Subject"
+        assert ctx.derive_attributes(mice) == {"A", "B"}
+
     def test_order_stability(self, corpus):
         reordered = list(reversed(corpus))
         a = build_context(corpus)

@@ -1,3 +1,5 @@
+import json
+import math
 import random
 
 import pytest
@@ -6,9 +8,11 @@ from fcaregistry import (
     Attribute,
     FormalContext,
     LatticeError,
+    Ontology,
     Query,
     QueryError,
     RankedResult,
+    RefinementReport,
     ResultSet,
     build_lattice,
     insert_query,
@@ -28,6 +32,112 @@ def q(*attrs):
 
 def ranks(rs):
     return [(r.source, r.rank) for r in rs.results]
+
+
+def json_dumps_oracle(rs):
+    """The rendering as the generic encoder gives it."""
+    doc = {
+        "query": {
+            "label": rs.query.label,
+            "terms": sorted(str(t) for t in rs.query.terms),
+        },
+        "refinement": None
+        if rs.refinement_applied is None
+        else {
+            "mode": rs.refinement_applied.mode,
+            "added": sorted(str(a) for a in rs.refinement_applied.added),
+            "dropped_candidates": sorted(rs.refinement_applied.dropped_candidates),
+            "hops": rs.refinement_applied.hops_used,
+            "skipped_terms": sorted(rs.refinement_applied.skipped_terms),
+        },
+        "results": [
+            {
+                "source": r.source,
+                "rank": r.rank,
+                "shared": sorted(str(a) for a in r.shared),
+                "via_intent": sorted(str(a) for a in r.via_intent),
+            }
+            for r in rs.results
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+# ASCII, JSON's own escapes, other control characters, non-ASCII letters,
+# a line separator, lone surrogates and an astral character
+AWKWARD = ["a", "Z", "0", " ", ":", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f",
+           "\xe9", "\xdf", "\u4e2d", "\u2028", "\ud800", "\udfff", "\U0001f600"]
+
+
+def awkward_text(rng):
+    return "".join(rng.choice(AWKWARD) for _ in range(rng.randint(1, 5)))
+
+
+def random_result_set(rng):
+    pool = [
+        Attribute(
+            term=awkward_text(rng),
+            prefix=rng.choice((None, "", awkward_text(rng))),
+            category=rng.choice(("Subject", "Organism")),
+        )
+        for _ in range(rng.randint(1, 6))
+    ]
+
+    def subset():
+        return frozenset(rng.sample(pool, rng.randint(0, len(pool))))
+
+    def texts():
+        return frozenset(awkward_text(rng) for _ in range(rng.choice((0, 1, 4))))
+
+    results = tuple(
+        RankedResult(
+            source=awkward_text(rng), rank=rng.randint(0, 12), shared=subset(), via_intent=subset()
+        )
+        for _ in range(rng.choice((0, 1, 2, 7)))
+    )
+    report = None
+    if rng.random() < 0.6:
+        report = RefinementReport(
+            mode=rng.choice(("generalize", "specialize", "both", awkward_text(rng))),
+            added=subset(),
+            dropped_candidates=texts(),
+            hops_used=rng.choice((None, 0, 1, 3, 120)),
+            skipped_terms=texts(),
+        )
+    query = Query(terms=subset(), label=awkward_text(rng))
+    return ResultSet(query=query, results=results, refinement_applied=report)
+
+
+def random_ontology(rng, ctx):
+    """Some of the context's terms, under their names or as aliases, and terms outside it."""
+    names = [a.term for a in ctx.attributes]
+    aliased = rng.sample(names, min(len(names), rng.randint(0, 2)))
+    aliases = {f"x{k}": name for k, name in enumerate(aliased)}
+    terms = [n for n in names if n not in aliased] + [f"x{k}" for k in range(3)]
+    rng.shuffle(terms)
+    edges = {(rng.choice(terms[:i]), t) for i, t in enumerate(terms) if i}
+    for _ in range(2):
+        i, j = sorted(rng.sample(range(len(terms)), 2))
+        edges.add((terms[i], terms[j]))
+    return Ontology(rng.choice(("T", "")), terms[0], sorted(edges), aliases)
+
+
+def reference_distance(ont, original):
+    """The tie-break of search_refined, recomputed for every result."""
+
+    def in_ontology(a):
+        return a.prefix in (None, ont.prefix) and ont.resolve(a.term) is not None
+
+    def key(r):
+        distances = [
+            ont.term_distance(t.term, s.term)
+            for s in r.shared
+            for t in original
+            if in_ontology(s) and in_ontology(t)
+        ]
+        return min((d for d in distances if d is not None), default=math.inf)
+
+    return key
 
 
 def reference_search(lat, query):
@@ -223,6 +333,26 @@ class TestSearch:
                 assert r.shared
             assert lat == build_lattice(ctx)
 
+    def test_shared_sets_match_per_source_intersection(self):
+        rng = random.Random(83)
+        unknown = [Attribute(term=f"u{j}") for j in range(3)]
+        repeated = 0
+        for _ in range(200):
+            ctx = edge_case_context(rng)
+            lat = build_lattice(ctx)
+            terms = set(rng.sample(ctx.attributes, rng.randint(0, len(ctx.attributes))))
+            terms |= set(rng.sample(unknown, rng.randint(0 if terms else 1, 2)))
+            if terms and rng.random() < 0.2:
+                twin = rng.choice(sorted(terms, key=lambda a: a.key))
+                terms = (terms - {twin}) | {Attribute(term=twin.term, prefix="")}
+            results = search(lat, Query(terms=frozenset(terms))).results
+            for r in results:
+                assert r.shared == frozenset(a for a in ctx.intent_of(r.source) if a in terms)
+            # equal sets are one object, so renderers can memoise them
+            assert len({id(r.shared) for r in results}) == len({r.shared for r in results})
+            repeated += len({r.shared for r in results}) < len(results)
+        assert repeated >= 20, repeated
+
     def test_rank_zero_iff_full_match(self):
         rng = random.Random(53)
         for _ in range(25):
@@ -318,6 +448,61 @@ class TestRendering:
     def test_empty_result_render(self, table1_lattice):
         rs = search(table1_lattice, q(Attribute("Ch")))
         assert "no matching sources" in result_set_to_table(rs, styled=False)
+
+    def test_json_matches_generic_encoder_random(self):
+        rng = random.Random(73)
+        seen = dict.fromkeys(
+            ("no_results", "empty_shared", "no_refinement", "no_hop_bound", "hop_bound",
+             "empty_added", "added", "empty_dropped", "dropped", "empty_skipped", "skipped",
+             "quote", "backslash", "control", "non_ascii", "surrogate"),
+            0,
+        )
+        for _ in range(600):
+            rs = random_result_set(rng)
+            text = result_set_to_json(rs)
+            assert text == json_dumps_oracle(rs)
+            ref = rs.refinement_applied
+            seen["no_results"] += not rs.results
+            seen["empty_shared"] += any(not r.shared for r in rs.results)
+            seen["no_refinement"] += ref is None
+            if ref is not None:
+                seen["no_hop_bound"] += ref.hops_used is None
+                seen["hop_bound"] += ref.hops_used is not None
+                for name, values in (("added", ref.added), ("dropped", ref.dropped_candidates),
+                                     ("skipped", ref.skipped_terms)):
+                    seen[name if values else f"empty_{name}"] += 1
+            raw = "".join(map(str, rs.query.terms)) + rs.query.label
+            raw += "".join(r.source + "".join(map(str, r.shared | r.via_intent)) for r in rs.results)
+            seen["quote"] += '"' in raw
+            seen["backslash"] += "\\" in raw
+            seen["control"] += any(c < " " or c == "\x7f" for c in raw)
+            seen["non_ascii"] += any("\x7f" < c < "\ud800" for c in raw)
+            seen["surrogate"] += any("\ud800" <= c <= "\udfff" for c in raw)
+        assert min(seen.values()) >= 20, seen
+
+    def test_json_matches_generic_encoder_on_answers(self, table1_lattice, organisms):
+        rng = random.Random(79)
+        unknown = [Attribute(term=f"u{j}") for j in range(3)]
+        for i in range(300):
+            ctx = edge_case_context(rng) if i % 2 else make_random_context(rng)
+            lat = build_lattice(ctx)
+            terms = set(rng.sample(ctx.attributes, rng.randint(0, len(ctx.attributes))))
+            terms |= set(rng.sample(unknown, rng.randint(0 if terms else 1, 2)))
+            query = Query(terms=frozenset(terms))
+            rs = search(lat, query)
+            assert result_set_to_json(rs) == json_dumps_oracle(rs)
+            ont = random_ontology(rng, ctx)
+            mode = rng.choice(("generalize", "specialize", "both"))
+            hops = rng.choice((None, 0, 1, 2))
+            rs = search_refined(lat, query, ont, mode, hops)
+            assert result_set_to_json(rs) == json_dumps_oracle(rs)
+            plain = search(lat, rs.query, tie_break=reference_distance(ont, query.terms))
+            assert rs.results == plain.results
+        for terms in (("NS", "Hu", "MR"), ("Ch",), ("Eu",), ("An", "Mo")):
+            query = q(*(Attribute(t) for t in terms))
+            for mode in ("generalize", "specialize", "both"):
+                rs = search_refined(table1_lattice, query, organisms, mode)
+                assert result_set_to_json(rs) == json_dumps_oracle(rs)
 
     def test_json_fields(self, table1_lattice, attrs_by_term):
         rs = search(table1_lattice, q(attrs_by_term["Mo"]))
