@@ -22,20 +22,22 @@ class UsageError(Exception):
     pass
 
 
-def _load_lattice(path: str) -> ConceptLattice:
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of an input file; ``FcaRegistryError`` if it cannot be read."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise FcaRegistryError(f"cannot read lattice file: {exc}") from exc
-    return lattice_from_json(text)
+        raise FcaRegistryError(f"cannot read {what} file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FcaRegistryError(f"cannot read {what} file {path!r}: {exc}") from exc
+
+
+def _load_lattice(path: str) -> ConceptLattice:
+    return lattice_from_json(_read_text(path, "lattice"))
 
 
 def _load_context(path: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FcaRegistryError(f"cannot read context file: {exc}") from exc
-    return context_from_csv(text)
+    return context_from_csv(_read_text(path, "context"))
 
 
 def _resolve_terms(ctx, names: list[str]) -> list[Attribute]:
@@ -59,7 +61,7 @@ def _counts_line(lat: ConceptLattice) -> str:
     ctx = lat.context
     return (
         f"{len(ctx.objects)} objects, {len(ctx.attributes)} attributes, "
-        f"{len(lat.concepts)} concepts"
+        f"{len(lat._intents)} concepts"
     )
 
 
@@ -110,7 +112,7 @@ def _cmd_query(args) -> int:
     terms = _resolve_terms(lat.context, names)
     q = Query(terms=frozenset(terms))
     if args.refine:
-        ont = load_ontology(Path(args.ontology).read_text(encoding="utf-8"))
+        ont = load_ontology(_read_text(args.ontology, "ontology"))
         mode = _auto_mode(ont, terms) if args.refine == "auto" else args.refine
         rs = search_refined(lat, q, ont, mode, args.hops)
     else:
@@ -153,7 +155,7 @@ def _cmd_stats(args) -> int:
     cells = len(ctx.objects) * len(ctx.attributes)
     ones = sum(bin(ctx._rows[i]).count("1") for i in range(len(ctx.objects)))
     density = ones / cells if cells else 0.0
-    n = len(lat.concepts)
+    n = len(lat._intents)
     noun = "concept" if n == 1 else "concepts"
     print(
         f"{n} {noun}, height {lat.height()}, {len(ctx.objects)} objects, "

@@ -109,18 +109,11 @@ class FormalContext:
         for row in incidence:
             if len(row) != len(attributes):
                 raise ContextError("incidence column count does not match attribute count")
-            mask = 0
-            for j, v in enumerate(row):
-                if v:
-                    mask |= 1 << j
-            rows.append(mask)
+            rows.append(sum(1 << j for j, v in enumerate(row) if v))
         cols = [0] * len(attributes)
         for i, mask in enumerate(rows):
-            m = mask
-            while m:
-                j = (m & -m).bit_length() - 1
+            for j in _bits(mask):
                 cols[j] |= 1 << i
-                m &= m - 1
         self._fill(objects, attributes, tuple(rows), tuple(cols), obj_index, attr_index)
 
     def _fill(self, *values) -> None:
@@ -201,28 +194,15 @@ class FormalContext:
         return mask
 
     def _attrs_from_mask(self, mask: int) -> set[Attribute]:
-        out = set()
-        while mask:
-            j = (mask & -mask).bit_length() - 1
-            out.add(self.attributes[j])
-            mask &= mask - 1
-        return out
+        return {self.attributes[j] for j in _bits(mask)}
 
     def _objects_from_mask(self, mask: int) -> set[str]:
-        out = set()
-        while mask:
-            i = (mask & -mask).bit_length() - 1
-            out.add(self.objects[i])
-            mask &= mask - 1
-        return out
+        return {self.objects[i] for i in _bits(mask)}
 
     def _extent_mask_of_intent_mask(self, intent_mask: int) -> int:
         mask = self._full_obj_mask
-        m = intent_mask
-        while m:
-            j = (m & -m).bit_length() - 1
+        for j in _bits(intent_mask):
             mask &= self._cols[j]
-            m &= m - 1
         return mask
 
     # -- derivation operators --------------------------------------------
@@ -247,11 +227,8 @@ class FormalContext:
         for a in attrs:
             ext &= self._cols[self._attr_bit(a)]
         mask = self._full_attr_mask
-        m = ext
-        while m:
-            i = (m & -m).bit_length() - 1
+        for i in _bits(ext):
             mask &= self._rows[i]
-            m &= m - 1
         return self._attrs_from_mask(mask)
 
     # -- projection views --------------------------------------------------
@@ -330,7 +307,15 @@ class FormalContext:
 # -- CSV cross-table format ------------------------------------------------
 
 
+def _unwritable(text: str, forbidden: str) -> bool:
+    # cells are stripped on reading; the writer leaves "\r" unquoted, which the reader refuses
+    return text != text.strip() or any(ch in text for ch in forbidden + "\r")
+
+
 def _format_header_cell(attr: Attribute) -> str:
+    """``prefix:term@category``: ``@`` ends the name and the first ``:`` the prefix."""
+    if _unwritable(attr.prefix or "", "@:") or _unwritable(attr.term, "@" if attr.prefix else "@:"):
+        raise ContextError(f"cannot write attribute {str(attr)!r} to CSV: it would read back otherwise")
     name = f"{attr.prefix}:{attr.term}" if attr.prefix else attr.term
     return f"{name}@{attr.category}"
 
@@ -345,11 +330,17 @@ def _parse_header_cell(cell: str) -> Attribute:
 
 
 def context_to_csv(ctx: FormalContext) -> str:
-    """Serialize a context as the cross-table CSV format (deterministic bytes)."""
+    """Serialize a context as the cross-table CSV format (deterministic bytes).
+
+    ``context_from_csv`` reads the text back to an equal context; a name it
+    would read otherwise raises ``ContextError``.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([""] + [_format_header_cell(a) for a in ctx.attributes])
     for g in ctx.objects:
+        if _unwritable(g, ""):
+            raise ContextError(f"cannot write object id {g!r} to CSV: it would read back otherwise")
         mask = ctx._rows[ctx._obj_bit(g)]
         writer.writerow([g] + [str(mask >> j & 1) for j in range(len(ctx.attributes))])
     return buf.getvalue()

@@ -4,8 +4,10 @@ Intersections of closed intents are closed, so the intents of a context are
 M together with every intersection of a non-empty set of object rows;
 ``build_lattice`` takes them with ``_intersections`` and never re-closes a
 candidate.  Covers come from Lindig's neighbour count (``_upper_neighbours``).
-A lattice keeps each concept's intent and extent as bit masks next to its
-``FormalConcept`` values, in the same canonical order.
+A lattice is its intent and extent bit masks in canonical order.  Building,
+insertion, saving, loading and DOT export work on the masks alone; the
+``FormalConcept`` values are made from them on the first access to
+``concepts``.
 
 ``insert_object`` updates a lattice for one new row x instead of rebuilding
 it (Godin, Missaoui & Alaoui, 1995).  An old concept with intent b falls in
@@ -64,12 +66,13 @@ class ConceptLattice:
 
     Concepts are kept in canonical order (intent size, then lexicographic
     intent), so the first concept is the top and the last is the bottom.
-    Each concept's intent and extent masks are kept in the same order.
+    The stored state is each concept's intent and extent mask in that order;
+    ``concepts`` makes the ``FormalConcept`` values once, when first read.
     Instances are immutable; insertion returns a new lattice.
     """
 
     __slots__ = (
-        "context", "concepts", "covers", "_intents", "_extents", "_pos", "_parents", "_children"
+        "context", "covers", "_intents", "_extents", "_pos", "_parents", "_children", "_concepts"
     )
 
     def __init__(
@@ -95,22 +98,31 @@ class ConceptLattice:
             raise LatticeError("the concepts are not those of the context in canonical order")
         if sorted(tuple(pair) for pair in covers) != list(ref.covers):
             raise LatticeError("the covers are not those of the concepts")
-        self._fill(context, concepts, ref.covers, intents, extents, ref._pos, ref._parents)
+        self._fill(context, ref.covers, intents, extents, ref._pos, ref._parents)
 
     @classmethod
-    def _from_masks(cls, ctx, intents, extents, concepts, pos, parents) -> "ConceptLattice":
-        """A lattice from canonically ordered masks and concepts, the position
-        of each intent, and each concept's sorted parent positions."""
+    def _from_masks(cls, ctx, intents, extents, pos, parents) -> "ConceptLattice":
+        """A lattice from canonically ordered intent and extent masks, the
+        position of each intent, and each concept's sorted parent positions."""
         lat = object.__new__(cls)
         covers = tuple((i, p) for i, ps in enumerate(parents) for p in ps)
-        lat._fill(ctx, tuple(concepts), covers, tuple(intents), tuple(extents), pos, parents)
+        lat._fill(ctx, covers, tuple(intents), tuple(extents), pos, parents)
         return lat
 
-    def _fill(self, context, concepts, covers, intents, extents, pos, parents) -> None:
-        # child lists are built on the first call to lower_covers
-        values = (context, concepts, covers, intents, extents, pos, parents, None)
+    def _fill(self, context, covers, intents, extents, pos, parents) -> None:
+        # child lists and concept values are made on first use
+        values = (context, covers, intents, extents, pos, parents, None, None)
         for name, value in zip(ConceptLattice.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
+
+    @property
+    def concepts(self) -> tuple[FormalConcept, ...]:
+        """The concepts in canonical order, made from the masks on first access."""
+        if self._concepts is None:
+            ctx = self.context
+            values = tuple(_concept(ctx, b, e) for b, e in zip(self._intents, self._extents))
+            object.__setattr__(self, "_concepts", values)
+        return self._concepts
 
     def __setattr__(self, name, value):
         raise AttributeError("ConceptLattice is immutable")
@@ -118,17 +130,20 @@ class ConceptLattice:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConceptLattice):
             return NotImplemented
+        # equal contexts give equal bit positions, and both lattices are in
+        # canonical order, so equal masks are equal concepts and covers
         return (
             self.context == other.context
-            and set(self.concepts) == set(other.concepts)
-            and self.cover_concepts() == other.cover_concepts()
+            and self._intents == other._intents
+            and self._extents == other._extents
+            and self.covers == other.covers
         )
 
     def __hash__(self):
-        return hash((self.context, frozenset(self.concepts)))
+        return hash((self.context, self._intents, self._extents))
 
     def __repr__(self) -> str:
-        return f"ConceptLattice({len(self.concepts)} concepts, {len(self.covers)} covers)"
+        return f"ConceptLattice({len(self._intents)} concepts, {len(self.covers)} covers)"
 
     def cover_concepts(self) -> set[tuple[FormalConcept, FormalConcept]]:
         """The cover relation as concept pairs (order-insensitive form)."""
@@ -166,7 +181,7 @@ class ConceptLattice:
         """Immediate children in the Hasse diagram, in canonical order."""
         idx = self.index_of(concept)
         if self._children is None:
-            children: list[list[int]] = [[] for _ in self.concepts]
+            children: list[list[int]] = [[] for _ in self._intents]
             # covers are sorted by child, so each list comes out sorted
             for c, p in self.covers:
                 children[p].append(c)
@@ -175,9 +190,9 @@ class ConceptLattice:
 
     def height(self) -> int:
         """Length in edges of the longest bottom-to-top chain."""
-        longest = {i: 0 for i in range(len(self.concepts))}
+        longest = {i: 0 for i in range(len(self._intents))}
         # canonical order is a reverse topological order for child -> parent
-        for i in reversed(range(len(self.concepts))):
+        for i in reversed(range(len(self._intents))):
             for p in self._parents[i]:
                 longest[p] = max(longest[p], longest[i] + 1)
         return max(longest.values(), default=0)
@@ -233,17 +248,11 @@ def _parent_finder(ctx: FormalContext, order: Sequence[int], extents: Sequence[i
 
 def build_lattice(ctx: FormalContext) -> ConceptLattice:
     """Build the concept lattice: its intents are M and every intersection of rows."""
-    intents = {b: frozenset(ctx._attrs_from_mask(b)) for b in _intersections(ctx._rows)}
-    intents[ctx._full_attr_mask] = frozenset(ctx.attributes)
-    order = sorted(intents, key=lambda b: _intent_sort_key(intents[b]))
+    intents = _intersections(ctx._rows) | {ctx._full_attr_mask}
+    order = sorted(intents, key=lambda b: _intent_sort_key(ctx._attrs_from_mask(b)))
     extents = [ctx._extent_mask_of_intent_mask(b) for b in order]
     pos, parents_of = _parent_finder(ctx, order, extents)
-    parents = [parents_of(b) for b in order]
-    concepts = [
-        FormalConcept(extent=frozenset(ctx._objects_from_mask(e)), intent=intents[b])
-        for b, e in zip(order, extents)
-    ]
-    return ConceptLattice._from_masks(ctx, order, extents, concepts, pos, parents)
+    return ConceptLattice._from_masks(ctx, order, extents, pos, [parents_of(b) for b in order])
 
 
 def insert_object(
@@ -265,8 +274,8 @@ def insert_object(
 
     The new intents, the intersections of x with old intents that are not
     old intents, plus M, are merged into the canonical order and get their
-    upper covers from ``_upper_neighbours``.  Concepts whose extent did not
-    change keep their ``FormalConcept`` values.
+    upper covers from ``_upper_neighbours``.  Only masks are computed; the
+    grown lattice makes its ``FormalConcept`` values when they are read.
     """
     ctx = lat.context.add_object(obj, attrs, allow_reserved=allow_reserved)
     x = ctx._rows[-1]
@@ -285,20 +294,15 @@ def insert_object(
     for b in new:
         bisect.insort(order, b, key=lambda m: _intent_sort_key(ctx._attrs_from_mask(m)))
 
-    extents, concepts = [], []
+    extents = []
     for b in order:
         i = lat._pos.get(b)
         if i is None:
-            e = ctx._extent_mask_of_intent_mask(b)
-            concepts.append(_concept(ctx, b, e))
+            extents.append(ctx._extent_mask_of_intent_mask(b))
         elif b & x == b:
-            e = old_extents[i] | g
-            c = lat.concepts[i]
-            concepts.append(FormalConcept(extent=c.extent | {obj}, intent=c.intent))
+            extents.append(old_extents[i] | g)
         else:
-            e = old_extents[i]
-            concepts.append(lat.concepts[i])
-        extents.append(e)
+            extents.append(old_extents[i])
 
     pos, parents_of = _parent_finder(ctx, order, extents)
     parents = []
@@ -308,7 +312,7 @@ def insert_object(
             parents.append(parents_of(b))
         else:
             parents.append([pos[old[p]] for p in lat._parents[i]])
-    return ConceptLattice._from_masks(ctx, order, extents, concepts, pos, parents)
+    return ConceptLattice._from_masks(ctx, order, extents, pos, parents)
 
 
 def enumerate_concepts_oracle(ctx: FormalContext) -> set[FormalConcept]:
@@ -383,18 +387,18 @@ def export_dot(lat: ConceptLattice, reduced_labels: bool = False) -> str:
     """
     ctx = lat.context
     if reduced_labels:
-        own_objects: dict[int, list[str]] = {i: [] for i in range(len(lat.concepts))}
-        own_attrs: dict[int, list[Attribute]] = {i: [] for i in range(len(lat.concepts))}
+        own_objects: dict[int, list[str]] = {i: [] for i in range(len(lat._intents))}
+        own_attrs: dict[int, list[Attribute]] = {i: [] for i in range(len(lat._intents))}
         for g, row in zip(ctx.objects, ctx._rows):
             own_objects[lat._pos[row]].append(g)
         for a in ctx.attributes:
             own_attrs[lat._pos[ctx._attr_mask(ctx.close_attributes([a]))]].append(a)
     lines = ["digraph concept_lattice {", "  rankdir=BT;", "  node [shape=box];"]
-    for i, c in enumerate(lat.concepts):
+    for i, (b, e) in enumerate(zip(lat._intents, lat._extents)):
         if reduced_labels:
             label = _label(own_objects[i], own_attrs[i])
         else:
-            label = _label(c.extent, c.intent)
+            label = _label(ctx._objects_from_mask(e), ctx._attrs_from_mask(b))
         lines.append(f'  c{i} [label="{_dot_escape(label)}"];')
     for child, parent in lat.covers:
         lines.append(f"  c{child} -> c{parent};")
@@ -422,8 +426,8 @@ def _lattice_doc(lat: ConceptLattice) -> dict:
             ],
         },
         "concepts": [
-            {"extent": sorted(c.extent), "intent": list(_bits(b))}
-            for c, b in zip(lat.concepts, lat._intents)
+            {"extent": sorted(ctx._objects_from_mask(e)), "intent": list(_bits(b))}
+            for b, e in zip(lat._intents, lat._extents)
         ],
         "covers": [list(pair) for pair in lat.covers],
     }

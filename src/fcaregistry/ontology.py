@@ -12,7 +12,7 @@ import graphlib
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .context import Attribute, FormalContext
 from .errors import OntologyError
@@ -22,6 +22,22 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Sentinel for unbounded traversal depth.
 UNLIMITED = None
+
+
+def _distances(start: str, step: dict[str, Sequence[str]], hops: int | None) -> dict[str, int]:
+    """Breadth-first distance from ``start`` (0) of each term ``step`` reaches
+    within ``hops`` steps; ``step`` maps a term to its next terms."""
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        if hops is not None and dist[node] >= hops:
+            continue
+        for nxt in step[node]:
+            if nxt not in dist:
+                dist[nxt] = dist[node] + 1
+                queue.append(nxt)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -68,19 +84,10 @@ class Ontology:
             ).prepare()
         except graphlib.CycleError as exc:
             raise OntologyError(f"cycle detected through: {exc.args[1]}") from exc
-        reachable = {root}
-        queue = deque([root])
-        while queue:
-            for c in children[queue.popleft()]:
-                if c not in reachable:
-                    reachable.add(c)
-                    queue.append(c)
-        stranded = terms - reachable
+        stranded = terms - _distances(root, children, None).keys()
         if stranded:
             raise OntologyError(f"terms unreachable from root: {sorted(stranded)}")
-        resolve: dict[str, str] = {}
-        for t in sorted(terms):
-            resolve[t] = t
+        resolve = {t: t for t in sorted(terms)}
         for name, alias in aliases.items():
             if name not in terms:
                 raise OntologyError(f"alias for unknown term: {name!r}")
@@ -127,20 +134,9 @@ class Ontology:
 
     def _walk(self, term: str, step: dict[str, tuple[str, ...]], hops: int | None) -> list[str]:
         start = self._require(term)
-        dist = {start: 0}
-        order: list[tuple[int, str]] = []
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            if hops is not None and dist[node] >= hops:
-                continue
-            for nxt in step[node]:
-                if nxt not in dist:
-                    dist[nxt] = dist[node] + 1
-                    order.append((dist[nxt], nxt))
-                    queue.append(nxt)
-        order.sort()
-        return [name for _, name in order]
+        dist = _distances(start, step, hops)
+        del dist[start]
+        return sorted(dist, key=lambda t: (dist[t], t))
 
     def ancestors(self, term: str, hops: int | None = UNLIMITED) -> list[str]:
         """Terms above the given one, by increasing distance (ties by name)."""
@@ -242,25 +238,26 @@ def _refine(
     if hops is not None and hops < 0:
         raise OntologyError(f"hop bound must be non-negative, got {hops}")
     by_key = {a.key: a for a in ctx.attributes}
-    added: list[Attribute] = []
+    added: set[Attribute] = set()
     dropped: set[str] = set()
     skipped: set[str] = set()
-    for term in sorted(q.terms, key=lambda a: a.key):
+    for term in q.terms:
         node = _resolvable(ont, term)
         if node is None:
             skipped.add(term.term)
             continue
-        related: list[str] = []
+        related: set[str] = set()
         if mode in ("generalize", "both"):
-            related.extend(ont.ancestors(node, hops))
+            related.update(_distances(node, ont._parents, hops))
         if mode in ("specialize", "both"):
-            related.extend(ont.descendants(node, hops))
+            related.update(_distances(node, ont._children, hops))
+        related.discard(node)
         for name in related:
             attr = _attribute_for_term(ont, by_key, name)
             if attr is None:
                 dropped.add(name)
-            elif attr not in q.terms and attr not in added:
-                added.append(attr)
+            elif attr not in q.terms:
+                added.add(attr)
     report = RefinementReport(
         mode=mode,
         added=frozenset(added),

@@ -159,7 +159,10 @@ def parse_records(text: str) -> list[MetadataRecord]:
         raise RegistryError("record document must hold a record or a record list")
     if not isinstance(items, list):
         raise RegistryError("'records' must be a list of records")
-    records = [_record_from_doc(item) for item in items]
+    return _unique([_record_from_doc(item) for item in items])
+
+
+def _unique(records: list[MetadataRecord]) -> list[MetadataRecord]:
     seen = set()
     for r in records:
         if r.id in seen:
@@ -168,20 +171,20 @@ def parse_records(text: str) -> list[MetadataRecord]:
     return records
 
 
+def _read_records(path: Path) -> list[MetadataRecord]:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise RegistryError(f"cannot read record file {str(path)!r}: {exc}") from exc
+    return parse_records(text)
+
+
 def load_records(path: str | Path) -> list[MetadataRecord]:
     """Load a corpus from one document file or a directory of per-source files."""
     path = Path(path)
     if path.is_dir():
-        records = []
-        for entry in sorted(path.glob("*.json")):
-            records.extend(parse_records(entry.read_text(encoding="utf-8")))
-        seen = set()
-        for r in records:
-            if r.id in seen:
-                raise RegistryError(f"duplicate record id: {r.id!r}")
-            seen.add(r.id)
-        return records
-    return parse_records(path.read_text(encoding="utf-8"))
+        return _unique([r for entry in sorted(path.glob("*.json")) for r in _read_records(entry)])
+    return _read_records(path)
 
 
 def write_records(records: list[MetadataRecord]) -> str:

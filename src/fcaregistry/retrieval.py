@@ -34,6 +34,7 @@ from .lattice import (
 from .ontology import (
     Ontology,
     RefinementReport,
+    _resolvable,
     refine_both,
     refine_generalize,
     refine_specialize,
@@ -222,21 +223,13 @@ def search_refined(
     if not q.terms:
         raise QueryError("query term set must be non-empty")
     refined, report = refiners[mode](q, ont, lat.context, hops)
-    original = sorted(q.terms, key=lambda a: a.key)
+    original = {_resolvable(ont, a) for a in q.terms} - {None}
 
     def distance(shared_terms: frozenset[Attribute]) -> float:
         best = math.inf
-        for shared in shared_terms:
-            if shared.prefix is not None and shared.prefix != ont.prefix:
-                continue
-            if ont.resolve(shared.term) is None:
-                continue
+        for node in {_resolvable(ont, a) for a in shared_terms} - {None}:
             for term in original:
-                if term.prefix is not None and term.prefix != ont.prefix:
-                    continue
-                if ont.resolve(term.term) is None:
-                    continue
-                d = ont.term_distance(term.term, shared.term)
+                d = ont.term_distance(term, node)
                 if d is not None:
                     best = min(best, d)
         return best

@@ -1,4 +1,8 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -191,3 +195,37 @@ class TestExportAndStats:
 
     def test_unreadable_file(self, tmp_path):
         assert main(["stats", "--lattice", str(tmp_path / "missing")]) == 1
+
+
+class TestNonUtf8Input:
+    """A lone 0xff byte in any input file is a data error, not a traceback."""
+
+    @pytest.mark.parametrize("reader", ["context", "lattice", "ontology", "record-file", "record-directory"])
+    def test_exit_1_with_the_package_error(self, reader, lattice_file, tmp_path):
+        out = str(tmp_path / "out.lat")
+        if reader == "record-directory":
+            shutil.copytree(CORPUS, tmp_path / "corpus")
+            bad = tmp_path / "corpus" / "S1.json"
+        else:
+            source = {"context": TABLE1, "lattice": lattice_file, "ontology": ONT,
+                      "record-file": f"{CORPUS}/S1.json"}[reader]
+            bad = tmp_path / f"bad-{os.path.basename(source)}"
+            shutil.copy(source, bad)
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        argv = {
+            "context": ["build", "--context", str(bad), "--out", out],
+            "lattice": ["stats", "--lattice", str(bad)],
+            "ontology": ["query", "--lattice", lattice_file, "--terms", "Ch", "--refine", "generalize",
+                         "--ontology", str(bad)],
+            "record-file": ["build", "--records", str(bad), "--out", out],
+            "record-directory": ["build", "--records", str(tmp_path / "corpus"), "--out", out],
+        }[reader]
+        src = str(FIXTURES.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "fcaregistry.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: cannot read ")
+        assert str(bad) in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fcaregistry import (
+    CATEGORIES,
     Attribute,
     ContextError,
     FormalContext,
@@ -209,3 +210,59 @@ class TestCsv:
     def test_nonempty_corner_rejected(self):
         with pytest.raises(ContextError):
             context_from_csv("id,m1\nS1,1\n")
+
+    @pytest.mark.parametrize(
+        "attr",
+        [Attribute("x@y"), Attribute("x", "p@q"), Attribute("a:b"), Attribute("b", "a:c"),
+         Attribute(" pad "), Attribute("pad", " p"), Attribute("a\rb")],
+        ids=["at-in-term", "at-in-prefix", "colon-in-bare-term", "colon-in-prefix",
+             "padded-term", "padded-prefix", "carriage-return"],
+    )
+    def test_writer_refuses_a_name_that_would_read_back_otherwise(self, attr):
+        with pytest.raises(ContextError, match="cannot write attribute"):
+            context_to_csv(FormalContext(["S1"], [attr], [[1]]))
+
+    def test_writer_refuses_a_padded_object_id(self):
+        with pytest.raises(ContextError, match="cannot write object id"):
+            context_to_csv(FormalContext([" S1"], [Attribute("m")], [[1]]))
+
+    def test_colon_in_a_prefixed_term_round_trips(self):
+        ctx = FormalContext(["S1"], [Attribute("a:b", "T")], [[1]])
+        assert context_from_csv(context_to_csv(ctx)) == ctx
+
+    def test_what_the_writer_accepts_reads_back_equal(self):
+        def unwritable(text, forbidden):
+            return text != text.strip() or any(ch in text for ch in forbidden + "\r")
+
+        def refused(ctx):
+            return any(
+                unwritable(a.prefix or "", "@:") or unwritable(a.term, "@" if a.prefix else "@:")
+                for a in ctx.attributes
+            ) or any(unwritable(g, "") for g in ctx.objects)
+
+        rng = random.Random(79)
+
+        def spelling():
+            return "".join(rng.choice('@:,"\n ab') for _ in range(rng.randint(1, 4)))
+
+        written = rejected = 0
+        while written < 300 or rejected < 300:
+            attrs = [
+                Attribute(spelling(), rng.choice((None, spelling())), rng.choice(CATEGORIES))
+                for _ in range(rng.randint(0, 3))
+            ]
+            objects = [spelling() for _ in range(rng.randint(0, 3))]
+            rows = [[rng.randint(0, 1) for _ in attrs] for _ in objects]
+            try:
+                ctx = FormalContext(objects, attrs, rows)
+            except ContextError:
+                continue
+            if refused(ctx):
+                with pytest.raises(ContextError, match="cannot write"):
+                    context_to_csv(ctx)
+                rejected += 1
+            else:
+                again = context_from_csv(context_to_csv(ctx))
+                assert again == ctx
+                assert [a.category for a in again.attributes] == [a.category for a in ctx.attributes]
+                written += 1

@@ -11,6 +11,7 @@ from fcaregistry import (
     FormalConcept,
     FormalContext,
     LatticeError,
+    Query,
     build_lattice,
     enumerate_concepts_oracle,
     enumerate_covers_oracle,
@@ -18,8 +19,11 @@ from fcaregistry import (
     insert_object,
     lattice_from_json,
     lattice_to_json,
+    search,
+    search_refined,
 )
-from conftest import edge_case_context, make_random_context
+from fcaregistry.cli import main
+from conftest import FIXTURES, edge_case_context, make_random_context
 
 TABLE1_INTENTS = [
     set(),
@@ -66,6 +70,18 @@ def intent_terms(lat):
     return [set(a.term for a in c.intent) for c in lat.concepts]
 
 
+def assert_eq_matches_values(a, b):
+    """``==`` and ``hash``, which compare masks, agree with the concept values."""
+    by_values = (
+        a.context == b.context
+        and set(a.concepts) == set(b.concepts)
+        and a.cover_concepts() == b.cover_concepts()
+    )
+    assert (a == b) == by_values
+    if by_values:
+        assert hash(a) == hash(b)
+
+
 class TestBuildLattice:
     def test_table1_has_twelve_concepts(self, table1_lattice):
         assert len(table1_lattice.concepts) == 12
@@ -90,11 +106,15 @@ class TestBuildLattice:
         # duplicate and empty rows, all-zero and all-one columns
         contexts = [make_random_context(rng) for _ in range(40)]
         contexts += [edge_case_context(edge_rng) for _ in range(60)]
+        previous = build_lattice(FormalContext([], [], []))
         for ctx in contexts:
             lat = build_lattice(ctx)
             oracle = enumerate_concepts_oracle(ctx)
             assert set(lat.concepts) == oracle
             assert lat.cover_concepts() == enumerate_covers_oracle(oracle)
+            assert_eq_matches_values(lat, build_lattice(ctx))
+            assert_eq_matches_values(lat, previous)
+            previous = lat
 
     def test_concept_closure_invariants(self):
         rng = random.Random(29)
@@ -116,6 +136,7 @@ def assert_rebuilt(lat, expected):
     assert lat.concepts == ref.concepts
     assert lat.covers == ref.covers
     assert lattice_to_json(lat) == lattice_to_json(ref)
+    assert lat == ref and hash(lat) == hash(ref)
 
 
 def rows_to_insert(rng, lat):
@@ -229,8 +250,26 @@ class TestInsertObject:
         rng = random.Random(53)
         for lat in random_lattices(54, 30):
             public = ConceptLattice(lat.context, lat.concepts, lat.covers[::-1])
+            assert_eq_matches_values(public, lat)
             for row in rows_to_insert(rng, lat).values():
                 assert_rebuilt(insert_object(public, "gx", row), lat.context.add_object("gx", row))
+
+    def test_equality_sees_an_extent_the_constructor_kept(self):
+        rng = random.Random(55)
+        altered = 0
+        for lat in random_lattices(56, 30):
+            if not lat.context.objects:
+                continue
+            concepts = list(lat.concepts)
+            i = rng.randrange(len(concepts))
+            c = concepts[i]
+            concepts[i] = FormalConcept(c.extent ^ {rng.choice(lat.context.objects)}, c.intent)
+            odd = ConceptLattice(lat.context, concepts, lat.covers)
+            assert odd.concepts == tuple(concepts)
+            assert odd != lat
+            assert_eq_matches_values(odd, lat)
+            altered += 1
+        assert altered >= 20
 
 
 class TestConstructor:
@@ -360,9 +399,14 @@ class TestPersistence:
 
     def test_round_trip_random(self):
         rng = random.Random(41)
+        previous = build_lattice(FormalContext([], [], []))
         for _ in range(10):
             lat = build_lattice(make_random_context(rng))
-            assert lattice_from_json(lattice_to_json(lat)) == lat
+            again = lattice_from_json(lattice_to_json(lat))
+            assert again == lat
+            assert_eq_matches_values(again, lat)
+            assert_eq_matches_values(again, previous)
+            previous = lat
 
     def test_rejects_garbage(self):
         with pytest.raises(LatticeError):
@@ -377,3 +421,39 @@ class TestPersistence:
         corrupt(doc)
         with pytest.raises(LatticeError, match=message):
             lattice_from_json(json.dumps(doc))
+
+
+class TestMasksOnly:
+    def test_no_concept_values_are_made(self, monkeypatch, tmp_path, capsys, table1, organisms):
+        """Build, insert, save, load, search and the CLI run on masks alone."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a FormalConcept value was made")
+
+        monkeypatch.setattr("fcaregistry.lattice.FormalConcept", refuse)
+        rng = random.Random(61)
+        lat = build_lattice(table1)
+        for i in range(6):
+            row = rng.sample(list(lat.context.attributes), rng.randint(0, 4))
+            lat = insert_object(lat, f"X{i}", row + [Attribute(f"new{i}")] * (i % 2))
+        text = lattice_to_json(lat)
+        again = lattice_from_json(text)
+        assert again == lat and hash(again) == hash(lat)
+        assert lattice_to_json(again) == text
+        by_term = {a.term: a for a in table1.attributes}
+        query = Query(terms=frozenset({by_term["NS"], by_term["Hu"], Attribute("Zz")}))
+        assert search(again, query).results
+        for mode in ("generalize", "specialize", "both"):
+            search_refined(again, Query(terms=frozenset({by_term["Ve"]})), organisms, mode, None)
+
+        out = str(tmp_path / "lat.json")
+        for argv in (
+            ["build", "--records", str(FIXTURES / "bioregistry8"), "--out", out],
+            ["build", "--context", str(FIXTURES / "table1.csv"), "--out", out],
+            ["stats", "--lattice", out],
+            ["query", "--lattice", out, "--terms", "NS,Hu,MR", "--format", "machine"],
+            ["query", "--lattice", out, "--terms", "Ch", "--refine", "generalize",
+             "--ontology", str(FIXTURES / "organisms.ont")],
+        ):
+            assert main(argv) == 0, argv
+        assert capsys.readouterr().err == ""

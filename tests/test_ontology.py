@@ -10,6 +10,7 @@ from fcaregistry import (
     Ontology,
     OntologyError,
     Query,
+    RefinementReport,
     load_ontology,
     refine_both,
     refine_generalize,
@@ -40,6 +41,30 @@ def shortest_path(step, a, b):
                 dist[nxt] = dist[node] + 1
                 queue.append(nxt)
     return None
+
+
+def refine_oracle(query, ont, ctx, hops, mode):
+    """The refinement as read off the ordered public walks."""
+    by_key = {a.key: a for a in ctx.attributes}
+    added, dropped, skipped = set(), set(), set()
+    for term in query.terms:
+        node = ont.resolve(term.term) if term.prefix in (None, ont.prefix) else None
+        if node is None:
+            skipped.add(term.term)
+            continue
+        related = []
+        if mode in ("generalize", "both"):
+            related += ont.ancestors(node, hops)
+        if mode in ("specialize", "both"):
+            related += ont.descendants(node, hops)
+        for name in related:
+            attr = _attribute_for_term(ont, by_key, name)
+            if attr is None:
+                dropped.add(name)
+            elif attr not in query.terms:
+                added.add(attr)
+    report = RefinementReport(mode, frozenset(added), frozenset(dropped), hops, frozenset(skipped))
+    return Query(terms=query.terms | added, label=query.label), report
 
 
 class TestLoadOntology:
@@ -267,3 +292,38 @@ class TestRefinement:
                 found += expected is not None
                 missed += expected is None
         assert found >= 100 and missed >= 100, (found, missed)
+
+    def test_matches_the_ordered_walks_on_random_dags(self):
+        rng = random.Random(73)
+        refiners = {"generalize": refine_generalize, "specialize": refine_specialize, "both": refine_both}
+        added = dropped = 0
+        for _ in range(60):
+            terms = [f"t{i}" for i in range(rng.randint(1, 15))]
+            edges = {(rng.choice(terms[:i]), t) for i, t in enumerate(terms) if i}
+            for _ in range(rng.randint(0, 4)):
+                if len(terms) > 1:
+                    i, j = sorted(rng.sample(range(len(terms)), 2))
+                    edges.add((terms[i], terms[j]))
+            aliases = {t: f"a{i}" for i, t in enumerate(terms) if rng.random() < 0.5}
+            ont = Ontology("T", terms[0], sorted(edges), aliases)
+            spellings = terms + list(aliases.values()) + ["zz"]
+            attrs = {}
+            for spelling in rng.sample(spellings, rng.randint(0, len(spellings))):
+                a = Attribute(spelling, rng.choice((None, "T", "U")), rng.choice(("Subject", "Organism")))
+                attrs.setdefault(a.key, a)
+            ctx = FormalContext([], list(attrs.values()), [])
+            for _ in range(3):
+                picked = rng.sample(spellings, rng.randint(1, min(3, len(spellings))))
+                query = Query(terms=frozenset(Attribute(t, rng.choice((None, "T", "U"))) for t in picked))
+                for hops in (None, 0, 1, 2):
+                    for mode, refine in refiners.items():
+                        refined, report = refine(query, ont, ctx, hops)
+                        expected, expected_report = refine_oracle(query, ont, ctx, hops, mode)
+                        assert refined == expected
+                        assert report == expected_report
+                        assert sorted((a.key, a.category) for a in refined.terms) == sorted(
+                            (a.key, a.category) for a in expected.terms
+                        )
+                        added += bool(report.added)
+                        dropped += bool(report.dropped_candidates)
+        assert added >= 100 and dropped >= 100, (added, dropped)

@@ -69,6 +69,20 @@ class TestParseRecords:
             parse_records(json.dumps({"id": "S1", "organisms": ["Hu", 5]}))
 
 
+class TestLoadRecords:
+    def test_non_utf8_file(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"id": "S\xff1"}')
+        with pytest.raises(RegistryError, match="bad.json"):
+            load_records(bad)
+
+    def test_non_utf8_directory_entry(self, tmp_path):
+        (tmp_path / "good.json").write_text('{"id": "S1", "subjects": ["NS"]}', encoding="utf-8")
+        (tmp_path / "bad.json").write_bytes(b'{"id": "S\xff2"}')
+        with pytest.raises(RegistryError, match="bad.json"):
+            load_records(tmp_path)
+
+
 class TestBuildContext:
     def test_reproduces_table1_up_to_ordering(self, corpus, table1):
         ctx = build_context(corpus)
