@@ -7,7 +7,8 @@ candidate.  Covers come from Lindig's neighbour count (``_upper_neighbours``).
 A lattice is its intent and extent bit masks in canonical order.  Building,
 insertion, saving, loading and DOT export work on the masks alone; the
 ``FormalConcept`` values are made from them on the first access to
-``concepts``.
+``concepts``, and the lookups (``top``, ``bottom``, ``concept_with_intent``,
+``index_of`` and the covers of one concept) make only the values they return.
 
 ``insert_object`` updates a lattice for one new row x instead of rebuilding
 it (Godin, Missaoui & Alaoui, 1995).  An old concept with intent b falls in
@@ -67,7 +68,8 @@ class ConceptLattice:
     Concepts are kept in canonical order (intent size, then lexicographic
     intent), so the first concept is the top and the last is the bottom.
     The stored state is each concept's intent and extent mask in that order;
-    ``concepts`` makes the ``FormalConcept`` values once, when first read.
+    ``concepts`` makes the ``FormalConcept`` values once, when first read,
+    and the lookups make only the values they return.
     Instances are immutable; insertion returns a new lattice.
     """
 
@@ -149,13 +151,19 @@ class ConceptLattice:
         """The cover relation as concept pairs (order-insensitive form)."""
         return {(self.concepts[c], self.concepts[p]) for c, p in self.covers}
 
+    def _value(self, i: int) -> FormalConcept:
+        """The concept at position i, made on its own unless all are made."""
+        if self._concepts is not None:
+            return self._concepts[i]
+        return _concept(self.context, self._intents[i], self._extents[i])
+
     @property
     def top(self) -> FormalConcept:
-        return self.concepts[0]
+        return self._value(0)
 
     @property
     def bottom(self) -> FormalConcept:
-        return self.concepts[-1]
+        return self._value(-1)
 
     def _index_of_intent(self, intent: Iterable[Attribute]) -> int | None:
         try:
@@ -165,17 +173,21 @@ class ConceptLattice:
 
     def index_of(self, concept: FormalConcept) -> int:
         idx = self._index_of_intent(concept.intent)
-        if idx is None or self.concepts[idx] != concept:
+        try:
+            found = idx is not None and self.context._obj_mask(concept.extent) == self._extents[idx]
+        except ContextError:
+            found = False
+        if not found:
             raise LatticeError(f"concept not in lattice: {concept}")
         return idx
 
     def concept_with_intent(self, intent: Iterable[Attribute]) -> FormalConcept | None:
         idx = self._index_of_intent(intent)
-        return None if idx is None else self.concepts[idx]
+        return None if idx is None else self._value(idx)
 
     def upper_covers(self, concept: FormalConcept) -> list[FormalConcept]:
         """Immediate parents in the Hasse diagram, in canonical order."""
-        return [self.concepts[p] for p in self._parents[self.index_of(concept)]]
+        return [self._value(p) for p in self._parents[self.index_of(concept)]]
 
     def lower_covers(self, concept: FormalConcept) -> list[FormalConcept]:
         """Immediate children in the Hasse diagram, in canonical order."""
@@ -186,7 +198,7 @@ class ConceptLattice:
             for c, p in self.covers:
                 children[p].append(c)
             object.__setattr__(self, "_children", children)
-        return [self.concepts[c] for c in self._children[idx]]
+        return [self._value(c) for c in self._children[idx]]
 
     def height(self) -> int:
         """Length in edges of the longest bottom-to-top chain."""
@@ -425,12 +437,21 @@ def _lattice_doc(lat: ConceptLattice) -> dict:
                 for i in range(len(ctx.objects))
             ],
         },
-        "concepts": [
-            {"extent": sorted(ctx._objects_from_mask(e)), "intent": list(_bits(b))}
-            for b, e in zip(lat._intents, lat._extents)
-        ],
-        "covers": [list(pair) for pair in lat.covers],
+        "concepts": _concept_docs(lat),
+        "covers": _cover_docs(lat),
     }
+
+
+def _concept_docs(lat: ConceptLattice) -> list[dict]:
+    ctx = lat.context
+    return [
+        {"extent": sorted(ctx._objects_from_mask(e)), "intent": list(_bits(b))}
+        for b, e in zip(lat._intents, lat._extents)
+    ]
+
+
+def _cover_docs(lat: ConceptLattice) -> list[list[int]]:
+    return [list(pair) for pair in lat.covers]
 
 
 def lattice_to_json(lat: ConceptLattice) -> str:
@@ -484,8 +505,7 @@ def lattice_from_json(text: str) -> ConceptLattice:
     if type(version) is not int or version != 1:
         raise LatticeError(f"unsupported lattice file version: {version!r} (expected 1)")
     lat = build_lattice(_context_from_doc(_expect(doc.get("context"), dict, "'context'")))
-    rebuilt = _lattice_doc(lat)
-    for key in ("concepts", "covers"):
-        if _expect(doc.get(key), list, f"{key!r}") != rebuilt[key]:
+    for key, rebuilt in (("concepts", _concept_docs), ("covers", _cover_docs)):
+        if _expect(doc.get(key), list, f"{key!r}") != rebuilt(lat):
             raise LatticeError(f"malformed lattice file: the stored {key} are not those of its context")
     return lat

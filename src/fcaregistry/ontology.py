@@ -4,15 +4,22 @@ An ontology is a rooted DAG of terms connected by parent -> child
 specialization edges.  Terms may carry a short alias so that a hierarchy of
 full names (e.g. "Vertebrates") can match abbreviated context attributes
 (e.g. "Ve").
+
+Loading checks the graph with one Kahn pass from the root, which pops every
+term exactly when the graph is acyclic and reaches every term from the
+root.  The slower diagnostics run only when that pass fails or an edge
+repeats.  They name the first fault in a fixed order, and a cycle by the
+first one a depth-first search meets from the smallest term left behind,
+following edges in file order, so the message does not depend on
+``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
-import graphlib
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
 from .context import Attribute, FormalContext
 from .errors import OntologyError
@@ -40,6 +47,56 @@ def _distances(start: str, step: dict[str, Sequence[str]], hops: int | None) -> 
     return dist
 
 
+def _first_cycle(children: dict[str, list[str]], starts: list[str]) -> list[str] | None:
+    """The first cycle a depth-first search meets, trying each start in
+    turn and each term's edges in file order.
+
+    The cycle is listed in edge direction with its first term repeated at
+    the end, e.g. ``['a', 'b', 'a']``; None when there is no cycle.
+    """
+    done: set[str] = set()
+    for start in starts:
+        if start in done:
+            continue
+        path = [start]
+        depth = {start: 0}
+        branches = [iter(children[start])]
+        while branches:
+            for nxt in branches[-1]:
+                if nxt in depth:
+                    return path[depth[nxt]:] + [nxt]
+                if nxt not in done:
+                    depth[nxt] = len(path)
+                    path.append(nxt)
+                    branches.append(iter(children[nxt]))
+                    break
+            else:
+                branches.pop()
+                node = path.pop()
+                del depth[node]
+                done.add(node)
+    return None
+
+
+def _diagnose(
+    root: str, edges: Sequence[Sequence[str]], children: dict[str, list[str]], popped: list[str]
+) -> NoReturn:
+    """Raise the first fault of a graph whose Kahn pass from the root left
+    terms behind or whose edge list repeats an edge."""
+    seen = set()
+    for parent, child in edges:
+        if (parent, child) in seen:
+            raise OntologyError(f"duplicate edge: {parent!r} -> {child!r}")
+        seen.add((parent, child))
+    # every cycle lies among the terms the pass left behind
+    cycle = _first_cycle(children, sorted(children.keys() - set(popped)))
+    if cycle is not None:
+        raise OntologyError(f"cycle detected through: {cycle}")
+    # without a cycle, the pass leaves behind exactly the unreachable terms
+    stranded = children.keys() - _distances(root, children, None).keys()
+    raise OntologyError(f"terms unreachable from root: {sorted(stranded)}")
+
+
 @dataclass(frozen=True)
 class RefinementReport:
     """What a refinement pass did to a query."""
@@ -60,34 +117,50 @@ class Ontology:
         self,
         prefix: str,
         root: str,
-        edges: list[tuple[str, str]],
+        edges: Sequence[Sequence[str]],
         aliases: dict[str, str] | None = None,
     ):
+        """Validate and store a rooted DAG given as (parent, child) edges.
+
+        One Kahn pass (Kahn, 1962) from the root pops every term exactly
+        when the graph is acyclic and every term is reachable from the
+        root, so a valid ontology is checked in linear time.  Only when the
+        pass leaves terms behind, or an edge repeats, does ``_diagnose``
+        name the fault; the errors come in this order: a duplicate edge,
+        a cycle (with a witness that does not depend on hashing), terms
+        unreachable from the root.  The alias errors come last.
+        """
         aliases = dict(aliases or {})
-        terms = {root}
+        children: dict[str, list[str]] = {root: []}
+        parents: dict[str, list[str]] = {root: []}
         for parent, child in edges:
-            terms.add(parent)
-            terms.add(child)
-        children: dict[str, list[str]] = {t: [] for t in terms}
-        parents: dict[str, list[str]] = {t: [] for t in terms}
-        seen_edges = set()
-        for parent, child in edges:
-            if (parent, child) in seen_edges:
-                raise OntologyError(f"duplicate edge: {parent!r} -> {child!r}")
-            seen_edges.add((parent, child))
-            children[parent].append(child)
-            parents[child].append(parent)
-        # cycle check; TopologicalSorter names a witness node
-        try:
-            graphlib.TopologicalSorter(
-                {t: set(parents[t]) for t in terms}
-            ).prepare()
-        except graphlib.CycleError as exc:
-            raise OntologyError(f"cycle detected through: {exc.args[1]}") from exc
-        stranded = terms - _distances(root, children, None).keys()
-        if stranded:
-            raise OntologyError(f"terms unreachable from root: {sorted(stranded)}")
-        resolve = {t: t for t in sorted(terms)}
+            below = children.get(parent)
+            if below is None:
+                children[parent] = [child]
+                parents[parent] = []
+            else:
+                below.append(child)
+            above = parents.get(child)
+            if above is None:
+                parents[child] = [parent]
+                children[child] = []
+            else:
+                above.append(parent)
+        pending = {t: len(ps) for t, ps in parents.items()}
+        popped = [] if pending[root] else [root]
+        for node in popped:  # the list grows while it is read
+            for child in children[node]:
+                left = pending[child] - 1
+                pending[child] = left
+                if not left:
+                    popped.append(child)
+        # a repeated edge lists its parent twice among the child's parents
+        if len(popped) < len(parents) or any(
+            len(ps) > 1 and len(set(ps)) < len(ps) for ps in parents.values()
+        ):
+            _diagnose(root, edges, children, popped)
+        terms = parents.keys()
+        resolve = {t: t for t in terms}
         for name, alias in aliases.items():
             if name not in terms:
                 raise OntologyError(f"alias for unknown term: {name!r}")
@@ -97,8 +170,8 @@ class Ontology:
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "terms", frozenset(terms))
-        object.__setattr__(self, "_parents", {t: tuple(parents[t]) for t in terms})
-        object.__setattr__(self, "_children", {t: tuple(children[t]) for t in terms})
+        object.__setattr__(self, "_parents", {t: tuple(ps) for t, ps in parents.items()})
+        object.__setattr__(self, "_children", {t: tuple(cs) for t, cs in children.items()})
         object.__setattr__(self, "_alias_of", aliases)
         object.__setattr__(self, "_resolve", resolve)
 
@@ -188,14 +261,17 @@ def load_ontology(text: str) -> Ontology:
     if not isinstance(edges, list):
         raise OntologyError("ontology field 'edges' must be a list")
     for pair in edges:
-        if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(t, str) and t for t in pair):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise OntologyError(f"bad edge entry: {pair!r}")
+        parent, child = pair
+        if not (isinstance(parent, str) and parent and isinstance(child, str) and child):
             raise OntologyError(f"bad edge entry: {pair!r}")
     aliases = doc.get("aliases")
     if aliases is not None and (
         not isinstance(aliases, dict) or not all(isinstance(a, str) for a in aliases.values())
     ):
         raise OntologyError("ontology field 'aliases' must be an object of strings")
-    return Ontology(doc["prefix"], doc["root"], [tuple(pair) for pair in edges], aliases)
+    return Ontology(doc["prefix"], doc["root"], edges, aliases)
 
 
 # -- query refinement --------------------------------------------------------

@@ -457,3 +457,40 @@ class TestMasksOnly:
         ):
             assert main(argv) == 0, argv
         assert capsys.readouterr().err == ""
+
+    def test_lookups_make_only_the_concepts_they_return(self, monkeypatch, table1):
+        made = []
+
+        def counting(*args, **kwargs):
+            made.append(FormalConcept(*args, **kwargs))
+            return made[-1]
+
+        reference = build_lattice(table1).concepts
+        lat = build_lattice(table1)
+        monkeypatch.setattr("fcaregistry.lattice.FormalConcept", counting)
+        by_term = {a.term: a for a in table1.attributes}
+        concept = lat.concept_with_intent({by_term["NS"], by_term["PS"]})
+        assert concept in reference and len(made) == 1
+        idx = lat.index_of(concept)
+        assert reference[idx] == concept and len(made) == 1
+        assert lat.upper_covers(concept) == [reference[p] for p in lat._parents[idx]]
+        assert len(made) == 1 + len(lat._parents[idx])
+        del made[:]
+        lower = lat.lower_covers(concept)
+        assert lower == [reference[c] for c, p in lat.covers if p == idx]
+        assert len(made) == len(lower) >= 1
+        del made[:]
+        assert (lat.top, lat.bottom) == (reference[0], reference[-1]) and len(made) == 2
+        assert lat.concept_with_intent({Attribute("Zz")}) is None and len(made) == 2
+        assert lat._concepts is None
+
+    def test_index_of_compares_the_whole_concept(self, table1):
+        lat = build_lattice(table1)
+        top = lat.top
+        assert lat.index_of(top) == 0
+        for extent in (top.extent - {min(top.extent)}, top.extent | {"stranger"}):
+            with pytest.raises(LatticeError, match="concept not in lattice"):
+                lat.index_of(FormalConcept(extent=frozenset(extent), intent=top.intent))
+        with pytest.raises(LatticeError, match="concept not in lattice"):
+            lat.index_of(FormalConcept(extent=frozenset(), intent=frozenset({Attribute("Zz")})))
+        assert lat._concepts is None

@@ -1,6 +1,12 @@
+import ast
+import graphlib
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +22,96 @@ from fcaregistry import (
     refine_generalize,
     refine_specialize,
 )
-from fcaregistry.ontology import _attribute_for_term
+from fcaregistry.ontology import _attribute_for_term, _first_cycle
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def graphlib_validate(root, edges, aliases):
+    """The validation as it was with graphlib and a reachability BFS.
+
+    Returns (terms, parents, children, resolve) or raises ``OntologyError``.
+    """
+    terms = {root}
+    for parent, child in edges:
+        terms.add(parent)
+        terms.add(child)
+    children = {t: [] for t in terms}
+    parents = {t: [] for t in terms}
+    seen_edges = set()
+    for parent, child in edges:
+        if (parent, child) in seen_edges:
+            raise OntologyError(f"duplicate edge: {parent!r} -> {child!r}")
+        seen_edges.add((parent, child))
+        children[parent].append(child)
+        parents[child].append(parent)
+    try:
+        graphlib.TopologicalSorter({t: set(parents[t]) for t in terms}).prepare()
+    except graphlib.CycleError as exc:
+        raise OntologyError(f"cycle detected through: {exc.args[1]}") from exc
+    reached = {root}
+    queue = deque([root])
+    while queue:
+        for nxt in children[queue.popleft()]:
+            if nxt not in reached:
+                reached.add(nxt)
+                queue.append(nxt)
+    stranded = terms - reached
+    if stranded:
+        raise OntologyError(f"terms unreachable from root: {sorted(stranded)}")
+    resolve = {t: t for t in sorted(terms)}
+    for name, alias in (aliases or {}).items():
+        if name not in terms:
+            raise OntologyError(f"alias for unknown term: {name!r}")
+        if alias in resolve:
+            raise OntologyError(f"duplicate term or alias: {alias!r}")
+        resolve[alias] = name
+    return (
+        frozenset(terms),
+        {t: tuple(ps) for t, ps in parents.items()},
+        {t: tuple(cs) for t, cs in children.items()},
+        resolve,
+    )
+
+
+def corrupted_dag(rng):
+    """A random rooted DAG with zero or more random faults, as
+    (root, edges, aliases, faults)."""
+    terms = [f"t{i}" for i in range(rng.randint(1, 14))]
+    edges = [(rng.choice(terms[:i]), t) for i, t in enumerate(terms) if i]
+    for _ in range(rng.randint(0, 4)):
+        if len(terms) > 1:
+            i, j = sorted(rng.sample(range(len(terms)), 2))
+            if (terms[i], terms[j]) not in edges:
+                edges.append((terms[i], terms[j]))
+    aliases = {t: f"a{i}" for i, t in enumerate(terms) if rng.random() < 0.4}
+    faults = rng.sample(["back", "loop", "stranded", "repeat", "above", "alias"], rng.choice((0, 0, 1, 1, 2)))
+    for fault in faults:
+        if fault == "back":
+            below = rng.randrange(len(terms))
+            edges.append((terms[below], terms[rng.randrange(below + 1)]))
+        elif fault == "loop":
+            t = rng.choice(terms)
+            edges.append((t, t))
+        elif fault == "stranded":
+            stray = [f"s{i}" for i in range(rng.randint(1, 4))]
+            edges += [(rng.choice(stray[:i]), s) for i, s in enumerate(stray) if i]
+            edges.append((stray[0], rng.choice(terms)))
+        elif fault == "repeat" and edges:
+            edges.insert(rng.randrange(len(edges) + 1), rng.choice(edges))
+        elif fault == "above":
+            edges.append(("above", terms[0]))
+        elif fault == "alias":
+            name, alias = rng.choice([("zz", "z"), (rng.choice(terms), rng.choice(terms)), (terms[-1], "a0")])
+            aliases[name] = alias
+    rng.shuffle(edges)
+    return terms[0], edges, aliases, faults
+
+
+def assert_is_cycle(witness, edges):
+    assert len(witness) >= 2 and witness[0] == witness[-1], witness
+    assert len(set(witness[:-1])) == len(witness) - 1, witness
+    assert all(pair in set(edges) for pair in zip(witness, witness[1:])), witness
 
 
 def doc(**kwargs):
@@ -119,6 +214,85 @@ class TestLoadOntology:
         with pytest.raises(OntologyError):
             load_ontology("[")
 
+
+    def test_cycle_witness_ignores_the_hash_seed(self):
+        text = doc(edges=[["r", "m"], ["m", "n"], ["n", "m"], ["r", "a"], ["a", "b"], ["b", "c"], ["c", "a"]])
+        script = (
+            "import sys\n"
+            "from fcaregistry import OntologyError, load_ontology\n"
+            "try:\n"
+            "    load_ontology(sys.stdin.read())\n"
+            "except OntologyError as exc:\n"
+            "    print(exc)\n"
+        )
+        messages = []
+        for seed in ("0", "1"):
+            path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+            proc = subprocess.run(
+                [sys.executable, "-c", script], input=text, capture_output=True, text=True, env=env, check=True
+            )
+            messages.append(proc.stdout)
+        # the smallest term left behind is 'a', and its cycle comes first
+        assert messages == ["cycle detected through: ['a', 'b', 'c', 'a']\n"] * 2
+
+    def test_cycle_witness_follows_edges_in_file_order(self):
+        edges = [["r", "a"], ["a", "c"], ["a", "b"], ["b", "a"], ["c", "a"]]
+        with pytest.raises(OntologyError, match=r"^cycle detected through: \['a', 'c', 'a'\]$"):
+            load_ontology(doc(edges=edges))
+        with pytest.raises(OntologyError, match=r"^cycle detected through: \['a', 'b', 'a'\]$"):
+            load_ontology(doc(edges=[edges[0], edges[2], edges[1], edges[3], edges[4]]))
+
+    def test_duplicate_edge_from_the_constructor(self):
+        with pytest.raises(OntologyError, match=r"^duplicate edge: 'r' -> 'a'$"):
+            Ontology("T", "r", [("r", "a"), ("a", "b"), ("r", "a")])
+        with pytest.raises(OntologyError, match=r"^duplicate edge: 'a' -> 'b'$"):
+            Ontology("T", "r", [["r", "a"], ["a", "b"], ["a", "b"], ["b", "a"]])
+
+    def test_diagnostics_visit_each_term_once(self):
+        # 2**60 paths from s0 to s60 through a ladder of stranded diamonds
+        edges = [("r", "a")]
+        for i in range(60):
+            edges += [(f"s{i}", f"l{i}"), (f"s{i}", f"u{i}"), (f"l{i}", f"s{i + 1}"), (f"u{i}", f"s{i + 1}")]
+
+        class VisitOnce(dict):
+            def __getitem__(self, term):
+                assert term not in visited, f"{term!r} visited twice"
+                visited.add(term)
+                return dict.__getitem__(self, term)
+
+        visited = set()
+        children = VisitOnce({t: [c for p, c in edges if p == t] for t in {t for e in edges for t in e}})
+        assert _first_cycle(children, sorted(children)) is None
+        assert visited == children.keys()
+        with pytest.raises(OntologyError, match=r"^terms unreachable from root: \['l0', "):
+            Ontology("T", "r", edges)
+
+    def test_matches_the_graphlib_validator_on_random_graphs(self):
+        rng = random.Random(97)
+        outcomes = {}
+        for _ in range(1500):
+            root, edges, aliases, faults = corrupted_dag(rng)
+            try:
+                expected = graphlib_validate(root, edges, aliases)
+            except OntologyError as exc:
+                expected = exc
+            try:
+                ont = Ontology("T", root, edges, aliases)
+            except OntologyError as exc:
+                assert isinstance(expected, OntologyError), (edges, aliases, exc)
+                kind = str(expected).split(":")[0]
+                assert str(exc).split(":")[0] == kind, (edges, aliases, exc, expected)
+                if kind == "cycle detected through":
+                    assert_is_cycle(ast.literal_eval(str(exc).split(": ", 1)[1]), edges)
+                else:
+                    assert str(exc) == str(expected)
+            else:
+                assert not isinstance(expected, OntologyError), (edges, aliases, expected)
+                kind = "valid"
+                assert (ont.terms, ont._parents, ont._children, ont._resolve) == expected
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+        assert len(outcomes) == 6 and min(outcomes.values()) >= 30, outcomes
 
 class TestTraversal:
     def test_chicken_ancestors(self, organisms):
