@@ -3,7 +3,10 @@
 Intersections of closed intents are closed, so the intents of a context are
 M together with every intersection of a non-empty set of object rows;
 ``build_lattice`` takes them with ``_intersections`` and never re-closes a
-candidate.  Covers come from Lindig's neighbour count (``_upper_neighbours``).
+candidate.  The covers of a whole lattice come from one neighbour count on
+the attribute side (``_lower_cover_parents``), the dual of Lindig's count on
+the object side (``_upper_neighbours``), which serves insertion and queries
+where only a few concepts need their upper covers.
 A lattice is its intent and extent bit masks in canonical order.  Building,
 insertion, saving, loading and DOT export work on the masks alone; the
 ``FormalConcept`` values are made from them on the first access to
@@ -22,9 +25,11 @@ one of three cases:
 The new intents are the intersections of x with the old intents that are
 not old intents themselves, plus M; their upper covers are computed too.
 
-The loader rebuilds the lattice from the stored context and verifies the
-stored concepts and covers against it.  The oracles recompute concepts and
-covers by brute force and share no code with these routines.
+The loader never rebuilds the lattice: it checks on masks that each stored
+concept is closed, that the concepts are in strict canonical order from the
+top, that no lower cover of a stored concept is missing, and that the stored
+covers are the counted ones.  The oracles recompute concepts and covers by
+brute force and share no code with these routines.
 """
 
 from __future__ import annotations
@@ -53,6 +58,19 @@ class FormalConcept:
 def _intent_sort_key(intent: Iterable[Attribute]):
     keys = sorted(a.key for a in intent)
     return (len(keys), keys)
+
+
+def _mask_sort_key(ctx: FormalContext):
+    """A key on intent masks that orders them as ``_intent_sort_key`` orders
+    their attributes: by size, then by the sorted key ranks of their bits."""
+    rank = [0] * len(ctx.attributes)
+    for r, j in enumerate(sorted(range(len(rank)), key=lambda j: ctx.attributes[j].key)):
+        rank[j] = r
+
+    def key(b: int):
+        return (b.bit_count(), sorted([rank[j] for j in _bits(b)]))
+
+    return key
 
 
 def _concept(ctx: FormalContext, intent: int, extent: int) -> FormalConcept:
@@ -258,13 +276,55 @@ def _parent_finder(ctx: FormalContext, order: Sequence[int], extents: Sequence[i
     return pos, parents_of
 
 
+def _lower_cover_parents(
+    ctx: FormalContext, intents: Sequence[int], extents: Sequence[int]
+) -> list[list[int]] | None:
+    """Each concept's sorted parent positions, counted from the attribute side.
+
+    ``intents`` and ``extents`` are concepts of ``ctx`` in canonical order.
+    For a concept (A, B), let u be the union of the rows in A.  Each
+    attribute of u outside B proposes the extent of A and its column, and
+    the attributes outside u together propose the empty extent; a concept
+    with an empty extent has none below it.  A proposal is a lower cover
+    when its proposers are all the attributes its intent adds to B (the
+    dual of Lindig's test).  Returns None when a proposal is not among
+    ``extents``, that is, when they are not all the concepts of ``ctx``.
+    """
+    rows, cols = ctx._rows, ctx._cols
+    at = {e: i for i, e in enumerate(extents)}
+    sizes = [b.bit_count() for b in intents]
+    parents: list[list[int]] = [[] for _ in intents]
+    # concepts are visited in canonical order, so each parent list comes out sorted
+    for i, (b, a) in enumerate(zip(intents, extents)):
+        if not a:
+            continue
+        u = 0
+        for g in _bits(a):
+            u |= rows[g]
+        proposed: dict[int, int] = {}
+        outside = len(cols) - u.bit_count()
+        if outside:
+            proposed[0] = outside
+        for m in _bits(u & ~b):
+            c = a & cols[m]
+            proposed[c] = proposed.get(c, 0) + 1
+        for c, n in proposed.items():
+            k = at.get(c)
+            if k is None:
+                return None
+            if n == sizes[k] - sizes[i]:
+                parents[k].append(i)
+    return parents
+
+
 def build_lattice(ctx: FormalContext) -> ConceptLattice:
     """Build the concept lattice: its intents are M and every intersection of rows."""
     intents = _intersections(ctx._rows) | {ctx._full_attr_mask}
-    order = sorted(intents, key=lambda b: _intent_sort_key(ctx._attrs_from_mask(b)))
+    order = sorted(intents, key=_mask_sort_key(ctx))
     extents = [ctx._extent_mask_of_intent_mask(b) for b in order]
-    pos, parents_of = _parent_finder(ctx, order, extents)
-    return ConceptLattice._from_masks(ctx, order, extents, pos, [parents_of(b) for b in order])
+    pos = {b: i for i, b in enumerate(order)}
+    parents = _lower_cover_parents(ctx, order, extents)
+    return ConceptLattice._from_masks(ctx, order, extents, pos, parents)
 
 
 def insert_object(
@@ -460,6 +520,7 @@ def lattice_to_json(lat: ConceptLattice) -> str:
 
 
 _KIND_NAMES = {dict: "an object", list: "a list", str: "a string"}
+_MISMATCH = "malformed lattice file: the stored {} are not those of its context"
 
 
 def _expect(value, kind: type, what: str):
@@ -484,16 +545,63 @@ def _context_from_doc(cdoc: dict) -> FormalContext:
     for line in _expect(cdoc.get("incidence"), list, "'incidence'"):
         if _expect(line, str, "an incidence row").strip("01"):
             raise LatticeError(f"malformed lattice file: incidence cells must be 0 or 1, got {line!r}")
-        rows.append([int(ch) for ch in line])
+        rows.append([ch == "1" for ch in line])
     return FormalContext(objects, attrs, rows, allow_reserved_ids=True)
+
+
+def _stored_masks(ctx: FormalContext, docs: list) -> tuple[list[int], list[int]] | None:
+    """The intent and extent masks of the stored concepts, or None unless
+    each is a closed concept of ``ctx`` written as ``_concept_docs`` writes
+    it, and they run in strict canonical order from the top."""
+    n_attrs = len(ctx.attributes)
+    obj_index, rows = ctx._obj_index, ctx._rows
+    sort_key = _mask_sort_key(ctx)
+    intents, extents, key = [], [], None
+    for doc in docs:
+        if not isinstance(doc, dict) or doc.keys() != {"extent", "intent"}:
+            return None
+        members, bits = doc["extent"], doc["intent"]
+        if not isinstance(members, list) or not isinstance(bits, list):
+            return None
+        extent, last = 0, None
+        for g in members:
+            i = obj_index.get(g) if type(g) is str else None
+            if i is None or (last is not None and g <= last):
+                return None
+            extent |= 1 << i
+            last = g
+        intent, last = 0, -1
+        for j in bits:
+            # True and 1.0 equal 1, so a bit must be an int by type
+            if type(j) is not int or not last < j < n_attrs:
+                return None
+            intent |= 1 << j
+            last = j
+        closure = ctx._full_attr_mask
+        for g in _bits(extent):
+            closure &= rows[g]
+        if closure != intent or ctx._extent_mask_of_intent_mask(intent) != extent:
+            return None
+        previous, key = key, sort_key(intent)
+        if previous is not None and not previous < key:
+            return None
+        intents.append(intent)
+        extents.append(extent)
+    if not extents or extents[0] != ctx._full_obj_mask:
+        return None
+    return intents, extents
 
 
 def lattice_from_json(text: str) -> ConceptLattice:
     """Reload a persisted lattice; the result is value-identical to the saved one.
 
-    The lattice is rebuilt from the stored context.  The stored concepts and
-    covers must be exactly those the rebuilt lattice would write; any other
-    value raises ``LatticeError``.
+    The stored concepts and covers must be exactly those ``build_lattice``
+    of the stored context would write; any other value raises
+    ``LatticeError``.  The check runs on masks and does not rebuild the
+    lattice: each concept must be closed, the intents must strictly increase
+    in canonical order from the top, every lower cover the attribute-side
+    count proposes must be stored (every concept is reached from the top this
+    way), and the stored covers must be the counted ones.
     """
     try:
         doc = json.loads(text)
@@ -504,8 +612,15 @@ def lattice_from_json(text: str) -> ConceptLattice:
     version = doc.get("version")
     if type(version) is not int or version != 1:
         raise LatticeError(f"unsupported lattice file version: {version!r} (expected 1)")
-    lat = build_lattice(_context_from_doc(_expect(doc.get("context"), dict, "'context'")))
-    for key, rebuilt in (("concepts", _concept_docs), ("covers", _cover_docs)):
-        if _expect(doc.get(key), list, f"{key!r}") != rebuilt(lat):
-            raise LatticeError(f"malformed lattice file: the stored {key} are not those of its context")
+    ctx = _context_from_doc(_expect(doc.get("context"), dict, "'context'"))
+    masks = _stored_masks(ctx, _expect(doc.get("concepts"), list, "'concepts'"))
+    parents = None if masks is None else _lower_cover_parents(ctx, *masks)
+    if parents is None:
+        raise LatticeError(_MISMATCH.format("concepts"))
+    intents, extents = masks
+    pos = {b: i for i, b in enumerate(intents)}
+    lat = ConceptLattice._from_masks(ctx, intents, extents, pos, parents)
+    stored = _expect(doc.get("covers"), list, "'covers'")
+    if stored != _cover_docs(lat) or any(type(x) is not int for pair in stored for x in pair):
+        raise LatticeError(_MISMATCH.format("covers"))
     return lat

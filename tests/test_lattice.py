@@ -8,6 +8,7 @@ import pytest
 from fcaregistry import (
     Attribute,
     ConceptLattice,
+    FcaRegistryError,
     FormalConcept,
     FormalContext,
     LatticeError,
@@ -22,6 +23,7 @@ from fcaregistry import (
     search,
     search_refined,
 )
+from fcaregistry import lattice
 from fcaregistry.cli import main
 from conftest import FIXTURES, edge_case_context, make_random_context
 
@@ -63,6 +65,22 @@ MALFORMED = {
     "no-concepts": (lambda doc: doc.update(concepts=[]), "stored concepts"),
     "dropped-cover": (lambda doc: doc["covers"].pop(), "stored covers"),
     "future-version": (lambda doc: doc.update(version=99), "unsupported lattice file version: 99"),
+    # True == 1 and 3.0 == 3, so these once read as the bits they equal
+    "bool-intent-bit": (lambda doc: doc["concepts"][2].update(intent=[True]), "stored concepts"),
+    "float-intent-bit": (lambda doc: doc["concepts"][3].update(intent=[0, 3.0]), "stored concepts"),
+    "bool-cover": (lambda doc: doc["covers"].__setitem__(0, [True, 0]), "stored covers"),
+    "unsorted-extent": (lambda doc: doc["concepts"][4].update(extent=["S5", "S3"]), "stored concepts"),
+    "duplicate-extent-member": (
+        lambda doc: doc["concepts"][3].update(extent=["S6", "S6"]),
+        "stored concepts",
+    ),
+    "unknown-extent-member": (lambda doc: doc["concepts"][3].update(extent=["S9"]), "stored concepts"),
+    "extra-concept-key": (lambda doc: doc["concepts"][0].update(label="top"), "stored concepts"),
+    "dropped-concept": (lambda doc: doc["concepts"].pop(5), "stored concepts"),
+    "swapped-concepts": (
+        lambda doc: doc["concepts"].insert(1, doc["concepts"].pop(2)),
+        "stored concepts",
+    ),
 }
 
 
@@ -494,3 +512,206 @@ class TestMasksOnly:
         with pytest.raises(LatticeError, match="concept not in lattice"):
             lat.index_of(FormalConcept(extent=frozenset(), intent=frozenset({Attribute("Zz")})))
         assert lat._concepts is None
+
+
+def cover_case_context(rng):
+    """A small random context whose attributes are not in key order, often
+    with a duplicate row, a duplicate column or an all-ones row."""
+    n_obj, n_attr = rng.randint(0, 8), rng.randint(0, 7)
+    density = rng.choice((0.2, 0.4, 0.6))
+    rows = [[int(rng.random() < density) for _ in range(n_attr)] for _ in range(n_obj)]
+    if rows and rng.random() < 0.3:
+        rows.append(list(rng.choice(rows)))
+    if n_attr and rng.random() < 0.3:
+        j = rng.randrange(n_attr)
+        for row in rows:
+            row.append(row[j])
+        n_attr += 1
+    if rng.random() < 0.3:
+        rows.insert(rng.randint(0, len(rows)), [1] * n_attr)
+    names = [(rng.choice(("", "P", "Q")), f"t{j}") for j in range(n_attr)]
+    rng.shuffle(names)
+    attrs = [Attribute(term=term, prefix=prefix) for prefix, term in names]
+    return FormalContext([f"g{i}" for i in range(len(rows))], attrs, rows)
+
+
+class TestColumnSideCovers:
+    def test_matches_the_row_side_count_and_the_oracle(self):
+        rng = random.Random(67)
+        contexts = [cover_case_context(rng) for _ in range(300)]
+        contexts += [
+            FormalContext([], [Attribute("a"), Attribute("b")], []),
+            FormalContext(["g", "h"], [], [[], []]),
+            FormalContext(["g", "h"], [Attribute("a"), Attribute("b")], [[1, 1], [1, 0]]),
+            FormalContext(["g", "h"], [Attribute("a"), Attribute("b")], [[1, 0], [1, 0]]),
+        ]
+        seen = collections.Counter()
+        for ctx in contexts:
+            lat = build_lattice(ctx)
+            intents, extents = lat._intents, lat._extents
+            column = lattice._lower_cover_parents(ctx, intents, extents)
+            _, parents_of = lattice._parent_finder(ctx, intents, extents)
+            assert column == [parents_of(b) for b in intents]
+            assert column == list(lat._parents)
+            pairs = {(lat.concepts[c], lat.concepts[p]) for c, ps in enumerate(column) for p in ps}
+            assert pairs == enumerate_covers_oracle(lat.concepts)
+            seen["no objects"] += not ctx.objects
+            seen["no attributes"] += not ctx.attributes
+            seen["bottom with objects"] += extents[-1] != 0
+            seen["duplicate rows"] += len(set(ctx._rows)) < len(ctx._rows)
+            seen["duplicate columns"] += len(set(ctx._cols)) < len(ctx._cols)
+        assert min(seen.values()) >= 10, seen
+
+    def test_missing_concepts_are_found(self, table1_lattice):
+        ctx = table1_lattice.context
+        intents, extents = list(table1_lattice._intents), list(table1_lattice._extents)
+        for k in range(1, len(intents)):
+            kept = [i for i in range(len(intents)) if i != k]
+            parents = lattice._lower_cover_parents(
+                ctx, [intents[i] for i in kept], [extents[i] for i in kept]
+            )
+            assert parents is None, k
+
+    def test_mask_key_orders_as_the_attribute_key(self):
+        rng = random.Random(71)
+        for _ in range(60):
+            ctx = cover_case_context(rng)
+            key = lattice._mask_sort_key(ctx)
+            masks = [rng.getrandbits(len(ctx.attributes)) for _ in range(20)]
+            masks += [0, ctx._full_attr_mask]
+            for a, b in itertools.product(masks, repeat=2):
+                by_attrs = (
+                    lattice._intent_sort_key(ctx._attrs_from_mask(a)),
+                    lattice._intent_sort_key(ctx._attrs_from_mask(b)),
+                )
+                assert (key(a) < key(b)) == (by_attrs[0] < by_attrs[1])
+                assert (key(a) == key(b)) == (a == b)
+
+
+def rebuild_and_compare(text):
+    """The loader that rebuilt the lattice from the stored context and
+    compared the stored concepts and covers with what it would write."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise LatticeError(f"unreadable lattice file: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != "fcaregistry-lattice":
+        raise LatticeError("not a lattice file (missing format marker)")
+    version = doc.get("version")
+    if type(version) is not int or version != 1:
+        raise LatticeError(f"unsupported lattice file version: {version!r} (expected 1)")
+    ctx = lattice._context_from_doc(lattice._expect(doc.get("context"), dict, "'context'"))
+    lat = build_lattice(ctx)
+    for key, rebuilt in (("concepts", lattice._concept_docs), ("covers", lattice._cover_docs)):
+        if lattice._expect(doc.get(key), list, f"{key!r}") != rebuilt(lat):
+            raise LatticeError(f"malformed lattice file: the stored {key} are not those of its context")
+    return lat
+
+
+def inexact_numbers(value):
+    """Whether a document value holds a bool or a float anywhere."""
+    if isinstance(value, (bool, float)):
+        return True
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, list) and any(inexact_numbers(v) for v in value)
+
+
+def _toggle(items, item):
+    return sorted(set(items) ^ {item})
+
+
+#: Edits of a well-formed saved lattice document.  ``retype`` writes an int
+#: of the concepts or covers as the bool or float equal to it.
+EDITS = ("drop-concept", "swap-concepts", "duplicate-concept", "flip-intent-bit",
+         "flip-extent-member", "drop-cover", "add-cover", "flip-cell", "retype")
+
+#: Values that ``_junk`` writes in place of another.
+JUNK = (None, True, 1.5, -1, 10**20, "x", "", [], {}, [[]], {"a": 1})
+
+
+def _edit(rng, doc, kind):
+    """Apply one edit of the given kind; return whether there was anything to edit."""
+    concepts, covers, cdoc = doc["concepts"], doc["covers"], doc["context"]
+    n_attrs = len(cdoc["attributes"])
+    if not concepts:
+        return False
+    k, j = rng.randrange(len(concepts)), rng.randrange(len(concepts))
+    if kind == "drop-concept":
+        concepts.pop(k)
+    elif kind == "swap-concepts":
+        concepts[k], concepts[j] = concepts[j], concepts[k]
+    elif kind == "duplicate-concept":
+        concepts.insert(j, dict(concepts[k]))
+    elif kind == "flip-intent-bit" and n_attrs:
+        concepts[k]["intent"] = _toggle(concepts[k]["intent"], rng.randrange(n_attrs))
+    elif kind == "flip-extent-member" and cdoc["objects"]:
+        concepts[k]["extent"] = _toggle(concepts[k]["extent"], rng.choice(cdoc["objects"]))
+    elif kind == "drop-cover" and covers:
+        covers.pop(rng.randrange(len(covers)))
+    elif kind == "add-cover":
+        covers.append([k, j])
+        covers.sort()
+    elif kind == "flip-cell" and cdoc["objects"] and n_attrs:
+        rows = cdoc["incidence"]
+        i, m = rng.randrange(len(rows)), rng.randrange(n_attrs)
+        rows[i] = rows[i][:m] + "10"[int(rows[i][m])] + rows[i][m + 1:]
+    elif kind == "retype":
+        places = [(c["intent"], i) for c in concepts for i in range(len(c["intent"]))]
+        places += [(pair, i) for pair in covers for i in range(2)]
+        if not places:
+            return False
+        holder, i = rng.choice(places)
+        as_bool = holder[i] in (0, 1) and rng.random() < 0.5
+        holder[i] = bool(holder[i]) if as_bool else float(holder[i])
+    else:
+        return False
+    return True
+
+
+def _junk(rng, doc):
+    """Write a value of another shape at a random place of the document."""
+    holder, key = doc, rng.choice(list(doc))
+    while isinstance(holder[key], (dict, list)) and holder[key] and rng.random() < 0.7:
+        holder = holder[key]
+        key = rng.choice(list(holder) if isinstance(holder, dict) else range(len(holder)))
+    holder[key] = rng.choice(JUNK)
+
+
+class TestLoaderFuzz:
+    def test_accepts_what_the_rebuilding_loader_accepts(self, monkeypatch, table1_lattice):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the loader rebuilt the lattice")
+
+        rng = random.Random(73)
+        sources = [table1_lattice] + list(random_lattices(74, 40))
+        outcomes = collections.Counter()
+        for n in range(1500):
+            doc = json.loads(lattice_to_json(sources[n % len(sources)]))
+            kinds = [k for k in rng.sample(EDITS, rng.choice((0, 1, 1, 2))) if _edit(rng, doc, k)]
+            if rng.random() < 0.2:
+                _junk(rng, doc)
+                kinds.append("junk")
+            text = json.dumps(doc)
+            try:
+                expected = rebuild_and_compare(text)
+            except FcaRegistryError:
+                expected = None
+            with monkeypatch.context() as patched:
+                patched.setattr("fcaregistry.lattice.build_lattice", refuse)
+                patched.setattr("fcaregistry.lattice._intersections", refuse)
+                try:
+                    got = lattice_from_json(text)
+                except FcaRegistryError:
+                    got = None
+            outcomes.update(kinds)
+            if expected is not None and got is None:
+                # the one difference: a bool or float written for an int
+                assert inexact_numbers(doc.get("concepts")) or inexact_numbers(doc.get("covers"))
+                outcomes["only the old loader accepts"] += 1
+                continue
+            assert (got is None) == (expected is None), (kinds, text)
+            if got is not None:
+                assert got == expected and lattice_to_json(got) == lattice_to_json(expected)
+            outcomes["accepted" if got is not None else "rejected"] += 1
+        assert min(outcomes.values()) >= 30, outcomes
