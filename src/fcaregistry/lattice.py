@@ -121,12 +121,15 @@ class ConceptLattice:
         self._fill(context, ref.covers, intents, extents, ref._pos, ref._parents)
 
     @classmethod
-    def _from_masks(cls, ctx, intents, extents, pos, parents) -> "ConceptLattice":
-        """A lattice from canonically ordered intent and extent masks, the
-        position of each intent, and each concept's sorted parent positions."""
+    def _from_masks(cls, ctx, pos, extents, parents) -> "ConceptLattice":
+        """A lattice from the position of each intent mask, in canonical
+        order, the extent masks in that order and each concept's sorted
+        parent positions."""
+        # the caller passes the map it placed the parents with, so that
+        # insert_object does not build it twice
         lat = object.__new__(cls)
         covers = tuple((i, p) for i, ps in enumerate(parents) for p in ps)
-        lat._fill(ctx, covers, tuple(intents), tuple(extents), pos, parents)
+        lat._fill(ctx, covers, tuple(pos), tuple(extents), pos, parents)
         return lat
 
     def _fill(self, context, covers, intents, extents, pos, parents) -> None:
@@ -324,7 +327,7 @@ def build_lattice(ctx: FormalContext) -> ConceptLattice:
     extents = [ctx._extent_mask_of_intent_mask(b) for b in order]
     pos = {b: i for i, b in enumerate(order)}
     parents = _lower_cover_parents(ctx, order, extents)
-    return ConceptLattice._from_masks(ctx, order, extents, pos, parents)
+    return ConceptLattice._from_masks(ctx, pos, extents, parents)
 
 
 def insert_object(
@@ -363,8 +366,9 @@ def insert_object(
     # old intents with a non-empty extent are intersections of rows
     base = {b for b, e in zip(old, old_extents) if e}
     new = (_intersections([x], base) | {full}).difference(lat._pos)
+    key = _mask_sort_key(ctx)
     for b in new:
-        bisect.insort(order, b, key=lambda m: _intent_sort_key(ctx._attrs_from_mask(m)))
+        bisect.insort(order, b, key=key)
 
     extents = []
     for b in order:
@@ -384,7 +388,7 @@ def insert_object(
             parents.append(parents_of(b))
         else:
             parents.append([pos[old[p]] for p in lat._parents[i]])
-    return ConceptLattice._from_masks(ctx, order, extents, pos, parents)
+    return ConceptLattice._from_masks(ctx, pos, extents, parents)
 
 
 def enumerate_concepts_oracle(ctx: FormalContext) -> set[FormalConcept]:
@@ -619,7 +623,7 @@ def lattice_from_json(text: str) -> ConceptLattice:
         raise LatticeError(_MISMATCH.format("concepts"))
     intents, extents = masks
     pos = {b: i for i, b in enumerate(intents)}
-    lat = ConceptLattice._from_masks(ctx, intents, extents, pos, parents)
+    lat = ConceptLattice._from_masks(ctx, pos, extents, parents)
     stored = _expect(doc.get("covers"), list, "'covers'")
     if stored != _cover_docs(lat) or any(type(x) is not int for pair in stored for x in pair):
         raise LatticeError(_MISMATCH.format("covers"))
