@@ -87,6 +87,23 @@ class FormalContext:
         *,
         allow_reserved_ids: bool = False,
     ):
+        attributes = tuple(attributes)
+        rows: list[int] = []
+        for row in incidence:
+            if len(row) != len(attributes):
+                raise ContextError("incidence column count does not match attribute count")
+            rows.append(sum(1 << j for j, v in enumerate(row) if v))
+        self._fill_rows(objects, attributes, rows, allow_reserved_ids)
+
+    @classmethod
+    def _from_rows(cls, objects, attributes, rows: Sequence[int], *, allow_reserved_ids=False):
+        """A context from each object's row mask, whose bit j is attribute j."""
+        ctx = object.__new__(cls)
+        ctx._fill_rows(objects, attributes, rows, allow_reserved_ids)
+        return ctx
+
+    def _fill_rows(self, objects, attributes, rows, allow_reserved_ids) -> None:
+        """Check the ids, then set every slot from the row masks."""
         objects = tuple(objects)
         attributes = tuple(attributes)
         obj_index: dict[str, int] = {}
@@ -103,13 +120,8 @@ class FormalContext:
             if a.key in attr_index:
                 raise ContextError(f"duplicate attribute: {a}")
             attr_index[a.key] = len(attr_index)
-        if len(incidence) != len(objects):
+        if len(rows) != len(objects):
             raise ContextError("incidence row count does not match object count")
-        rows: list[int] = []
-        for row in incidence:
-            if len(row) != len(attributes):
-                raise ContextError("incidence column count does not match attribute count")
-            rows.append(sum(1 << j for j, v in enumerate(row) if v))
         cols = [0] * len(attributes)
         for i, mask in enumerate(rows):
             for j in _bits(mask):

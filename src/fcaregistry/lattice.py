@@ -7,23 +7,13 @@ candidate.  The covers of a whole lattice come from one neighbour count on
 the attribute side (``_lower_cover_parents``), the dual of Lindig's count on
 the object side (``_upper_neighbours``), which serves insertion and queries
 where only a few concepts need their upper covers.
-A lattice is its intent and extent bit masks in canonical order.  Building,
-insertion, saving, loading and DOT export work on the masks alone; the
-``FormalConcept`` values are made from them on the first access to
-``concepts``, and the lookups (``top``, ``bottom``, ``concept_with_intent``,
-``index_of`` and the covers of one concept) make only the values they return.
-
-``insert_object`` updates a lattice for one new row x instead of rebuilding
-it (Godin, Missaoui & Alaoui, 1995).  An old concept with intent b falls in
-one of three cases:
-
-- b ⊆ x: its extent gains the new object and its upper covers stay;
-- b ⊄ x and b & x is an old intent: nothing changes;
-- b ⊄ x and b & x is new: b is a generator and its upper covers are
-  recomputed.
-
-The new intents are the intersections of x with the old intents that are
-not old intents themselves, plus M; their upper covers are computed too.
+A lattice is its intent and extent bit masks in canonical order and each
+concept's sorted parent positions.  Building, insertion (``insert_object``,
+after Godin, Missaoui & Alaoui, 1995), saving, loading and DOT export work on
+these alone; the cover pairs and the ``FormalConcept`` values are made on the
+first access to ``covers`` and ``concepts``, and the lookups (``top``,
+``bottom``, ``concept_with_intent``, ``index_of`` and the covers of one
+concept) make only the values they return.
 
 The loader never rebuilds the lattice: it checks on masks that each stored
 concept is closed, that the concepts are in strict canonical order from the
@@ -38,7 +28,8 @@ import bisect
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from json.encoder import encode_basestring_ascii as _encode
+from typing import Callable, Iterable, Sequence
 
 from .context import Attribute, FormalContext, _bits
 from .errors import ContextError, LatticeError
@@ -85,14 +76,14 @@ class ConceptLattice:
 
     Concepts are kept in canonical order (intent size, then lexicographic
     intent), so the first concept is the top and the last is the bottom.
-    The stored state is each concept's intent and extent mask in that order;
-    ``concepts`` makes the ``FormalConcept`` values once, when first read,
-    and the lookups make only the values they return.
+    The stored state is each concept's intent and extent mask in that order
+    and its parent positions; ``covers`` and ``concepts`` are made from them
+    once, when first read, and the lookups make only the values they return.
     Instances are immutable; insertion returns a new lattice.
     """
 
     __slots__ = (
-        "context", "covers", "_intents", "_extents", "_pos", "_parents", "_children", "_concepts"
+        "context", "_intents", "_extents", "_pos", "_parents", "_covers", "_children", "_concepts"
     )
 
     def __init__(
@@ -118,25 +109,30 @@ class ConceptLattice:
             raise LatticeError("the concepts are not those of the context in canonical order")
         if sorted(tuple(pair) for pair in covers) != list(ref.covers):
             raise LatticeError("the covers are not those of the concepts")
-        self._fill(context, ref.covers, intents, extents, ref._pos, ref._parents)
+        self._fill(context, intents, extents, ref._pos, ref._parents)
 
     @classmethod
     def _from_masks(cls, ctx, pos, extents, parents) -> "ConceptLattice":
-        """A lattice from the position of each intent mask, in canonical
-        order, the extent masks in that order and each concept's sorted
-        parent positions."""
-        # the caller passes the map it placed the parents with, so that
-        # insert_object does not build it twice
+        """A lattice from the position map of its intent masks (whose keys are
+        the intents in canonical order), the extent masks in that order and
+        each concept's sorted parent positions."""
         lat = object.__new__(cls)
-        covers = tuple((i, p) for i, ps in enumerate(parents) for p in ps)
-        lat._fill(ctx, covers, tuple(pos), tuple(extents), pos, parents)
+        lat._fill(ctx, tuple(pos), tuple(extents), pos, parents)
         return lat
 
-    def _fill(self, context, covers, intents, extents, pos, parents) -> None:
-        # child lists and concept values are made on first use
-        values = (context, covers, intents, extents, pos, parents, None, None)
+    def _fill(self, context, intents, extents, pos, parents) -> None:
+        # covers, child lists and concept values are made on first use
+        values = (context, intents, extents, pos, parents, None, None, None)
         for name, value in zip(ConceptLattice.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
+
+    @property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """The (child, parent) position pairs, sorted, made on first access."""
+        if self._covers is None:
+            pairs = tuple((i, p) for i, ps in enumerate(self._parents) for p in ps)
+            object.__setattr__(self, "_covers", pairs)
+        return self._covers
 
     @property
     def concepts(self) -> tuple[FormalConcept, ...]:
@@ -153,24 +149,24 @@ class ConceptLattice:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConceptLattice):
             return NotImplemented
-        # equal contexts give equal bit positions, and both lattices are in
-        # canonical order, so equal masks are equal concepts and covers
+        # equal contexts give equal bit positions, and both lattices are in canonical
+        # order, so equal masks are equal concepts and equal parent lists equal covers
         return (
             self.context == other.context
             and self._intents == other._intents
             and self._extents == other._extents
-            and self.covers == other.covers
+            and self._parents == other._parents
         )
 
     def __hash__(self):
         return hash((self.context, self._intents, self._extents))
 
     def __repr__(self) -> str:
-        return f"ConceptLattice({len(self._intents)} concepts, {len(self.covers)} covers)"
+        return f"ConceptLattice({len(self._intents)} concepts, {sum(map(len, self._parents))} covers)"
 
     def cover_concepts(self) -> set[tuple[FormalConcept, FormalConcept]]:
         """The cover relation as concept pairs (order-insensitive form)."""
-        return {(self.concepts[c], self.concepts[p]) for c, p in self.covers}
+        return {(self.concepts[c], self.concepts[p]) for c, ps in enumerate(self._parents) for p in ps}
 
     def _value(self, i: int) -> FormalConcept:
         """The concept at position i, made on its own unless all are made."""
@@ -215,9 +211,10 @@ class ConceptLattice:
         idx = self.index_of(concept)
         if self._children is None:
             children: list[list[int]] = [[] for _ in self._intents]
-            # covers are sorted by child, so each list comes out sorted
-            for c, p in self.covers:
-                children[p].append(c)
+            # children are visited in order, so each list comes out sorted
+            for c, ps in enumerate(self._parents):
+                for p in ps:
+                    children[p].append(c)
             object.__setattr__(self, "_children", children)
         return [self._value(c) for c in self._children[idx]]
 
@@ -231,14 +228,10 @@ class ConceptLattice:
         return max(longest.values(), default=0)
 
 
-def _intersections(rows: Iterable[int], closed: Iterable[int] = ()) -> set[int]:
-    """The smallest set closed under ``&`` that holds ``closed`` and every row.
-
-    ``closed`` must itself be closed under ``&``.  With ``closed`` the
-    intersections of earlier rows, the result is every intersection of a
-    non-empty set of all the rows (Godin, Missaoui & Alaoui, 1995).
-    """
-    masks = set(closed)
+def _intersections(rows: Iterable[int]) -> set[int]:
+    """Every intersection of a non-empty set of the rows: the smallest set
+    closed under ``&`` that holds every row."""
+    masks: set[int] = set()
     for x in rows:
         if x not in masks:
             masks |= {y & x for y in masks}
@@ -246,37 +239,22 @@ def _intersections(rows: Iterable[int], closed: Iterable[int] = ()) -> set[int]:
     return masks
 
 
-def _upper_neighbours(b: int, size: int, counts: dict[int, int], sizes: dict[int, int]) -> list[int]:
-    """Intents of the upper covers of the concept with intent ``b`` and ``size`` objects.
+def _upper_neighbours(b: int, counts: dict[int, int], extent_of: Callable[[int], int]) -> list[int]:
+    """Intents of the upper covers of the concept with intent ``b``.
 
-    ``counts`` maps each distinct row to its number of objects, ``sizes``
-    each intent to the size of its extent.  Each row outside the extent
-    proposes ``b & x``; a proposal is a parent when its proposers are all the
-    objects its extent adds to ``b``'s (Lindig's neighbour test, "Fast
-    Concept Analysis", 2000).
+    ``counts`` maps each distinct row to its number of objects, and
+    ``extent_of`` gives the extent mask of an intent.  Each row outside the
+    extent proposes ``b & x``; a proposal is a parent when its proposers are
+    all the objects its extent adds to ``b``'s (Lindig's neighbour test,
+    "Fast Concept Analysis", 2000).
     """
+    size = extent_of(b).bit_count()
     proposed: dict[int, int] = {}
     for x, n in counts.items():
         c = b & x
         if c != b:
             proposed[c] = proposed.get(c, 0) + n
-    return [c for c, n in proposed.items() if n == sizes[c] - size]
-
-
-def _parent_finder(ctx: FormalContext, order: Sequence[int], extents: Sequence[int]):
-    """The position of each intent of ``order``, and a function giving its
-    sorted parent positions.
-
-    ``order`` holds every intent of ``ctx`` and ``extents`` their extents.
-    """
-    sizes = {b: e.bit_count() for b, e in zip(order, extents)}
-    pos = {b: i for i, b in enumerate(order)}
-    counts = Counter(ctx._rows)
-
-    def parents_of(b: int) -> list[int]:
-        return sorted(pos[p] for p in _upper_neighbours(b, sizes[b], counts, sizes))
-
-    return pos, parents_of
+    return [c for c, n in proposed.items() if n == extent_of(c).bit_count() - size]
 
 
 def _lower_cover_parents(
@@ -349,45 +327,52 @@ def insert_object(
 
     The new intents, the intersections of x with old intents that are not
     old intents, plus M, are merged into the canonical order and get their
-    upper covers from ``_upper_neighbours``.  Only masks are computed; the
-    grown lattice makes its ``FormalConcept`` values when they are read.
+    upper covers from ``_upper_neighbours``.  Only masks are computed.
     """
     ctx = lat.context.add_object(obj, attrs, allow_reserved=allow_reserved)
     x = ctx._rows[-1]
     g = 1 << (len(ctx.objects) - 1)
     full = ctx._full_attr_mask
-    old, old_extents = lat._intents, lat._extents
+    old, old_extents, old_pos, old_parents = lat._intents, lat._extents, lat._pos, lat._parents
     # new attributes are appended, so old intents keep their masks; an old
     # concept with an empty extent can only be the bottom, whose intent (the
     # old M) is not closed once the object brings new attributes
-    order = list(old)
-    if not old_extents[-1] and full != lat.context._full_attr_mask:
-        order.pop()
-    # old intents with a non-empty extent are intersections of rows
-    base = {b for b, e in zip(old, old_extents) if e}
-    new = (_intersections([x], base) | {full}).difference(lat._pos)
+    kept = len(old) - (not old_extents[-1] and full != lat.context._full_attr_mask)
+    # old intents with a non-empty extent are intersections of rows, so the
+    # meets with x are the intents that lie in x
+    meets = {b & x for b, e in zip(old, old_extents) if e} | {x}
+    new = (meets | {full}).difference(old_pos)
     key = _mask_sort_key(ctx)
-    for b in new:
-        bisect.insort(order, b, key=key)
+    fresh = sorted(new, key=key)
 
-    extents = []
-    for b in order:
-        i = lat._pos.get(b)
-        if i is None:
-            extents.append(ctx._extent_mask_of_intent_mask(b))
-        elif b & x == b:
-            extents.append(old_extents[i] | g)
-        else:
-            extents.append(old_extents[i])
+    # one walk: old runs between the new intents keep their extents and
+    # parent lists, renumbered through moved[i], the new place of old i
+    order, extents, parents, moved, start = [], [], [], [], 0
+    for c in fresh + [None]:
+        end = kept if c is None else bisect.bisect_left(old, key(c), start, kept, key=key)
+        moved += range(len(order), len(order) + end - start)
+        order += old[start:end]
+        extents += old_extents[start:end]
+        # parents come before their children, so the first run keeps its lists,
+        # and a list whose last parent stays put has no parent that moved
+        parents += old_parents[start:end] if not start else [
+            ps if moved[ps[-1]] == ps[-1] else [moved[p] for p in ps] for ps in old_parents[start:end]
+        ]
+        if c is not None:
+            order.append(c)
+            extents.append(ctx._extent_mask_of_intent_mask(c))
+            parents.append([])
+        start = end
+    for b in meets & old_pos.keys():
+        extents[moved[old_pos[b]]] |= g
 
-    pos, parents_of = _parent_finder(ctx, order, extents)
-    parents = []
-    for b in order:
-        i = lat._pos.get(b)
-        if i is None or b & x in new:
-            parents.append(parents_of(b))
-        else:
-            parents.append([pos[old[p]] for p in lat._parents[i]])
+    # generators and new concepts get their upper covers counted
+    pos = {b: i for i, b in enumerate(order)}
+    counts = Counter(ctx._rows)
+    recount = [moved[i] for i in range(kept) if old[i] & x in new] + [pos[c] for c in fresh]
+    for i in recount:
+        ups = _upper_neighbours(order[i], counts, lambda c: extents[pos[c]])
+        parents[i] = sorted(pos[c] for c in ups)
     return ConceptLattice._from_masks(ctx, pos, extents, parents)
 
 
@@ -485,42 +470,55 @@ def export_dot(lat: ConceptLattice, reduced_labels: bool = False) -> str:
 # -- persistence -------------------------------------------------------------
 
 
-def _lattice_doc(lat: ConceptLattice) -> dict:
-    ctx = lat.context
-    return {
-        "format": "fcaregistry-lattice",
-        "version": 1,
-        "context": {
-            "objects": list(ctx.objects),
-            "attributes": [
-                {"term": a.term, "prefix": a.prefix, "category": a.category}
-                for a in ctx.attributes
-            ],
-            "incidence": [
-                "".join(str(ctx._rows[i] >> j & 1) for j in range(len(ctx.attributes)))
-                for i in range(len(ctx.objects))
-            ],
-        },
-        "concepts": _concept_docs(lat),
-        "covers": _cover_docs(lat),
-    }
+def _json_list(items: Iterable[str], indent: str) -> str:
+    """Rendered JSON values as a list laid out as ``json.dumps(indent=1)`` does.
 
-
-def _concept_docs(lat: ConceptLattice) -> list[dict]:
-    ctx = lat.context
-    return [
-        {"extent": sorted(ctx._objects_from_mask(e)), "intent": list(_bits(b))}
-        for b, e in zip(lat._intents, lat._extents)
-    ]
-
-
-def _cover_docs(lat: ConceptLattice) -> list[list[int]]:
-    return [list(pair) for pair in lat.covers]
+    ``indent`` is the indentation of the line the list's closing bracket
+    would stand on; items stand one space deeper.
+    """
+    item = "\n" + indent + " "
+    text = ("," + item).join(items)
+    return "[" + item + text + "\n" + indent + "]" if text else "[]"
 
 
 def lattice_to_json(lat: ConceptLattice) -> str:
-    """Serialize a lattice as a self-describing JSON document (stable bytes)."""
-    return json.dumps(_lattice_doc(lat), sort_keys=True, indent=1) + "\n"
+    """Serialize a lattice as a self-describing JSON document (stable bytes).
+
+    The text is ``json.dumps(doc, sort_keys=True, indent=1) + "\\n"`` of the
+    lattice document, written directly for its fixed schema: each string is
+    escaped once by the C encoder, and extents list their objects by id.
+    """
+    ctx = lat.context
+    n = len(ctx.attributes)
+    names = list(map(_encode, ctx.objects))
+    by_id = sorted(range(len(names)), key=ctx.objects.__getitem__)
+    # object i is the rank[i]-th by id: the inverse of a permutation sorts it
+    rank = sorted(range(len(names)), key=by_id.__getitem__)
+    ranked = [names[i] for i in by_id]
+    ints = list(map(str, range(max(n, len(lat._intents)))))
+    concepts = (
+        f'{{\n   "extent": {_json_list([ranked[r] for r in sorted([rank[i] for i in _bits(e)])], "   ")}'
+        f',\n   "intent": {_json_list([ints[j] for j in _bits(b)], "   ")}\n  }}'
+        for b, e in zip(lat._intents, lat._extents)
+    )
+    attributes = (
+        f'{{\n    "category": {_encode(a.category)},\n'
+        f'    "prefix": {"null" if a.prefix is None else _encode(a.prefix)},\n'
+        f'    "term": {_encode(a.term)}\n   }}'
+        for a in ctx.attributes
+    )
+    # format writes 0 as "0" even with no attributes
+    rows = ('"' + (format(row, "b").zfill(n)[::-1] if n else "") + '"' for row in ctx._rows)
+    pairs = ((i, p) for i, ps in enumerate(lat._parents) for p in ps)
+    covers = ("[\n   " + ints[i] + ",\n   " + ints[p] + "\n  ]" for i, p in pairs)
+    return (
+        f'{{\n "concepts": {_json_list(concepts, " ")},\n'
+        f' "context": {{\n  "attributes": {_json_list(attributes, "  ")},\n'
+        f'  "incidence": {_json_list(rows, "  ")},\n'
+        f'  "objects": {_json_list(names, "  ")}\n }},\n'
+        f' "covers": {_json_list(covers, " ")},\n'
+        ' "format": "fcaregistry-lattice",\n "version": 1\n}\n'
+    )
 
 
 _KIND_NAMES = {dict: "an object", list: "a list", str: "a string"}
@@ -549,13 +547,16 @@ def _context_from_doc(cdoc: dict) -> FormalContext:
     for line in _expect(cdoc.get("incidence"), list, "'incidence'"):
         if _expect(line, str, "an incidence row").strip("01"):
             raise LatticeError(f"malformed lattice file: incidence cells must be 0 or 1, got {line!r}")
-        rows.append([ch == "1" for ch in line])
-    return FormalContext(objects, attrs, rows, allow_reserved_ids=True)
+        if len(line) != len(attrs):
+            raise ContextError("incidence column count does not match attribute count")
+        # cell j is bit j
+        rows.append(int(line[::-1], 2) if line else 0)
+    return FormalContext._from_rows(objects, attrs, rows, allow_reserved_ids=True)
 
 
 def _stored_masks(ctx: FormalContext, docs: list) -> tuple[list[int], list[int]] | None:
     """The intent and extent masks of the stored concepts, or None unless
-    each is a closed concept of ``ctx`` written as ``_concept_docs`` writes
+    each is a closed concept of ``ctx`` written as ``lattice_to_json`` writes
     it, and they run in strict canonical order from the top."""
     n_attrs = len(ctx.attributes)
     obj_index, rows = ctx._obj_index, ctx._rows
@@ -621,10 +622,9 @@ def lattice_from_json(text: str) -> ConceptLattice:
     parents = None if masks is None else _lower_cover_parents(ctx, *masks)
     if parents is None:
         raise LatticeError(_MISMATCH.format("concepts"))
-    intents, extents = masks
-    pos = {b: i for i, b in enumerate(intents)}
-    lat = ConceptLattice._from_masks(ctx, pos, extents, parents)
     stored = _expect(doc.get("covers"), list, "'covers'")
-    if stored != _cover_docs(lat) or any(type(x) is not int for pair in stored for x in pair):
+    counted = [[i, p] for i, ps in enumerate(parents) for p in ps]
+    if stored != counted or any(type(x) is not int for pair in stored for x in pair):
         raise LatticeError(_MISMATCH.format("covers"))
-    return lat
+    intents, extents = masks
+    return ConceptLattice._from_masks(ctx, {b: i for i, b in enumerate(intents)}, extents, parents)

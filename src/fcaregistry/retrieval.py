@@ -28,6 +28,7 @@ from .lattice import (
     FormalConcept,
     _intent_sort_key,
     _intersections,
+    _json_list,
     _upper_neighbours,
     insert_object,
 )
@@ -106,7 +107,7 @@ class _QueryUpSet:
     masks over the context's objects, without the virtual query object.
     """
 
-    __slots__ = ("known", "query", "intents", "extents", "_counts", "_sizes", "_order")
+    __slots__ = ("known", "query", "intents", "extents", "_counts", "_order")
 
     def __init__(self, ctx: FormalContext, terms: frozenset[Attribute]):
         known = 0
@@ -131,13 +132,12 @@ class _QueryUpSet:
         # the groups are disjoint, so their sum is their union
         self.extents = {b: sum(g for x, g in groups.items() if x & b == b) for b in masks}
         self._counts = {x: g.bit_count() for x, g in groups.items()}
-        self._sizes = {b: e.bit_count() for b, e in self.extents.items()}
         ordered = sorted(masks, key=lambda b: _intent_sort_key(intents[b]))
         self._order = {b: i for i, b in enumerate(ordered)}
 
     def upper_covers(self, b: int) -> list[int]:
         """Parents of one up-set concept, in canonical order."""
-        parents = _upper_neighbours(b, self._sizes[b], self._counts, self._sizes)
+        parents = _upper_neighbours(b, self._counts, self.extents.__getitem__)
         return sorted(parents, key=self._order.__getitem__)
 
 
@@ -252,16 +252,8 @@ def search_refined(
 
 
 def _string_list(strings: Iterable[str], indent: str) -> str:
-    """The sorted strings as a JSON list laid out as ``json.dumps(indent=1)`` does.
-
-    ``indent`` is the indentation of the line the list's closing bracket
-    would stand on; items stand one space deeper.
-    """
-    strings = sorted(strings)
-    if not strings:
-        return "[]"
-    item = "\n" + indent + " "
-    return "[" + item + ("," + item).join(map(_encode, strings)) + "\n" + indent + "]"
+    """The sorted strings as a JSON list laid out as ``json.dumps(indent=1)`` does."""
+    return _json_list(map(_encode, sorted(strings)), indent)
 
 
 def result_set_to_json(rs: ResultSet) -> str:

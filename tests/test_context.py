@@ -163,6 +163,35 @@ class TestAddObject:
             assert grown._cols == built._cols
 
 
+class TestFromRows:
+    def test_equals_the_context_built_from_cells(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            ctx = make_random_context(rng)
+            again = FormalContext._from_rows(list(ctx.objects), list(ctx.attributes), list(ctx._rows))
+            assert again == ctx
+            assert (again._rows, again._cols) == (ctx._rows, ctx._cols)
+            assert (again._obj_index, again._attr_index) == (ctx._obj_index, ctx._attr_index)
+
+    @pytest.mark.parametrize(
+        "objects, attributes, rows, message",
+        [
+            (["g", "g"], ["a"], [0, 1], "duplicate object id"),
+            (["g"], ["a", "a"], [3], "duplicate attribute"),
+            ([""], ["a"], [1], "non-empty"),
+            (["Query"], ["a"], [1], "reserved"),
+            (["g", "h"], ["a"], [1], "row count"),
+        ],
+    )
+    def test_keeps_the_id_and_row_count_checks(self, objects, attributes, rows, message):
+        attrs = [Attribute(a) for a in attributes]
+        with pytest.raises(ContextError, match=message):
+            FormalContext._from_rows(objects, attrs, rows)
+        cells = [[row >> j & 1 for j in range(len(attrs))] for row in rows]
+        with pytest.raises(ContextError, match=message):
+            FormalContext(objects, attrs, cells)
+
+
 class TestGaloisProperties:
     def test_derivations_and_closure_laws(self):
         rng = random.Random(11)

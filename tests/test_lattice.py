@@ -6,8 +6,10 @@ import random
 import pytest
 
 from fcaregistry import (
+    CATEGORIES,
     Attribute,
     ConceptLattice,
+    ContextError,
     FcaRegistryError,
     FormalConcept,
     FormalContext,
@@ -440,6 +442,32 @@ class TestPersistence:
         with pytest.raises(LatticeError, match=message):
             lattice_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c: c["incidence"].__setitem__(0, c["incidence"][0][:-1]), "column count"),
+            (lambda c: c["incidence"].__setitem__(0, c["incidence"][0] + "1"), "column count"),
+            (lambda c: c["incidence"].__setitem__(0, ""), "column count"),
+            (lambda c: c["incidence"].pop(), "row count"),
+            (lambda c: c["objects"].__setitem__(1, c["objects"][0]), "duplicate object id"),
+            (lambda c: c["attributes"].__setitem__(1, c["attributes"][0]), "duplicate attribute"),
+            (lambda c: c["objects"].__setitem__(0, ""), "non-empty"),
+        ],
+    )
+    def test_rejects_a_context_that_cannot_be(self, table1_lattice, edit, message):
+        doc = json.loads(lattice_to_json(table1_lattice))
+        edit(doc["context"])
+        with pytest.raises(ContextError, match=message):
+            lattice_from_json(json.dumps(doc))
+
+    def test_incidence_cell_j_is_attribute_j(self):
+        attrs = [Attribute(f"m{j}") for j in range(5)]
+        for j in range(5):
+            ctx = FormalContext(["g", "h"], attrs, [[int(k == j) for k in range(5)], [1] * 5])
+            doc = json.loads(lattice_to_json(build_lattice(ctx)))
+            assert doc["context"]["incidence"] == ["0" * j + "1" + "0" * (4 - j), "11111"]
+            assert lattice_from_json(json.dumps(doc)).context._rows == (1 << j, 31)
+
 
 class TestMasksOnly:
     def test_no_concept_values_are_made(self, monkeypatch, tmp_path, capsys, table1, organisms):
@@ -550,8 +578,10 @@ class TestColumnSideCovers:
             lat = build_lattice(ctx)
             intents, extents = lat._intents, lat._extents
             column = lattice._lower_cover_parents(ctx, intents, extents)
-            _, parents_of = lattice._parent_finder(ctx, intents, extents)
-            assert column == [parents_of(b) for b in intents]
+            counts = collections.Counter(ctx._rows)
+            extent_of = dict(zip(intents, extents)).__getitem__
+            row_side = [lattice._upper_neighbours(b, counts, extent_of) for b in intents]
+            assert column == [sorted(lat._pos[c] for c in ups) for ups in row_side]
             assert column == list(lat._parents)
             pairs = {(lat.concepts[c], lat.concepts[p]) for c, ps in enumerate(column) for p in ps}
             assert pairs == enumerate_covers_oracle(lat.concepts)
@@ -588,6 +618,31 @@ class TestColumnSideCovers:
                 assert (key(a) == key(b)) == (a == b)
 
 
+def lattice_doc(lat):
+    """The saved document of a lattice, built as a dict from the public values."""
+    ctx = lat.context
+    return {
+        "format": "fcaregistry-lattice",
+        "version": 1,
+        "context": {
+            "objects": list(ctx.objects),
+            "attributes": [
+                {"term": a.term, "prefix": a.prefix, "category": a.category}
+                for a in ctx.attributes
+            ],
+            "incidence": [
+                "".join(str(int(a in ctx.intent_of(g))) for a in ctx.attributes)
+                for g in ctx.objects
+            ],
+        },
+        "concepts": [
+            {"extent": sorted(c.extent), "intent": sorted(ctx.attributes.index(a) for a in c.intent)}
+            for c in lat.concepts
+        ],
+        "covers": [list(pair) for pair in lat.covers],
+    }
+
+
 def rebuild_and_compare(text):
     """The loader that rebuilt the lattice from the stored context and
     compared the stored concepts and covers with what it would write."""
@@ -602,8 +657,9 @@ def rebuild_and_compare(text):
         raise LatticeError(f"unsupported lattice file version: {version!r} (expected 1)")
     ctx = lattice._context_from_doc(lattice._expect(doc.get("context"), dict, "'context'"))
     lat = build_lattice(ctx)
-    for key, rebuilt in (("concepts", lattice._concept_docs), ("covers", lattice._cover_docs)):
-        if lattice._expect(doc.get(key), list, f"{key!r}") != rebuilt(lat):
+    rebuilt = lattice_doc(lat)
+    for key in ("concepts", "covers"):
+        if lattice._expect(doc.get(key), list, f"{key!r}") != rebuilt[key]:
             raise LatticeError(f"malformed lattice file: the stored {key} are not those of its context")
     return lat
 
@@ -715,3 +771,106 @@ class TestLoaderFuzz:
                 assert got == expected and lattice_to_json(got) == lattice_to_json(expected)
             outcomes["accepted" if got is not None else "rejected"] += 1
         assert min(outcomes.values()) >= 30, outcomes
+
+
+#: Characters the JSON string encoder escapes, writes as ``\\u`` escapes
+#: or, for DEL, passes through.
+AWKWARD = ('"', "\\", "\t", "é", "✓", "\n", "\x7f", "\ud800")
+
+
+def awkward_name(rng, stem):
+    """``stem`` with up to three awkward characters before or after it."""
+    extra = "".join(rng.choice(AWKWARD) for _ in range(rng.randint(0, 3)))
+    return extra + stem if rng.random() < 0.5 else stem + extra
+
+
+def awkward_attribute(rng, stem):
+    prefix = rng.choice((None, awkward_name(rng, "p")))
+    return Attribute(awkward_name(rng, stem), prefix, rng.choice(CATEGORIES))
+
+
+def awkward_context(rng):
+    """Up to six objects and attributes with awkward names; the ids are often
+    out of sorted order."""
+    objects = [awkward_name(rng, f"g{i}") for i in range(rng.randint(0, 6))]
+    attrs = [awkward_attribute(rng, f"t{j}") for j in range(rng.randint(0, 6))]
+    density = rng.choice((0.2, 0.5, 0.8))
+    rows = [[int(rng.random() < density) for _ in attrs] for _ in objects]
+    return FormalContext(objects, attrs, rows)
+
+
+def assert_written_by_the_encoder(lat):
+    text = lattice_to_json(lat)
+    assert text == json.dumps(lattice_doc(lat), sort_keys=True, indent=1) + "\n"
+    assert lattice_from_json(text) == lat
+
+
+class TestWriter:
+    def test_matches_the_generic_encoder(self):
+        rng = random.Random(79)
+        seen = collections.Counter()
+        for _ in range(300):
+            ctx = awkward_context(rng)
+            lat = build_lattice(ctx)
+            assert_written_by_the_encoder(lat)
+            seen["no objects"] += not ctx.objects
+            seen["no attributes"] += not ctx.attributes
+            seen["empty extent"] += 0 in lat._extents
+            seen["empty intent"] += 0 in lat._intents and len(lat._intents) > 1
+            seen["ids out of order"] += list(ctx.objects) != sorted(ctx.objects)
+            for a in ctx.attributes:
+                seen[a.category] += 1
+                seen["no prefix" if a.prefix is None else "prefix"] += 1
+                for ch in AWKWARD:
+                    seen[f"{ch!r} in a prefix"] += ch in (a.prefix or "")
+                    seen[f"{ch!r} in a term"] += ch in a.term
+            for g in ctx.objects:
+                for ch in AWKWARD:
+                    seen[f"{ch!r} in an object id"] += ch in g
+        assert len(seen) == 7 + len(CATEGORIES) + 3 * len(AWKWARD), seen
+        assert min(seen.values()) >= 10, seen
+
+    def test_matches_the_generic_encoder_after_each_insert(self):
+        rng = random.Random(83)
+        for _ in range(40):
+            lat = build_lattice(awkward_context(rng))
+            for step in range(6):
+                attrs = list(lat.context.attributes)
+                row = rng.sample(attrs, rng.randint(0, len(attrs)))
+                if rng.random() < 0.3:
+                    row.append(awkward_attribute(rng, f"new{step}"))
+                lat = insert_object(lat, awkward_name(rng, f"h{step}"), row)
+                assert_written_by_the_encoder(lat)
+
+
+class TestOnePassInsert:
+    def test_chained_inserts_equal_the_rebuilt_lattice(self):
+        rng = random.Random(89)
+        for lat in random_lattices(90, 60):
+            for step in range(5):
+                row = rng.choice(list(rows_to_insert(rng, lat).values()))
+                grown = insert_object(lat, f"gx{step}", row)
+                ref = build_lattice(lat.context.add_object(f"gx{step}", row))
+                assert (grown._intents, grown._extents) == (ref._intents, ref._extents)
+                assert grown._parents == ref._parents and grown._pos == ref._pos
+                # covers are made when first read, and == and hash do not depend on it
+                assert grown._covers is None and ref._covers is None
+                assert grown == ref and hash(grown) == hash(ref)
+                assert grown.cover_concepts() == ref.cover_concepts() and grown._covers is None
+                assert ref.covers == tuple(sorted(ref.covers))
+                assert grown == ref and ref == grown and hash(grown) == hash(ref)
+                assert grown.covers == ref.covers
+                assert grown == ref and hash(grown) == hash(ref)
+                lat = grown
+
+    def test_equality_sees_the_parent_lists(self):
+        for lat in random_lattices(91, 40):
+            parents = [list(ps) for ps in lat._parents]
+            i = next((i for i, ps in enumerate(parents) if ps), None)
+            if i is None:
+                continue
+            parents[i].pop()
+            odd = lattice.ConceptLattice._from_masks(lat.context, lat._pos, lat._extents, parents)
+            assert odd != lat and lat != odd
+            assert odd.covers != lat.covers
+            assert odd != lat and lat != odd
