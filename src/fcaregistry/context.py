@@ -324,9 +324,14 @@ def _unwritable(text: str, forbidden: str) -> bool:
     return text != text.strip() or any(ch in text for ch in forbidden + "\r")
 
 
+def _unwritable_attribute(attr: Attribute) -> bool:
+    """Whether a header cell cannot hold the attribute's name."""
+    return _unwritable(attr.prefix or "", "@:") or _unwritable(attr.term, "@" if attr.prefix else "@:")
+
+
 def _format_header_cell(attr: Attribute) -> str:
     """``prefix:term@category``: ``@`` ends the name and the first ``:`` the prefix."""
-    if _unwritable(attr.prefix or "", "@:") or _unwritable(attr.term, "@" if attr.prefix else "@:"):
+    if _unwritable_attribute(attr):
         raise ContextError(f"cannot write attribute {str(attr)!r} to CSV: it would read back otherwise")
     name = f"{attr.prefix}:{attr.term}" if attr.prefix else attr.term
     return f"{name}@{attr.category}"
@@ -338,7 +343,10 @@ def _parse_header_cell(cell: str) -> Attribute:
     prefix, sep, term = name.partition(":")
     if not sep:
         prefix, term = "", name
-    return Attribute(term=term, prefix=prefix or None, category=category)
+    attr = Attribute(term=term, prefix=prefix or None, category=category)
+    if _unwritable_attribute(attr):
+        raise ContextError(f"header cell {cell!r} names an attribute the writer cannot write back")
+    return attr
 
 
 def context_to_csv(ctx: FormalContext) -> str:
@@ -362,20 +370,26 @@ def context_from_csv(text: str) -> FormalContext:
     """Parse the cross-table CSV format.
 
     The first header cell is empty; remaining header cells are attribute names,
-    optionally "prefix:term@category" (category defaults to Subject).
+    optionally "prefix:term@category" (category defaults to Subject).  A
+    name or object id that ``context_to_csv`` would refuse is refused, so
+    what is read writes back and reads again to an equal context.
     """
-    reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ContextError("empty context file") from None
+        lines = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ContextError(f"unreadable context file: {exc}") from exc
+    if not lines:
+        raise ContextError("empty context file")
+    header = lines[0]
     if header and header[0].strip():
         raise ContextError("first header cell must be empty")
     attrs = [_parse_header_cell(c.strip()) for c in header[1:]]
     objects, rows = [], []
-    for line in reader:
+    for line in lines[1:]:
         if not line or not any(c.strip() for c in line):
             continue
+        if "\r" in line[0]:
+            raise ContextError(f"object id {line[0]!r} holds a carriage return")
         objects.append(line[0].strip())
         cells = [c.strip() for c in line[1:]]
         if len(cells) != len(attrs):

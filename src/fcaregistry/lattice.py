@@ -5,8 +5,10 @@ M together with every intersection of a non-empty set of object rows;
 ``build_lattice`` takes them with ``_intersections`` and never re-closes a
 candidate.  The covers of a whole lattice come from one neighbour count on
 the attribute side (``_lower_cover_parents``), the dual of Lindig's count on
-the object side (``_upper_neighbours``), which serves insertion and queries
-where only a few concepts need their upper covers.
+the object side (``_upper_neighbours``), which serves insertion, where only
+a few concepts need their upper covers.  A query's up-set is the
+``build_lattice`` of a small context (see the retrieval module), so every
+lattice is built and ordered one way, by one mask key (``_mask_sort_key``).
 A lattice is its intent and extent bit masks in canonical order and each
 concept's sorted parent positions.  Building, insertion (``insert_object``,
 after Godin, Missaoui & Alaoui, 1995), saving, loading and DOT export work on
@@ -46,14 +48,9 @@ class FormalConcept:
     intent: frozenset[Attribute]
 
 
-def _intent_sort_key(intent: Iterable[Attribute]):
-    keys = sorted(a.key for a in intent)
-    return (len(keys), keys)
-
-
 def _mask_sort_key(ctx: FormalContext):
-    """A key on intent masks that orders them as ``_intent_sort_key`` orders
-    their attributes: by size, then by the sorted key ranks of their bits."""
+    """The canonical order on intent masks: by size, then by the sorted key
+    ranks of their bits, which is the order of their attributes' sorted keys."""
     rank = [0] * len(ctx.attributes)
     for r, j in enumerate(sorted(range(len(rank)), key=lambda j: ctx.attributes[j].key)):
         rank[j] = r
@@ -601,23 +598,27 @@ def lattice_from_json(text: str) -> ConceptLattice:
     """Reload a persisted lattice; the result is value-identical to the saved one.
 
     The stored concepts and covers must be exactly those ``build_lattice``
-    of the stored context would write; any other value raises
-    ``LatticeError``.  The check runs on masks and does not rebuild the
-    lattice: each concept must be closed, the intents must strictly increase
-    in canonical order from the top, every lower cover the attribute-side
-    count proposes must be stored (every concept is reached from the top this
-    way), and the stored covers must be the counted ones.
+    of the stored context would write; any other value, and a stored
+    context that cannot be built, raises ``LatticeError``.  The check runs
+    on masks and does not rebuild the lattice: each concept must be closed,
+    the intents must strictly increase in canonical order from the top,
+    every lower cover the attribute-side count proposes must be stored
+    (every concept is reached from the top this way), and the stored covers
+    must be the counted ones.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise LatticeError(f"unreadable lattice file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "fcaregistry-lattice":
         raise LatticeError("not a lattice file (missing format marker)")
     version = doc.get("version")
     if type(version) is not int or version != 1:
         raise LatticeError(f"unsupported lattice file version: {version!r} (expected 1)")
-    ctx = _context_from_doc(_expect(doc.get("context"), dict, "'context'"))
+    try:
+        ctx = _context_from_doc(_expect(doc.get("context"), dict, "'context'"))
+    except ContextError as exc:
+        raise LatticeError(f"malformed lattice file: {exc}") from exc
     masks = _stored_masks(ctx, _expect(doc.get("concepts"), list, "'concepts'"))
     parents = None if masks is None else _lower_cover_parents(ctx, *masks)
     if parents is None:

@@ -248,7 +248,7 @@ def load_ontology(text: str) -> Ontology:
     """Parse and validate the JSON ontology document format."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise OntologyError(f"malformed ontology document: {exc}") from exc
     if not isinstance(doc, dict):
         raise OntologyError("ontology document must be a JSON object")

@@ -147,7 +147,7 @@ def parse_records(text: str) -> list[MetadataRecord]:
     """Parse a JSON corpus document: {"records": [...]} or a bare record list."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise RegistryError(f"malformed record document: {exc}") from exc
     if isinstance(doc, dict) and "records" in doc:
         items = doc["records"]

@@ -3,8 +3,12 @@
 Ranks are those of inserting the query into the lattice as a virtual object
 and walking its subsumers breadth-first: each source takes the distance of
 the first concept that contributed it.  They are computed from the query's
-up-set alone, the concepts above the query concept, built from the context
-restricted to the query's terms; the lattice is neither copied nor regrown.
+up-set alone.  The concepts at and above the query concept are those of a
+small context (``_query_context``): one object per distinct row restricted
+to the query's terms, plus the query, which carries every term, unknown
+terms included.  ``build_lattice`` of it is the up-set, with the query
+concept at the bottom, so the walk follows the parent lists of an ordinary
+lattice; the searched lattice is neither copied nor regrown.
 ``insert_query`` does the literal insertion and stays as the reference.
 
 ``result_set_to_json`` emits the bytes of ``json.dumps(doc, sort_keys=True,
@@ -21,17 +25,9 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Callable, Iterable
 
-from .context import Attribute, FormalContext
+from .context import Attribute, FormalContext, _bits
 from .errors import LatticeError, QueryError
-from .lattice import (
-    ConceptLattice,
-    FormalConcept,
-    _intent_sort_key,
-    _intersections,
-    _json_list,
-    _upper_neighbours,
-    insert_object,
-)
+from .lattice import ConceptLattice, FormalConcept, _json_list, build_lattice, insert_object
 from .ontology import (
     Ontology,
     RefinementReport,
@@ -97,48 +93,40 @@ def _check_query(lat: ConceptLattice, q: Query) -> None:
         raise QueryError(f"query label collides with a source id: {q.label!r}")
 
 
-class _QueryUpSet:
-    """The concepts above the query concept, as if the query had been inserted.
+def _query_context(ctx: FormalContext, q: Query) -> tuple[FormalContext, list[list[str]]]:
+    """The context restricted to the query's terms, with the query as an object.
 
-    Only the context restricted to the query's known terms matters, so
-    objects are grouped by the known terms they carry.  Intents are masks
-    over the context's attributes plus one bit per unknown query term above
-    them; only the query concept's intent holds those bits.  Extents are
-    masks over the context's objects, without the virtual query object.
+    Its lattice is the query concept's up-set: the query concept is its
+    bottom.  The objects are one per distinct row restricted to the query's
+    known terms, named by its first source, then the query, which carries
+    every attribute.  The attributes are the context's own instances of the
+    known terms, in the context's order, then the unknown terms by key.
+    Returns the context and the sources of each restricted row.
     """
-
-    __slots__ = ("known", "query", "intents", "extents", "_counts", "_order")
-
-    def __init__(self, ctx: FormalContext, terms: frozenset[Attribute]):
-        known = 0
-        unknown = []
-        for a in terms:
-            if ctx.has_attribute(a):
-                known |= 1 << ctx._attr_bit(a)
-            else:
-                unknown.append(a)
-        groups: dict[int, int] = {}
-        for i, row in enumerate(ctx._rows):
-            x = known & row
-            groups[x] = groups.get(x, 0) | 1 << i
-        masks = _intersections(groups)
-        query = known | ((1 << len(unknown)) - 1) << len(ctx.attributes)
-        masks.add(query)
-        intents = {b: frozenset(ctx._attrs_from_mask(b & known)) for b in masks}
-        intents[query] |= frozenset(unknown)
-        self.known = known
-        self.query = query
-        self.intents = intents
-        # the groups are disjoint, so their sum is their union
-        self.extents = {b: sum(g for x, g in groups.items() if x & b == b) for b in masks}
-        self._counts = {x: g.bit_count() for x, g in groups.items()}
-        ordered = sorted(masks, key=lambda b: _intent_sort_key(intents[b]))
-        self._order = {b: i for i, b in enumerate(ordered)}
-
-    def upper_covers(self, b: int) -> list[int]:
-        """Parents of one up-set concept, in canonical order."""
-        parents = _upper_neighbours(b, self._counts, self.extents.__getitem__)
-        return sorted(parents, key=self._order.__getitem__)
+    known = 0
+    unknown = []
+    for a in q.terms:
+        j = ctx._attr_index.get(a.key)
+        if j is None:
+            unknown.append(a)
+        else:
+            known |= 1 << j
+    sources: dict[int, list[str]] = {}
+    for g, row in zip(ctx.objects, ctx._rows):
+        members = sources.get(row & known)
+        if members is None:
+            sources[row & known] = [g]
+        else:
+            members.append(g)
+    # bit k of a restricted row is the k-th known term
+    bit_of = {j: 1 << k for k, j in enumerate(_bits(known))}
+    rows = [sum(bit_of[j] for j in _bits(x)) for x in sources]
+    attrs = [ctx.attributes[j] for j in bit_of] + sorted(unknown, key=lambda a: a.key)
+    objects = [members[0] for members in sources.values()] + [q.label]
+    sub = FormalContext._from_rows(
+        objects, attrs, rows + [(1 << len(attrs)) - 1], allow_reserved_ids=True
+    )
+    return sub, list(sources.values())
 
 
 def search(
@@ -154,43 +142,40 @@ def search(
     stops once a level has nothing else to offer.
     """
     _check_query(lat, q)
-    ctx = lat.context
-    upset = _QueryUpSet(ctx, q.terms)
+    sub, sources = _query_context(lat.context, q)
+    up = build_lattice(sub)
     collected: dict[str, RankedResult] = {}
-    # one shared set per distinct row restricted to the query's known terms
-    shared_of: dict[int, frozenset[Attribute]] = {}
-    claimed = 0
-    frontier = [upset.query]
-    visited = {upset.query}
+    # the query is the last object and no source
+    claimed = 1 << len(sources)
+    frontier = [len(up._intents) - 1]
+    visited = set(frontier)
     rank = 0
     while frontier:
         contributed = False
-        for b in frontier:
+        for i in frontier:
+            b = up._intents[i]
             if not b:
                 continue
             contributed = True
-            fresh = upset.extents[b] & ~claimed
+            fresh = up._extents[i] & ~claimed
+            if not fresh:
+                continue
             claimed |= fresh
-            while fresh:
-                i = (fresh & -fresh).bit_length() - 1
-                fresh &= fresh - 1
-                source = ctx.objects[i]
-                # the known bits are the query's terms: equal attributes have equal keys
-                x = ctx._rows[i] & upset.known
-                shared = shared_of.get(x)
-                if shared is None:
-                    shared = shared_of[x] = frozenset(ctx._attrs_from_mask(x))
-                collected[source] = RankedResult(
-                    source=source, rank=rank, shared=shared, via_intent=upset.intents[b]
-                )
+            via = frozenset(sub._attrs_from_mask(b))
+            for k in _bits(fresh):
+                shared = frozenset(sub._attrs_from_mask(sub._rows[k]))
+                for source in sources[k]:
+                    collected[source] = RankedResult(
+                        source=source, rank=rank, shared=shared, via_intent=via
+                    )
         if not contributed:
             break
         nxt = []
-        for b in frontier:
-            for parent in upset.upper_covers(b):
-                if parent not in visited:
-                    visited.add(parent)
-                    nxt.append(parent)
+        for i in frontier:
+            for p in up._parents[i]:
+                if p not in visited:
+                    visited.add(p)
+                    nxt.append(p)
         frontier = nxt
         rank += 1
     if tie_break is None:

@@ -1,3 +1,4 @@
+import copy
 import random
 from pathlib import Path
 
@@ -58,3 +59,56 @@ def edge_case_context(rng):
                 row[j] = fill
     attrs = [Attribute(term=f"m{j}") for j in range(n_attr)]
     return FormalContext([f"g{i}" for i in range(n_obj)], attrs, rows)
+
+
+#: Characters ``mutate_text`` inserts: the syntax of the JSON and CSV formats,
+#: line breaks, a NUL, a space and a non-ASCII letter.
+FUZZ_CHARS = '[]{}",:\\@01 \t\r\n\x00é'
+
+#: Values ``edit_document`` writes in place of another.
+JUNK = (None, True, 1.5, -1, 10**20, "x", "", [], {}, [[]], {"a": 1})
+
+#: The edits ``mutate_text`` makes, by name.
+TEXT_EDITS = ("insert", "delete", "repeat", "truncate", "nest", "long-field")
+
+
+def mutate_text(rng: random.Random, text: str, kinds=TEXT_EDITS) -> tuple[str, str]:
+    """One random edit of a document's text, drawn from ``kinds``, and its
+    name: a character put in, a span deleted or repeated, the text cut
+    short, the text nested 100,000 brackets deep, or a 140,000-character
+    run put in (longer than the CSV reader's default field limit)."""
+    kind = rng.choice(kinds)
+    i = rng.randint(0, len(text))
+    j = min(len(text), i + rng.randint(1, 8))
+    if kind == "insert":
+        text = text[:i] + rng.choice(FUZZ_CHARS) + text[i:]
+    elif kind == "delete":
+        text = text[:i] + text[j:]
+    elif kind == "repeat":
+        text = text[:j] + text[i:j] + text[j:]
+    elif kind == "truncate":
+        text = text[:i]
+    elif kind == "nest":
+        text = "[" * 100_000 + text + "]" * 100_000
+    else:
+        text = text[:i] + "x" * 140_000 + text[i:]
+    return kind, text
+
+
+def edit_document(rng: random.Random, doc) -> str:
+    """Write junk in place of a value at a random place of a parsed JSON
+    document, or delete the value there; return the edit's name."""
+    holder = doc
+    while True:
+        places = list(holder) if isinstance(holder, dict) else range(len(holder))
+        if not places:
+            return "none"
+        key = rng.choice(places)
+        if not (isinstance(holder[key], (dict, list)) and holder[key] and rng.random() < 0.7):
+            break
+        holder = holder[key]
+    if rng.random() < 0.5:
+        del holder[key]
+        return "delete"
+    holder[key] = copy.deepcopy(rng.choice(JUNK))
+    return "junk"

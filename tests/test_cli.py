@@ -22,6 +22,13 @@ def lattice_file(tmp_path, capsys):
     return str(out)
 
 
+def run_cli(argv):
+    """Run the command in a child process on the sources of this checkout."""
+    src = str(FIXTURES.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "fcaregistry.cli", *argv], capture_output=True, text=True, env=env)
+
+
 class TestBuild:
     def test_from_context(self, tmp_path, capsys):
         out = tmp_path / "l.json"
@@ -220,12 +227,32 @@ class TestNonUtf8Input:
             "record-file": ["build", "--records", str(bad), "--out", out],
             "record-directory": ["build", "--records", str(tmp_path / "corpus"), "--out", out],
         }[reader]
-        src = str(FIXTURES.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "fcaregistry.cli", *argv], capture_output=True, text=True, env=env
-        )
+        proc = run_cli(argv)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: cannot read ")
         assert str(bad) in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestDeepOrLongInput:
+    """JSON nested deeper than the decoder's recursion limit, or a CSV field
+    longer than the reader's field limit, is a data error of one line."""
+
+    @pytest.mark.parametrize("reader", ["context", "lattice", "ontology", "records"])
+    def test_exit_1_with_one_error_line(self, reader, lattice_file, tmp_path):
+        bad = tmp_path / "bad"
+        if reader == "context":
+            bad.write_text(",m\nS" + "x" * 140_000 + ",1\n", encoding="utf-8")
+        else:
+            bad.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        out = str(tmp_path / "out.lat")
+        argv = {
+            "context": ["build", "--context", str(bad), "--out", out],
+            "lattice": ["stats", "--lattice", str(bad)],
+            "ontology": ["query", "--lattice", lattice_file, "--terms", "Ch", "--refine", "generalize",
+                         "--ontology", str(bad)],
+            "records": ["build", "--records", str(bad), "--out", out],
+        }[reader]
+        proc = run_cli(argv)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr

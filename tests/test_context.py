@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -6,11 +7,12 @@ from fcaregistry import (
     CATEGORIES,
     Attribute,
     ContextError,
+    FcaRegistryError,
     FormalContext,
     context_from_csv,
     context_to_csv,
 )
-from conftest import make_random_context
+from conftest import FIXTURES, TEXT_EDITS, make_random_context, mutate_text
 
 
 def terms(attrs):
@@ -255,6 +257,21 @@ class TestCsv:
         with pytest.raises(ContextError, match="cannot write object id"):
             context_to_csv(FormalContext([" S1"], [Attribute("m")], [[1]]))
 
+    @pytest.mark.parametrize(
+        "text",
+        [',"a\rb"\nS1,1\n', ',"p\r:b"\nS1,1\n', ',m\n"S\r1",1\n', ",a :b\nS1,1\n", ",a: b\nS1,1\n",
+         ",x @Subject\nS1,1\n", ",:b:c\nS1,1\n"],
+        ids=["carriage-return-in-term", "carriage-return-in-prefix", "carriage-return-in-object-id",
+             "padded-prefix", "padded-term", "padded-term-before-category", "colon-in-bare-term"],
+    )
+    def test_reader_refuses_what_the_writer_refuses(self, text):
+        with pytest.raises(ContextError, match="carriage return|cannot write back"):
+            context_from_csv(text)
+
+    def test_oversized_field_is_refused(self):
+        with pytest.raises(ContextError, match="unreadable context file: field larger than field limit"):
+            context_from_csv(",m\n" + "S" * 140_000 + ",1\n")
+
     def test_colon_in_a_prefixed_term_round_trips(self):
         ctx = FormalContext(["S1"], [Attribute("a:b", "T")], [[1]])
         assert context_from_csv(context_to_csv(ctx)) == ctx
@@ -295,3 +312,50 @@ class TestCsv:
                 assert again == ctx
                 assert [a.category for a in again.attributes] == [a.category for a in ctx.attributes]
                 written += 1
+
+
+def quoted_csv(rng):
+    """The CSV text of a small context whose names often need quotes: they
+    hold commas, quotes, line breaks, colons and inner spaces."""
+
+    def spelling():
+        return "".join(rng.choice('ab,"\n: ') for _ in range(rng.randint(1, 4))).strip() or "a"
+
+    while True:
+        attrs = [Attribute(spelling(), rng.choice((None, spelling())), rng.choice(CATEGORIES)) for _ in range(3)]
+        objects = [spelling() for _ in range(3)]
+        try:
+            return context_to_csv(FormalContext(objects, attrs, [[rng.randint(0, 1) for _ in attrs] for _ in objects]))
+        except ContextError:
+            continue
+
+
+class TestCsvFuzz:
+    def test_what_the_reader_accepts_writes_back_equal(self):
+        rng = random.Random(103)
+        table1 = (FIXTURES / "table1.csv").read_text(encoding="utf-8")
+        # a character put inside a quoted cell is what makes a name the writer refuses
+        kinds = TEXT_EDITS + ("insert",) * 14
+        outcomes = collections.Counter()
+        for n in range(1500):
+            if n % 4 == 0:
+                text = table1
+            elif n % 4 == 1:
+                text = context_to_csv(make_random_context(rng, 5, 5))
+            else:
+                text = quoted_csv(rng)
+            for _ in range(rng.randint(1, 3)):
+                kind, text = mutate_text(rng, text, kinds)
+                outcomes[kind] += 1
+            try:
+                ctx = context_from_csv(text)
+            except FcaRegistryError as exc:
+                unwritable = "carriage return" in str(exc) or "cannot write back" in str(exc)
+                outcomes["refused as unwritable" if unwritable else "rejected"] += 1
+                continue
+            again = context_from_csv(context_to_csv(ctx))
+            assert again == ctx, text
+            assert [a.category for a in again.attributes] == [a.category for a in ctx.attributes]
+            outcomes["accepted"] += 1
+        assert set(outcomes) == {"accepted", "rejected", "refused as unwritable", *TEXT_EDITS}, outcomes
+        assert min(outcomes.values()) >= 10, outcomes

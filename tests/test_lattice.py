@@ -9,7 +9,6 @@ from fcaregistry import (
     CATEGORIES,
     Attribute,
     ConceptLattice,
-    ContextError,
     FcaRegistryError,
     FormalConcept,
     FormalContext,
@@ -434,6 +433,10 @@ class TestPersistence:
         with pytest.raises(LatticeError):
             lattice_from_json("not json")
 
+    def test_deeply_nested_document(self):
+        with pytest.raises(LatticeError, match="unreadable lattice file"):
+            lattice_from_json("[" * 100_000 + "]" * 100_000)
+
     @pytest.mark.parametrize("case", list(MALFORMED))
     def test_rejects_malformed(self, table1_lattice, case):
         corrupt, message = MALFORMED[case]
@@ -452,13 +455,16 @@ class TestPersistence:
             (lambda c: c["objects"].__setitem__(1, c["objects"][0]), "duplicate object id"),
             (lambda c: c["attributes"].__setitem__(1, c["attributes"][0]), "duplicate attribute"),
             (lambda c: c["objects"].__setitem__(0, ""), "non-empty"),
+            (lambda c: c["attributes"][0].__setitem__("category", "Colour"), "unknown attribute category"),
+            (lambda c: c["attributes"][0].__setitem__("term", ""), "term must be non-empty"),
         ],
     )
     def test_rejects_a_context_that_cannot_be(self, table1_lattice, edit, message):
         doc = json.loads(lattice_to_json(table1_lattice))
         edit(doc["context"])
-        with pytest.raises(ContextError, match=message):
+        with pytest.raises(LatticeError, match=message) as raised:
             lattice_from_json(json.dumps(doc))
+        assert str(raised.value).startswith("malformed lattice file: ")
 
     def test_incidence_cell_j_is_attribute_j(self):
         attrs = [Attribute(f"m{j}") for j in range(5)]
@@ -603,6 +609,10 @@ class TestColumnSideCovers:
             assert parents is None, k
 
     def test_mask_key_orders_as_the_attribute_key(self):
+        def intent_sort_key(intent):
+            keys = sorted(a.key for a in intent)
+            return (len(keys), keys)
+
         rng = random.Random(71)
         for _ in range(60):
             ctx = cover_case_context(rng)
@@ -611,8 +621,8 @@ class TestColumnSideCovers:
             masks += [0, ctx._full_attr_mask]
             for a, b in itertools.product(masks, repeat=2):
                 by_attrs = (
-                    lattice._intent_sort_key(ctx._attrs_from_mask(a)),
-                    lattice._intent_sort_key(ctx._attrs_from_mask(b)),
+                    intent_sort_key(ctx._attrs_from_mask(a)),
+                    intent_sort_key(ctx._attrs_from_mask(b)),
                 )
                 assert (key(a) < key(b)) == (by_attrs[0] < by_attrs[1])
                 assert (key(a) == key(b)) == (a == b)

@@ -1,4 +1,5 @@
 import ast
+import collections
 import graphlib
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 
 from fcaregistry import (
     Attribute,
+    FcaRegistryError,
     FormalContext,
     Ontology,
     OntologyError,
@@ -23,6 +25,7 @@ from fcaregistry import (
     refine_specialize,
 )
 from fcaregistry.ontology import _attribute_for_term, _first_cycle
+from conftest import FIXTURES, TEXT_EDITS, edit_document, mutate_text
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -214,6 +217,9 @@ class TestLoadOntology:
         with pytest.raises(OntologyError):
             load_ontology("[")
 
+    def test_deeply_nested_document(self):
+        with pytest.raises(OntologyError, match="malformed ontology document"):
+            load_ontology("[" * 100_000 + "]" * 100_000)
 
     def test_cycle_witness_ignores_the_hash_seed(self):
         text = doc(edges=[["r", "m"], ["m", "n"], ["n", "m"], ["r", "a"], ["a", "b"], ["b", "c"], ["c", "a"]])
@@ -293,6 +299,35 @@ class TestLoadOntology:
                 assert (ont.terms, ont._parents, ont._children, ont._resolve) == expected
             outcomes[kind] = outcomes.get(kind, 0) + 1
         assert len(outcomes) == 6 and min(outcomes.values()) >= 30, outcomes
+
+class TestOntologyFuzz:
+    def test_only_package_errors_escape(self):
+        rng = random.Random(101)
+        fixture = json.loads((FIXTURES / "organisms.ont").read_text(encoding="utf-8"))
+        outcomes = collections.Counter()
+        for n in range(800):
+            if n % 4 == 0:
+                doc = json.loads(json.dumps(fixture))
+            else:
+                root, edges, aliases, _ = corrupted_dag(rng)
+                doc = {"prefix": "T", "root": root, "edges": [list(e) for e in edges], "aliases": aliases}
+            kinds = [edit_document(rng, doc) for _ in range(rng.choice((0, 1, 1, 2)))]
+            text = json.dumps(doc)
+            if rng.random() < 0.4:
+                kind, text = mutate_text(rng, text)
+                kinds.append(kind)
+            try:
+                ont = load_ontology(text)
+            except FcaRegistryError:
+                outcomes["rejected"] += 1
+            else:
+                # an accepted ontology reaches every term from its root
+                assert {ont.root, *ont.descendants(ont.root)} == ont.terms, text
+                outcomes["accepted"] += 1
+            outcomes.update(kinds)
+        assert set(outcomes) >= {"junk", "delete", *TEXT_EDITS}, outcomes
+        assert min(outcomes[k] for k in outcomes if k != "none") >= 20, outcomes
+
 
 class TestTraversal:
     def test_chicken_ancestors(self, organisms):

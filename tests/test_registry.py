@@ -1,9 +1,12 @@
+import collections
 import json
+import random
 
 import pytest
 
 from fcaregistry import (
     BinarizationConfig,
+    FcaRegistryError,
     FieldRule,
     MetadataRecord,
     RegistryError,
@@ -14,7 +17,7 @@ from fcaregistry import (
     validate_record,
     write_records,
 )
-from conftest import FIXTURES
+from conftest import FIXTURES, TEXT_EDITS, edit_document, mutate_text
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +70,10 @@ class TestParseRecords:
     def test_non_string_term(self):
         with pytest.raises(RegistryError, match="Organism terms must be strings, got 5"):
             parse_records(json.dumps({"id": "S1", "organisms": ["Hu", 5]}))
+
+    def test_deeply_nested_document(self):
+        with pytest.raises(RegistryError, match="malformed record document"):
+            parse_records("[" * 100_000 + "]" * 100_000)
 
 
 class TestLoadRecords:
@@ -200,3 +207,47 @@ class TestValidateRecord:
     def test_alias_resolves(self, organisms):
         r = MetadataRecord(id="X", subjects=["s"], organisms=["NCBI:Hu"], quality=["q"])
         assert validate_record(r, [organisms]) == []
+
+
+def random_record(rng, i):
+    """A record document that mixes bare, declared, free and undeclared
+    prefixes, with and without identification and availability maps."""
+    terms = ["NS", "PS", "NCBI:Hu", "NCBI:Ch", "free:notes", "MESH:Gene", "a:b:c", "Q"]
+    doc = {"id": f"S{i}"}
+    for key in ("subjects", "organisms", "quality"):
+        if rng.random() < 0.8:
+            doc[key] = rng.sample(terms, rng.randint(0, 3))
+    if rng.random() < 0.6:
+        doc["identification"] = {"title": f"source {i}", "date_modified": "2005-01-15"}
+    if rng.random() < 0.4:
+        doc["availability"] = {"access": "public"}
+    prefixes = [p for p in ("NCBI", "MESH", "a") if rng.random() < 0.5]
+    doc["ontologies_used"] = [{"prefix": p, "name": f"{p} terms", "version": "1"} for p in prefixes]
+    return doc
+
+
+class TestRecordFuzz:
+    def test_only_package_errors_escape(self):
+        rng = random.Random(97)
+        fixture = [json.loads(f.read_text(encoding="utf-8")) for f in sorted((FIXTURES / "bioregistry8").glob("*.json"))]
+        outcomes = collections.Counter()
+        for n in range(800):
+            records = fixture if n % 4 == 0 else [random_record(rng, i) for i in range(rng.randint(1, 5))]
+            doc = json.loads(json.dumps({"records": records} if rng.random() < 0.8 else records))
+            kinds = [edit_document(rng, doc) for _ in range(rng.choice((0, 1, 1, 2)))]
+            text = json.dumps(doc)
+            if rng.random() < 0.4:
+                kind, text = mutate_text(rng, text)
+                kinds.append(kind)
+            try:
+                parsed = parse_records(text)
+                build_context(parsed)
+            except FcaRegistryError:
+                outcomes["rejected"] += 1
+            else:
+                # what is accepted writes back to the same records
+                assert parse_records(write_records(parsed)) == parsed, text
+                outcomes["accepted"] += 1
+            outcomes.update(kinds)
+        assert set(outcomes) >= {"junk", "delete", *TEXT_EDITS}, outcomes
+        assert min(outcomes[k] for k in outcomes if k != "none") >= 20, outcomes

@@ -275,6 +275,40 @@ class TestSearch:
             seen["top_intent"] += bool(lat.top.intent)
         assert min(seen.values()) >= 20, seen
 
+    def test_up_set_is_the_grown_lattice_above_the_query(self):
+        """The lattice of the restricted context, matched by attribute key,
+        is the part of the grown lattice at and above the query concept."""
+
+        def key(intent):
+            return frozenset(a.key for a in intent)
+
+        rng = random.Random(61)
+        unknown = [Attribute(term=f"u{j}") for j in range(3)]
+        for _ in range(400):
+            ctx = edge_case_context(rng)
+            lat = build_lattice(ctx)
+            terms = set(rng.sample(ctx.attributes, rng.randint(0, len(ctx.attributes))))
+            terms |= set(rng.sample(unknown, rng.randint(0 if terms else 1, 2)))
+            if terms and rng.random() < 0.2:
+                twin = rng.choice(sorted(terms, key=lambda a: a.key))
+                terms = (terms - {twin}) | {Attribute(term=twin.term, prefix="")}
+            query = Query(terms=frozenset(terms))
+            sub, sources = retrieval._query_context(ctx, query)
+            members = {group[0]: group for group in sources + [[query.label]]}
+            up = build_lattice(sub)
+            grown, query_concept = insert_query(lat, query)
+            above = [c for c in grown.concepts if c.extent >= query_concept.extent]
+            assert up.bottom.intent == frozenset(sub.attributes) and key(up.bottom.intent) == key(query.terms)
+            assert {
+                key(c.intent): frozenset(g for name in c.extent for g in members[name]) for c in up.concepts
+            } == {key(c.intent): c.extent for c in above}
+            assert len(up.concepts) == len(above)
+            assert {(key(c.intent), key(p.intent)) for c, p in up.cover_concepts()} == {
+                (key(c.intent), key(p.intent))
+                for c, p in grown.cover_concepts()
+                if c.extent >= query_concept.extent
+            }
+
     def test_unknown_term_puts_full_matches_at_rank_one(self):
         a, b = Attribute("a"), Attribute("b")
         lat = build_lattice(FormalContext(["g1", "g2", "g3"], [a, b], [[1, 0], [1, 1], [0, 1]]))
