@@ -217,6 +217,13 @@ class FormalContext:
             mask &= self._cols[j]
         return mask
 
+    def _attr_closure(self, extent_mask: int) -> int:
+        """The mask of the attributes common to the objects of an extent mask."""
+        mask = self._full_attr_mask
+        for i in _bits(extent_mask):
+            mask &= self._rows[i]
+        return mask
+
     # -- derivation operators --------------------------------------------
 
     def derive_objects(self, objs: Iterable[str]) -> set[Attribute]:
@@ -238,10 +245,7 @@ class FormalContext:
         ext = self._full_obj_mask
         for a in attrs:
             ext &= self._cols[self._attr_bit(a)]
-        mask = self._full_attr_mask
-        for i in _bits(ext):
-            mask &= self._rows[i]
-        return self._attrs_from_mask(mask)
+        return self._attrs_from_mask(self._attr_closure(ext))
 
     # -- projection views --------------------------------------------------
 

@@ -1,27 +1,28 @@
-"""Concept lattices: construction from row intersections, Hasse covers, oracles.
+"""Concept lattices: one downward walk, incremental insertion, oracles.
 
-Intersections of closed intents are closed, so the intents of a context are
-M together with every intersection of a non-empty set of object rows;
-``build_lattice`` takes them with ``_intersections`` and never re-closes a
-candidate.  The covers of a whole lattice come from one neighbour count on
-the attribute side (``_lower_cover_parents``), the dual of Lindig's count on
-the object side (``_upper_neighbours``), which serves insertion, where only
-a few concepts need their upper covers.  A query's up-set is the
-``build_lattice`` of a small context (see the retrieval module), so every
-lattice is built and ordered one way, by one mask key (``_mask_sort_key``).
-A lattice is its intent and extent bit masks in canonical order and each
-concept's sorted parent positions.  Building, insertion (``insert_object``,
-after Godin, Missaoui & Alaoui, 1995), saving, loading and DOT export work on
-these alone; the cover pairs and the ``FormalConcept`` values are made on the
-first access to ``covers`` and ``concepts``, and the lookups (``top``,
-``bottom``, ``concept_with_intent``, ``index_of`` and the covers of one
-concept) make only the values they return.
+``_complete`` lists the concepts of a context and counts their covers in one
+walk down from the top.  Each concept proposes, for every attribute outside
+its intent, the part of its extent that has it; every lower cover is among
+the proposals, and a proposal is one when all the attributes its intent adds
+proposed it (the dual of Lindig's count on the object side,
+``_upper_neighbours``, which serves insertion, where only a few concepts need
+their upper covers).  ``build_lattice`` is this walk from the top alone; a
+query's up-set is the ``build_lattice`` of a small context (see the retrieval
+module), so every lattice is built and ordered one way, by one mask key
+(``_mask_sort_key``).  A lattice is its intent and extent bit masks in
+canonical order and each concept's sorted parent positions.  Building,
+insertion (``insert_object``, after Godin, Missaoui & Alaoui, 1995), saving,
+loading and DOT export work on these alone; the cover pairs and the
+``FormalConcept`` values are made on the first access to ``covers`` and
+``concepts``, and the lookups (``top``, ``bottom``, ``concept_with_intent``,
+``index_of`` and the covers of one concept) make only the values they return.
 
-The loader never rebuilds the lattice: it checks on masks that each stored
-concept is closed, that the concepts are in strict canonical order from the
-top, that no lower cover of a stored concept is missing, and that the stored
-covers are the counted ones.  The oracles recompute concepts and covers by
-brute force and share no code with these routines.
+The loader checks on masks that each stored concept is a distinct closed
+concept, then runs the same walk from the stored concepts, which closes no
+extent unless one is missing; the file is accepted when the walk gives back
+the stored concepts in the stored order and the stored covers.  The oracles
+recompute concepts and covers by brute force and share no code with these
+routines.
 """
 
 from __future__ import annotations
@@ -225,17 +226,6 @@ class ConceptLattice:
         return max(longest.values(), default=0)
 
 
-def _intersections(rows: Iterable[int]) -> set[int]:
-    """Every intersection of a non-empty set of the rows: the smallest set
-    closed under ``&`` that holds every row."""
-    masks: set[int] = set()
-    for x in rows:
-        if x not in masks:
-            masks |= {y & x for y in masks}
-            masks.add(x)
-    return masks
-
-
 def _upper_neighbours(b: int, counts: dict[int, int], extent_of: Callable[[int], int]) -> list[int]:
     """Intents of the upper covers of the concept with intent ``b``.
 
@@ -254,26 +244,30 @@ def _upper_neighbours(b: int, counts: dict[int, int], extent_of: Callable[[int],
     return [c for c, n in proposed.items() if n == extent_of(c).bit_count() - size]
 
 
-def _lower_cover_parents(
-    ctx: FormalContext, intents: Sequence[int], extents: Sequence[int]
-) -> list[list[int]] | None:
-    """Each concept's sorted parent positions, counted from the attribute side.
+def _complete(ctx: FormalContext, known: dict[int, int]) -> ConceptLattice:
+    """The lattice of ``ctx``, listed and covered by one walk down from the top.
 
-    ``intents`` and ``extents`` are concepts of ``ctx`` in canonical order.
-    For a concept (A, B), let u be the union of the rows in A.  Each
-    attribute of u outside B proposes the extent of A and its column, and
-    the attributes outside u together propose the empty extent; a concept
-    with an empty extent has none below it.  A proposal is a lower cover
-    when its proposers are all the attributes its intent adds to B (the
-    dual of Lindig's test).  Returns None when a proposal is not among
-    ``extents``, that is, when they are not all the concepts of ``ctx``.
+    ``known`` maps the extent masks of some concepts of ``ctx`` to their
+    intent masks; the walk takes up the top and then these, in this order,
+    and closes only the extents it finds besides them.  For a concept
+    (A, B), let u be the union of the rows in A.  Each attribute of u
+    outside B proposes the extent of A and its column, and the attributes
+    outside u together propose the empty extent; a concept with an empty
+    extent has none below it.  Every lower cover is proposed, so the walk
+    reaches every concept.  A proposal with intent D is a lower cover when
+    its proposers are all |D| - |B| attributes D adds to B (the dual of
+    Lindig's neighbour test).
     """
     rows, cols = ctx._rows, ctx._cols
-    at = {e: i for i, e in enumerate(extents)}
+    top = ctx._full_obj_mask
+    # a known top keeps the first place
+    known = {top: ctx._attr_closure(top), **known}
+    extents, intents = list(known), list(known.values())
     sizes = [b.bit_count() for b in intents]
-    parents: list[list[int]] = [[] for _ in intents]
-    # concepts are visited in canonical order, so each parent list comes out sorted
-    for i, (b, a) in enumerate(zip(intents, extents)):
+    at = dict(zip(extents, range(len(extents))))
+    parents: list[list[int]] = [[] for _ in extents]
+    # the lists grow as the walk finds concepts, and the loop takes them up in turn
+    for i, a in enumerate(extents):
         if not a:
             continue
         u = 0
@@ -283,26 +277,35 @@ def _lower_cover_parents(
         outside = len(cols) - u.bit_count()
         if outside:
             proposed[0] = outside
-        for m in _bits(u & ~b):
+        for m in _bits(u & ~intents[i]):
             c = a & cols[m]
             proposed[c] = proposed.get(c, 0) + 1
         for c, n in proposed.items():
             k = at.get(c)
             if k is None:
-                return None
+                k = at[c] = len(extents)
+                d = ctx._attr_closure(c)
+                extents.append(c)
+                intents.append(d)
+                sizes.append(d.bit_count())
+                parents.append([])
             if n == sizes[k] - sizes[i]:
                 parents[k].append(i)
-    return parents
+    keys = list(map(_mask_sort_key(ctx), intents))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    # the inverse of a permutation sorts it: concept i goes to place[i]
+    place = sorted(range(len(order)), key=order.__getitem__)
+    return ConceptLattice._from_masks(
+        ctx,
+        {intents[i]: k for k, i in enumerate(order)},
+        [extents[i] for i in order],
+        [sorted([place[p] for p in parents[i]]) for i in order],
+    )
 
 
 def build_lattice(ctx: FormalContext) -> ConceptLattice:
-    """Build the concept lattice: its intents are M and every intersection of rows."""
-    intents = _intersections(ctx._rows) | {ctx._full_attr_mask}
-    order = sorted(intents, key=_mask_sort_key(ctx))
-    extents = [ctx._extent_mask_of_intent_mask(b) for b in order]
-    pos = {b: i for i, b in enumerate(order)}
-    parents = _lower_cover_parents(ctx, order, extents)
-    return ConceptLattice._from_masks(ctx, pos, extents, parents)
+    """Build the concept lattice of a context in canonical order."""
+    return _complete(ctx, {})
 
 
 def insert_object(
@@ -551,14 +554,13 @@ def _context_from_doc(cdoc: dict) -> FormalContext:
     return FormalContext._from_rows(objects, attrs, rows, allow_reserved_ids=True)
 
 
-def _stored_masks(ctx: FormalContext, docs: list) -> tuple[list[int], list[int]] | None:
-    """The intent and extent masks of the stored concepts, or None unless
-    each is a closed concept of ``ctx`` written as ``lattice_to_json`` writes
-    it, and they run in strict canonical order from the top."""
+def _stored_concepts(ctx: FormalContext, docs: list) -> dict[int, int] | None:
+    """The stored concepts as a map from extent mask to intent mask, in the
+    stored order, or None unless each is a distinct closed concept of
+    ``ctx`` written as ``lattice_to_json`` writes it."""
     n_attrs = len(ctx.attributes)
-    obj_index, rows = ctx._obj_index, ctx._rows
-    sort_key = _mask_sort_key(ctx)
-    intents, extents, key = [], [], None
+    obj_index = ctx._obj_index
+    known: dict[int, int] = {}
     for doc in docs:
         if not isinstance(doc, dict) or doc.keys() != {"extent", "intent"}:
             return None
@@ -579,19 +581,10 @@ def _stored_masks(ctx: FormalContext, docs: list) -> tuple[list[int], list[int]]
                 return None
             intent |= 1 << j
             last = j
-        closure = ctx._full_attr_mask
-        for g in _bits(extent):
-            closure &= rows[g]
-        if closure != intent or ctx._extent_mask_of_intent_mask(intent) != extent:
+        if ctx._attr_closure(extent) != intent or ctx._extent_mask_of_intent_mask(intent) != extent:
             return None
-        previous, key = key, sort_key(intent)
-        if previous is not None and not previous < key:
-            return None
-        intents.append(intent)
-        extents.append(extent)
-    if not extents or extents[0] != ctx._full_obj_mask:
-        return None
-    return intents, extents
+        known[extent] = intent
+    return known if len(known) == len(docs) else None
 
 
 def lattice_from_json(text: str) -> ConceptLattice:
@@ -599,12 +592,11 @@ def lattice_from_json(text: str) -> ConceptLattice:
 
     The stored concepts and covers must be exactly those ``build_lattice``
     of the stored context would write; any other value, and a stored
-    context that cannot be built, raises ``LatticeError``.  The check runs
-    on masks and does not rebuild the lattice: each concept must be closed,
-    the intents must strictly increase in canonical order from the top,
-    every lower cover the attribute-side count proposes must be stored
-    (every concept is reached from the top this way), and the stored covers
-    must be the counted ones.
+    context that cannot be built, raises ``LatticeError``.  The lattice is
+    not built afresh: each stored concept must be a distinct closed concept,
+    and the walk that builds a lattice starts from them, so it closes no
+    extent unless one is missing.  Its concepts must come back in the stored
+    order, and its covers must be the stored ones.
     """
     try:
         doc = json.loads(text)
@@ -619,13 +611,12 @@ def lattice_from_json(text: str) -> ConceptLattice:
         ctx = _context_from_doc(_expect(doc.get("context"), dict, "'context'"))
     except ContextError as exc:
         raise LatticeError(f"malformed lattice file: {exc}") from exc
-    masks = _stored_masks(ctx, _expect(doc.get("concepts"), list, "'concepts'"))
-    parents = None if masks is None else _lower_cover_parents(ctx, *masks)
-    if parents is None:
+    known = _stored_concepts(ctx, _expect(doc.get("concepts"), list, "'concepts'"))
+    lat = None if known is None else _complete(ctx, known)
+    if lat is None or lat._extents != tuple(known):
         raise LatticeError(_MISMATCH.format("concepts"))
     stored = _expect(doc.get("covers"), list, "'covers'")
-    counted = [[i, p] for i, ps in enumerate(parents) for p in ps]
+    counted = [[i, p] for i, ps in enumerate(lat._parents) for p in ps]
     if stored != counted or any(type(x) is not int for pair in stored for x in pair):
         raise LatticeError(_MISMATCH.format("covers"))
-    intents, extents = masks
-    return ConceptLattice._from_masks(ctx, {b: i for i, b in enumerate(intents)}, extents, parents)
+    return lat

@@ -114,14 +114,13 @@ def _record_from_doc(doc: dict) -> MetadataRecord:
     for ref in refs_doc:
         if not isinstance(ref, dict) or not isinstance(ref.get("prefix"), str):
             raise RegistryError(f"record {rid!r}: an 'ontologies_used' entry lacks a string 'prefix'")
-        refs.append(
-            OntologyRef(
-                prefix=ref["prefix"],
-                name=ref.get("name", ""),
-                version=ref.get("version", ""),
-                location=ref.get("location", ""),
-            )
-        )
+        fields = {key: ref.get(key, "") for key in ("name", "version", "location")}
+        for key, value in fields.items():
+            if not isinstance(value, str):
+                raise RegistryError(
+                    f"record {rid!r}: an 'ontologies_used' {key!r} must be a string, got {value!r}"
+                )
+        refs.append(OntologyRef(prefix=ref["prefix"], **fields))
     record = MetadataRecord(
         id=rid,
         identification=_string_map(doc, "identification", rid),

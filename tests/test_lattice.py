@@ -26,6 +26,7 @@ from fcaregistry import (
 )
 from fcaregistry import lattice
 from fcaregistry.cli import main
+from fcaregistry.context import _bits
 from conftest import FIXTURES, edge_case_context, make_random_context
 
 TABLE1_INTENTS = [
@@ -80,6 +81,11 @@ MALFORMED = {
     "dropped-concept": (lambda doc: doc["concepts"].pop(5), "stored concepts"),
     "swapped-concepts": (
         lambda doc: doc["concepts"].insert(1, doc["concepts"].pop(2)),
+        "stored concepts",
+    ),
+    "dropped-top": (lambda doc: doc["concepts"].pop(0), "stored concepts"),
+    "duplicated-concept": (
+        lambda doc: doc["concepts"].insert(4, dict(doc["concepts"][4])),
         "stored concepts",
     ),
 }
@@ -569,6 +575,44 @@ def cover_case_context(rng):
     return FormalContext([f"g{i}" for i in range(len(rows))], attrs, rows)
 
 
+def three_pass_build(ctx):
+    """The intent masks, extent masks and parent lists of the lattice of
+    ``ctx``, made as ``build_lattice`` once made them: the intents are M and
+    every intersection of rows, each gets its extent, and the covers are
+    counted from the attribute side over the finished list."""
+    intents: set[int] = set()
+    for x in ctx._rows:
+        if x not in intents:
+            intents |= {y & x for y in intents}
+            intents.add(x)
+    intents = sorted(intents | {ctx._full_attr_mask}, key=lattice._mask_sort_key(ctx))
+    extents = [ctx._extent_mask_of_intent_mask(b) for b in intents]
+    at = {e: i for i, e in enumerate(extents)}
+    parents = [[] for _ in intents]
+    for i, (b, a) in enumerate(zip(intents, extents)):
+        if not a:
+            continue
+        u = 0
+        for g in _bits(a):
+            u |= ctx._rows[g]
+        proposed = collections.Counter(a & ctx._cols[m] for m in _bits(u & ~b))
+        outside = len(ctx.attributes) - u.bit_count()
+        if outside:
+            proposed[0] += outside
+        for c, n in proposed.items():
+            if n == intents[at[c]].bit_count() - b.bit_count():
+                parents[at[c]].append(i)
+    return intents, extents, parents
+
+
+def assert_built_as_in_three_passes(lat):
+    intents, extents, parents = three_pass_build(lat.context)
+    assert (lat._intents, lat._extents, lat._parents) == (tuple(intents), tuple(extents), parents)
+    assert lat._pos == {b: i for i, b in enumerate(intents)}
+    ref = ConceptLattice._from_masks(lat.context, lat._pos, extents, parents)
+    assert lattice_to_json(lat) == lattice_to_json(ref)
+
+
 class TestColumnSideCovers:
     def test_matches_the_row_side_count_and_the_oracle(self):
         rng = random.Random(67)
@@ -583,13 +627,11 @@ class TestColumnSideCovers:
         for ctx in contexts:
             lat = build_lattice(ctx)
             intents, extents = lat._intents, lat._extents
-            column = lattice._lower_cover_parents(ctx, intents, extents)
             counts = collections.Counter(ctx._rows)
             extent_of = dict(zip(intents, extents)).__getitem__
             row_side = [lattice._upper_neighbours(b, counts, extent_of) for b in intents]
-            assert column == [sorted(lat._pos[c] for c in ups) for ups in row_side]
-            assert column == list(lat._parents)
-            pairs = {(lat.concepts[c], lat.concepts[p]) for c, ps in enumerate(column) for p in ps}
+            assert list(lat._parents) == [sorted(lat._pos[c] for c in ups) for ups in row_side]
+            pairs = {(lat.concepts[c], lat.concepts[p]) for c, ps in enumerate(lat._parents) for p in ps}
             assert pairs == enumerate_covers_oracle(lat.concepts)
             seen["no objects"] += not ctx.objects
             seen["no attributes"] += not ctx.attributes
@@ -598,15 +640,38 @@ class TestColumnSideCovers:
             seen["duplicate columns"] += len(set(ctx._cols)) < len(ctx._cols)
         assert min(seen.values()) >= 10, seen
 
+    def test_matches_the_three_pass_build_and_the_oracles(self):
+        rng = random.Random(79)
+        contexts = [make_random_context(rng) for _ in range(200)]
+        contexts += [edge_case_context(rng) for _ in range(200)]
+        contexts += [cover_case_context(rng) for _ in range(200)]
+        seen = collections.Counter()
+        for ctx in contexts:
+            lat = build_lattice(ctx)
+            assert_built_as_in_three_passes(lat)
+            oracle = enumerate_concepts_oracle(ctx)
+            assert set(lat.concepts) == oracle
+            assert lat.cover_concepts() == enumerate_covers_oracle(oracle)
+            seen["no objects"] += not ctx.objects
+            seen["no attributes"] += not ctx.attributes
+            seen["bottom with objects"] += lat._extents[-1] != 0
+            seen["duplicate rows"] += len(set(ctx._rows)) < len(ctx._rows)
+            seen["duplicate columns"] += len(set(ctx._cols)) < len(ctx._cols)
+        assert min(seen.values()) >= 10, seen
+
+    def test_matches_the_three_pass_build_at_400_by_40(self):
+        rng = random.Random(0)
+        rows = [[int(rng.random() < 0.12) for _ in range(40)] for _ in range(400)]
+        ctx = FormalContext([f"g{i}" for i in range(400)], [Attribute(f"m{j}") for j in range(40)], rows)
+        assert_built_as_in_three_passes(build_lattice(ctx))
+
     def test_missing_concepts_are_found(self, table1_lattice):
-        ctx = table1_lattice.context
-        intents, extents = list(table1_lattice._intents), list(table1_lattice._extents)
-        for k in range(1, len(intents)):
-            kept = [i for i in range(len(intents)) if i != k]
-            parents = lattice._lower_cover_parents(
-                ctx, [intents[i] for i in kept], [extents[i] for i in kept]
-            )
-            assert parents is None, k
+        for lat in [table1_lattice] + list(random_lattices(83, 20)):
+            stored = list(zip(lat._extents, lat._intents))
+            for k in range(len(stored)):
+                known = dict(stored[:k] + stored[k + 1:])
+                again = lattice._complete(lat.context, known)
+                assert again == lat and again._pos == lat._pos, k
 
     def test_mask_key_orders_as_the_attribute_key(self):
         def intent_sort_key(intent):
@@ -765,7 +830,6 @@ class TestLoaderFuzz:
                 expected = None
             with monkeypatch.context() as patched:
                 patched.setattr("fcaregistry.lattice.build_lattice", refuse)
-                patched.setattr("fcaregistry.lattice._intersections", refuse)
                 try:
                     got = lattice_from_json(text)
                 except FcaRegistryError:

@@ -9,6 +9,7 @@ from fcaregistry import (
     FcaRegistryError,
     FieldRule,
     MetadataRecord,
+    OntologyRef,
     RegistryError,
     build_context,
     build_lattice,
@@ -66,6 +67,18 @@ class TestParseRecords:
         text = json.dumps({"id": "S1", "ontologies_used": [{"name": "Living organisms"}]})
         with pytest.raises(RegistryError, match="string 'prefix'"):
             parse_records(text)
+
+    @pytest.mark.parametrize("key", ["name", "version", "location"])
+    @pytest.mark.parametrize("value", [5, [1], None])
+    def test_ontology_entry_field_not_a_string(self, key, value):
+        entry = {"prefix": "NCBI", "name": "Living organisms", key: value}
+        text = json.dumps({"id": "S1", "ontologies_used": [entry]})
+        with pytest.raises(RegistryError, match=f"'ontologies_used' '{key}' must be a string"):
+            parse_records(text)
+
+    def test_ontology_entry_fields_may_be_absent(self):
+        (record,) = parse_records(json.dumps({"id": "S1", "ontologies_used": [{"prefix": "NCBI"}]}))
+        assert record.ontologies_used == [OntologyRef(prefix="NCBI", name="")]
 
     def test_non_string_term(self):
         with pytest.raises(RegistryError, match="Organism terms must be strings, got 5"):
@@ -223,7 +236,18 @@ def random_record(rng, i):
         doc["availability"] = {"access": "public"}
     prefixes = [p for p in ("NCBI", "MESH", "a") if rng.random() < 0.5]
     doc["ontologies_used"] = [{"prefix": p, "name": f"{p} terms", "version": "1"} for p in prefixes]
+    for entry in doc["ontologies_used"]:
+        # a field of any type, or none
+        for key in ("name", "version", "location"):
+            if rng.random() < 0.15:
+                entry[key] = rng.choice(REF_VALUES)
+            elif rng.random() < 0.15:
+                entry.pop(key, None)
     return doc
+
+
+#: Values ``random_record`` writes into the fields of an ``ontologies_used`` entry.
+REF_VALUES = ("", "2.1", "../organisms.ont", 5, [1], None, {"a": 1}, True)
 
 
 class TestRecordFuzz:
@@ -242,12 +266,17 @@ class TestRecordFuzz:
             try:
                 parsed = parse_records(text)
                 build_context(parsed)
-            except FcaRegistryError:
+            except FcaRegistryError as exc:
                 outcomes["rejected"] += 1
+                message = str(exc)
+                outcomes["entry field refused"] += "'ontologies_used'" in message and "must be a string" in message
             else:
                 # what is accepted writes back to the same records
                 assert parse_records(write_records(parsed)) == parsed, text
+                refs = [ref for r in parsed for ref in r.ontologies_used]
+                assert all(isinstance(v, str) for ref in refs for v in vars(ref).values()), text
                 outcomes["accepted"] += 1
+                outcomes["accepted with an entry"] += bool(refs)
             outcomes.update(kinds)
         assert set(outcomes) >= {"junk", "delete", *TEXT_EDITS}, outcomes
         assert min(outcomes[k] for k in outcomes if k != "none") >= 20, outcomes
