@@ -17,12 +17,11 @@ loading and DOT export work on these alone; the cover pairs and the
 ``concepts``, and the lookups (``top``, ``bottom``, ``concept_with_intent``,
 ``index_of`` and the covers of one concept) make only the values they return.
 
-The loader checks on masks that each stored concept is a distinct closed
-concept, then runs the same walk from the stored concepts, which closes no
-extent unless one is missing; the file is accepted when the walk gives back
-the stored concepts in the stored order and the stored covers.  The oracles
-recompute concepts and covers by brute force and share no code with these
-routines.
+The loader checks on masks that the stored concepts are distinct closed
+concepts, the top first, and runs the same walk from them, which closes no
+extent and stops at the first proposal not stored; the file is accepted when
+the walk gives back the stored concepts, in order, and the stored covers.
+The oracles recompute concepts and covers by brute force and share no code.
 """
 
 from __future__ import annotations
@@ -244,29 +243,32 @@ def _upper_neighbours(b: int, counts: dict[int, int], extent_of: Callable[[int],
     return [c for c, n in proposed.items() if n == extent_of(c).bit_count() - size]
 
 
-def _complete(ctx: FormalContext, known: dict[int, int]) -> ConceptLattice:
+def _complete(ctx: FormalContext, known: dict[int, int]) -> ConceptLattice | None:
     """The lattice of ``ctx``, listed and covered by one walk down from the top.
 
-    ``known`` maps the extent masks of some concepts of ``ctx`` to their
-    intent masks; the walk takes up the top and then these, in this order,
-    and closes only the extents it finds besides them.  For a concept
-    (A, B), let u be the union of the rows in A.  Each attribute of u
-    outside B proposes the extent of A and its column, and the attributes
-    outside u together propose the empty extent; a concept with an empty
-    extent has none below it.  Every lower cover is proposed, so the walk
-    reaches every concept.  A proposal with intent D is a lower cover when
-    its proposers are all |D| - |B| attributes D adds to B (the dual of
-    Lindig's neighbour test).
+    For a concept (A, B), let u be the union of the rows in A.  Each
+    attribute of u outside B proposes the extent of A and its column, and
+    the attributes outside u together propose the empty extent; a concept
+    with an empty extent has none below it.  Every lower cover is proposed,
+    so the walk reaches every concept.  A proposal with intent D is a lower
+    cover when its proposers are all |D| - |B| attributes D adds to B (the
+    dual of Lindig's neighbour test).
+
+    With ``known`` empty the walk starts at the top and closes each extent it
+    finds.  Otherwise ``known`` maps the extents of concepts, the top's first,
+    to their intents; the walk closes nothing and returns None at the first
+    proposal not among them, so its work is bounded by what it is given.
     """
     rows, cols = ctx._rows, ctx._cols
-    top = ctx._full_obj_mask
-    # a known top keeps the first place
-    known = {top: ctx._attr_closure(top), **known}
+    building = not known
+    if building:
+        top = ctx._full_obj_mask
+        known = {top: ctx._attr_closure(top)}
     extents, intents = list(known), list(known.values())
     sizes = [b.bit_count() for b in intents]
     at = dict(zip(extents, range(len(extents))))
     parents: list[list[int]] = [[] for _ in extents]
-    # the lists grow as the walk finds concepts, and the loop takes them up in turn
+    # a build grows the lists as the walk finds concepts, and the loop takes them up in turn
     for i, a in enumerate(extents):
         if not a:
             continue
@@ -283,6 +285,8 @@ def _complete(ctx: FormalContext, known: dict[int, int]) -> ConceptLattice:
         for c, n in proposed.items():
             k = at.get(c)
             if k is None:
+                if not building:
+                    return None
                 k = at[c] = len(extents)
                 d = ctx._attr_closure(c)
                 extents.append(c)
@@ -556,8 +560,8 @@ def _context_from_doc(cdoc: dict) -> FormalContext:
 
 def _stored_concepts(ctx: FormalContext, docs: list) -> dict[int, int] | None:
     """The stored concepts as a map from extent mask to intent mask, in the
-    stored order, or None unless each is a distinct closed concept of
-    ``ctx`` written as ``lattice_to_json`` writes it."""
+    stored order, or None unless they are distinct closed concepts of ``ctx``,
+    the top first, written as ``lattice_to_json`` writes them."""
     n_attrs = len(ctx.attributes)
     obj_index = ctx._obj_index
     known: dict[int, int] = {}
@@ -584,7 +588,9 @@ def _stored_concepts(ctx: FormalContext, docs: list) -> dict[int, int] | None:
         if ctx._attr_closure(extent) != intent or ctx._extent_mask_of_intent_mask(intent) != extent:
             return None
         known[extent] = intent
-    return known if len(known) == len(docs) else None
+    if len(known) != len(docs) or next(iter(known), None) != ctx._full_obj_mask:
+        return None
+    return known
 
 
 def lattice_from_json(text: str) -> ConceptLattice:
@@ -593,10 +599,9 @@ def lattice_from_json(text: str) -> ConceptLattice:
     The stored concepts and covers must be exactly those ``build_lattice``
     of the stored context would write; any other value, and a stored
     context that cannot be built, raises ``LatticeError``.  The lattice is
-    not built afresh: each stored concept must be a distinct closed concept,
-    and the walk that builds a lattice starts from them, so it closes no
-    extent unless one is missing.  Its concepts must come back in the stored
-    order, and its covers must be the stored ones.
+    not built afresh: the stored concepts must be distinct closed concepts,
+    the top first, and ``_complete`` run from them must give them back in the
+    stored order with the stored covers.
     """
     try:
         doc = json.loads(text)

@@ -668,10 +668,15 @@ class TestColumnSideCovers:
     def test_missing_concepts_are_found(self, table1_lattice):
         for lat in [table1_lattice] + list(random_lattices(83, 20)):
             stored = list(zip(lat._extents, lat._intents))
+            assert lattice._complete(lat.context, dict(stored)) == lat
+            # every concept but the top is a lower cover of another, so the walk proposes it
+            for k in range(1, len(stored)):
+                assert lattice._complete(lat.context, dict(stored[:k] + stored[k + 1:])) is None, k
             for k in range(len(stored)):
-                known = dict(stored[:k] + stored[k + 1:])
-                again = lattice._complete(lat.context, known)
-                assert again == lat and again._pos == lat._pos, k
+                doc = json.loads(lattice_to_json(lat))
+                doc["concepts"].pop(k)
+                with pytest.raises(LatticeError, match="stored concepts"):
+                    lattice_from_json(json.dumps(doc))
 
     def test_mask_key_orders_as_the_attribute_key(self):
         def intent_sort_key(intent):
@@ -809,7 +814,49 @@ def _junk(rng, doc):
     holder[key] = rng.choice(JUNK)
 
 
+def bounded_closures(patched, limit):
+    """Patch ``FormalContext._attr_closure`` to fail on its call after ``limit``:
+    the loader closes each stored extent once to check it, and no other."""
+    calls = itertools.count(1)
+    closure = FormalContext._attr_closure
+
+    def counted(ctx, extent_mask):
+        if next(calls) > limit:
+            raise AssertionError("the loader closed an extent that is not stored")
+        return closure(ctx, extent_mask)
+
+    patched.setattr(FormalContext, "_attr_closure", counted)
+
+
+def contranominal_doc(n, concepts):
+    """A lattice file of the n x n context where object i lacks attribute i,
+    whose lattice has 2**n concepts, holding the given concepts and no covers."""
+    return json.dumps({
+        "format": "fcaregistry-lattice",
+        "version": 1,
+        "context": {
+            "objects": [f"g{i:02d}" for i in range(n)],
+            "attributes": [{"category": "Subject", "prefix": None, "term": f"m{j:02d}"} for j in range(n)],
+            "incidence": ["1" * i + "0" + "1" * (n - 1 - i) for i in range(n)],
+        },
+        "concepts": concepts,
+        "covers": [],
+    })
+
+
 class TestLoaderFuzz:
+    @pytest.mark.parametrize("stored", ["none", "top", "top and an atom"])
+    def test_a_short_file_of_a_huge_lattice_is_refused_at_once(self, monkeypatch, stored):
+        objects = [f"g{i:02d}" for i in range(30)]
+        concepts = {
+            "none": [],
+            "top": [{"extent": objects, "intent": []}],
+            "top and an atom": [{"extent": objects, "intent": []}, {"extent": ["g00"], "intent": list(range(1, 30))}],
+        }[stored]
+        bounded_closures(monkeypatch, len(concepts))
+        with pytest.raises(LatticeError, match="stored concepts"):
+            lattice_from_json(contranominal_doc(30, concepts))
+
     def test_accepts_what_the_rebuilding_loader_accepts(self, monkeypatch, table1_lattice):
         def refuse(*args, **kwargs):
             raise AssertionError("the loader rebuilt the lattice")
@@ -828,8 +875,10 @@ class TestLoaderFuzz:
                 expected = rebuild_and_compare(text)
             except FcaRegistryError:
                 expected = None
+            stored = doc.get("concepts") if isinstance(doc, dict) else None
             with monkeypatch.context() as patched:
                 patched.setattr("fcaregistry.lattice.build_lattice", refuse)
+                bounded_closures(patched, len(stored) if isinstance(stored, list) else 0)
                 try:
                     got = lattice_from_json(text)
                 except FcaRegistryError:
