@@ -13,7 +13,7 @@ from pathlib import Path
 from .context import CATEGORIES, Attribute, context_from_csv
 from .errors import FcaRegistryError
 from .lattice import ConceptLattice, build_lattice, export_dot, lattice_from_json, lattice_to_json
-from .ontology import load_ontology
+from .ontology import _resolvable, load_ontology
 from .registry import build_context, load_records
 from .retrieval import Query, result_set_to_json, result_set_to_table, search, search_refined
 
@@ -81,7 +81,7 @@ def _cmd_build(args) -> int:
 def _auto_mode(ont, terms: list[Attribute]) -> str:
     modes = set()
     for t in terms:
-        node = ont.resolve(t.term)
+        node = _resolvable(ont, t)
         if node is None:
             continue
         if ont.is_leaf(node):

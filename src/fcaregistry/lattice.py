@@ -17,10 +17,11 @@ loading and DOT export work on these alone; the cover pairs and the
 ``concepts``, and the lookups (``top``, ``bottom``, ``concept_with_intent``,
 ``index_of`` and the covers of one concept) make only the values they return.
 
-The loader checks on masks that the stored concepts are distinct closed
-concepts, the top first, and runs the same walk from them, which closes no
-extent and stops at the first proposal not stored; the file is accepted when
-the walk gives back the stored concepts, in order, and the stored covers.
+The loader parses the stored concepts into masks and runs the same walk,
+stopped before it closes an extent the file does not hold; the file is
+accepted when the walk gives back the stored concepts, in order, and the
+stored covers.  So a load closes only stored extents, and a short file of a
+context with a huge lattice is refused at once.
 The oracles recompute concepts and covers by brute force and share no code.
 """
 
@@ -243,32 +244,31 @@ def _upper_neighbours(b: int, counts: dict[int, int], extent_of: Callable[[int],
     return [c for c, n in proposed.items() if n == extent_of(c).bit_count() - size]
 
 
-def _complete(ctx: FormalContext, known: dict[int, int]) -> ConceptLattice | None:
+def _complete(ctx: FormalContext, stored: set[int] | None = None) -> ConceptLattice | None:
     """The lattice of ``ctx``, listed and covered by one walk down from the top.
 
     For a concept (A, B), let u be the union of the rows in A.  Each
     attribute of u outside B proposes the extent of A and its column, and
     the attributes outside u together propose the empty extent; a concept
     with an empty extent has none below it.  Every lower cover is proposed,
-    so the walk reaches every concept.  A proposal with intent D is a lower
-    cover when its proposers are all |D| - |B| attributes D adds to B (the
-    dual of Lindig's neighbour test).
+    so the walk reaches every concept.  A new proposal is closed and walked
+    in turn.  A proposal with intent D is a lower cover when its proposers
+    are all |D| - |B| attributes D adds to B (the dual of Lindig's neighbour
+    test).
 
-    With ``known`` empty the walk starts at the top and closes each extent it
-    finds.  Otherwise ``known`` maps the extents of concepts, the top's first,
-    to their intents; the walk closes nothing and returns None at the first
-    proposal not among them, so its work is bounded by what it is given.
+    Given ``stored``, a set of extent masks, the walk returns None before it
+    closes an extent not in the set, the top's included, so it closes only
+    stored extents, each at most once.
     """
     rows, cols = ctx._rows, ctx._cols
-    building = not known
-    if building:
-        top = ctx._full_obj_mask
-        known = {top: ctx._attr_closure(top)}
-    extents, intents = list(known), list(known.values())
-    sizes = [b.bit_count() for b in intents]
-    at = dict(zip(extents, range(len(extents))))
-    parents: list[list[int]] = [[] for _ in extents]
-    # a build grows the lists as the walk finds concepts, and the loop takes them up in turn
+    top = ctx._full_obj_mask
+    if stored is not None and top not in stored:
+        return None
+    extents, intents = [top], [ctx._attr_closure(top)]
+    sizes = [intents[0].bit_count()]
+    at = {top: 0}
+    parents: list[list[int]] = [[]]
+    # the lists grow as the walk finds concepts, and the loop takes them up in turn
     for i, a in enumerate(extents):
         if not a:
             continue
@@ -285,7 +285,7 @@ def _complete(ctx: FormalContext, known: dict[int, int]) -> ConceptLattice | Non
         for c, n in proposed.items():
             k = at.get(c)
             if k is None:
-                if not building:
+                if stored is not None and c not in stored:
                     return None
                 k = at[c] = len(extents)
                 d = ctx._attr_closure(c)
@@ -309,7 +309,7 @@ def _complete(ctx: FormalContext, known: dict[int, int]) -> ConceptLattice | Non
 
 def build_lattice(ctx: FormalContext) -> ConceptLattice:
     """Build the concept lattice of a context in canonical order."""
-    return _complete(ctx, {})
+    return _complete(ctx)
 
 
 def insert_object(
@@ -558,13 +558,12 @@ def _context_from_doc(cdoc: dict) -> FormalContext:
     return FormalContext._from_rows(objects, attrs, rows, allow_reserved_ids=True)
 
 
-def _stored_concepts(ctx: FormalContext, docs: list) -> dict[int, int] | None:
-    """The stored concepts as a map from extent mask to intent mask, in the
-    stored order, or None unless they are distinct closed concepts of ``ctx``,
-    the top first, written as ``lattice_to_json`` writes them."""
+def _stored_concepts(ctx: FormalContext, docs: list) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The stored extent masks and intent masks, in the stored order, or None
+    unless each concept is written as ``lattice_to_json`` writes one."""
     n_attrs = len(ctx.attributes)
     obj_index = ctx._obj_index
-    known: dict[int, int] = {}
+    extents, intents = [], []
     for doc in docs:
         if not isinstance(doc, dict) or doc.keys() != {"extent", "intent"}:
             return None
@@ -585,12 +584,9 @@ def _stored_concepts(ctx: FormalContext, docs: list) -> dict[int, int] | None:
                 return None
             intent |= 1 << j
             last = j
-        if ctx._attr_closure(extent) != intent or ctx._extent_mask_of_intent_mask(intent) != extent:
-            return None
-        known[extent] = intent
-    if len(known) != len(docs) or next(iter(known), None) != ctx._full_obj_mask:
-        return None
-    return known
+        extents.append(extent)
+        intents.append(intent)
+    return tuple(extents), tuple(intents)
 
 
 def lattice_from_json(text: str) -> ConceptLattice:
@@ -598,10 +594,11 @@ def lattice_from_json(text: str) -> ConceptLattice:
 
     The stored concepts and covers must be exactly those ``build_lattice``
     of the stored context would write; any other value, and a stored
-    context that cannot be built, raises ``LatticeError``.  The lattice is
-    not built afresh: the stored concepts must be distinct closed concepts,
-    the top first, and ``_complete`` run from them must give them back in the
-    stored order with the stored covers.
+    context that cannot be built, raises ``LatticeError``.  The stored
+    concepts are parsed into masks first, and ``_complete`` run with the
+    stored extents, which stops before it closes any other, must give back
+    the stored extents and intents in the stored order, with the stored
+    covers.
     """
     try:
         doc = json.loads(text)
@@ -616,9 +613,9 @@ def lattice_from_json(text: str) -> ConceptLattice:
         ctx = _context_from_doc(_expect(doc.get("context"), dict, "'context'"))
     except ContextError as exc:
         raise LatticeError(f"malformed lattice file: {exc}") from exc
-    known = _stored_concepts(ctx, _expect(doc.get("concepts"), list, "'concepts'"))
-    lat = None if known is None else _complete(ctx, known)
-    if lat is None or lat._extents != tuple(known):
+    masks = _stored_concepts(ctx, _expect(doc.get("concepts"), list, "'concepts'"))
+    lat = None if masks is None else _complete(ctx, set(masks[0]))
+    if lat is None or (lat._extents, lat._intents) != masks:
         raise LatticeError(_MISMATCH.format("concepts"))
     stored = _expect(doc.get("covers"), list, "'covers'")
     counted = [[i, p] for i, ps in enumerate(lat._parents) for p in ps]

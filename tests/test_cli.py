@@ -95,6 +95,22 @@ class TestQuery:
         ])
         assert rc == 2
 
+    def test_auto_mode_skips_a_term_with_another_prefix(self, lattice_file, capsys):
+        rc = main([
+            "query", "--lattice", lattice_file, "--terms", "GO:Ch",
+            "--refine", "auto", "--ontology", ONT,
+        ])
+        assert rc == 2
+        assert "no query term is in the ontology" in capsys.readouterr().err
+
+    def test_auto_mode_ignores_a_middle_term_with_another_prefix(self, lattice_file, capsys):
+        argv = ["query", "--lattice", lattice_file, "--terms", "GO:Ve,Ch", "--format", "machine"]
+        assert main([*argv, "--refine", "auto", "--ontology", ONT]) == 0
+        auto = capsys.readouterr().out
+        assert main([*argv, "--refine", "generalize", "--ontology", ONT]) == 0
+        assert auto == capsys.readouterr().out
+        assert '"S8"' in auto
+
     def test_empty_terms_usage_error(self, lattice_file):
         assert main(["query", "--lattice", lattice_file, "--terms", ""]) == 2
 

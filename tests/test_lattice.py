@@ -84,6 +84,8 @@ MALFORMED = {
         "stored concepts",
     ),
     "dropped-top": (lambda doc: doc["concepts"].pop(0), "stored concepts"),
+    # the extents stay those of the context, so only the intents can tell
+    "short-intent": (lambda doc: doc["concepts"][5]["intent"].pop(), "stored concepts"),
     "duplicated-concept": (
         lambda doc: doc["concepts"].insert(4, dict(doc["concepts"][4])),
         "stored concepts",
@@ -667,11 +669,11 @@ class TestColumnSideCovers:
 
     def test_missing_concepts_are_found(self, table1_lattice):
         for lat in [table1_lattice] + list(random_lattices(83, 20)):
-            stored = list(zip(lat._extents, lat._intents))
-            assert lattice._complete(lat.context, dict(stored)) == lat
-            # every concept but the top is a lower cover of another, so the walk proposes it
-            for k in range(1, len(stored)):
-                assert lattice._complete(lat.context, dict(stored[:k] + stored[k + 1:])) is None, k
+            stored = lat._extents
+            assert lattice._complete(lat.context, set(stored)) == lat
+            # every concept is the top or a lower cover of another, so the walk proposes it
+            for k in range(len(stored)):
+                assert lattice._complete(lat.context, set(stored[:k] + stored[k + 1:])) is None, k
             for k in range(len(stored)):
                 doc = json.loads(lattice_to_json(lat))
                 doc["concepts"].pop(k)
@@ -816,7 +818,7 @@ def _junk(rng, doc):
 
 def bounded_closures(patched, limit):
     """Patch ``FormalContext._attr_closure`` to fail on its call after ``limit``:
-    the loader closes each stored extent once to check it, and no other."""
+    the loader closes only stored extents, each at most once."""
     calls = itertools.count(1)
     closure = FormalContext._attr_closure
 
@@ -845,15 +847,20 @@ def contranominal_doc(n, concepts):
 
 
 class TestLoaderFuzz:
-    @pytest.mark.parametrize("stored", ["none", "top", "top and an atom"])
+    @pytest.mark.parametrize("stored", ["none", "top", "top and an atom", "top and 5,000 non-concepts"])
     def test_a_short_file_of_a_huge_lattice_is_refused_at_once(self, monkeypatch, stored):
         objects = [f"g{i:02d}" for i in range(30)]
+        top = {"extent": objects, "intent": []}
+        # every set of objects is an extent here, but none of these has the empty intent
+        small = itertools.islice((list(s) for k in (2, 3, 4) for s in itertools.combinations(objects, k)), 5000)
         concepts = {
             "none": [],
-            "top": [{"extent": objects, "intent": []}],
-            "top and an atom": [{"extent": objects, "intent": []}, {"extent": ["g00"], "intent": list(range(1, 30))}],
+            "top": [top],
+            "top and an atom": [top, {"extent": ["g00"], "intent": list(range(1, 30))}],
+            "top and 5,000 non-concepts": [top] + [{"extent": s, "intent": []} for s in small],
         }[stored]
-        bounded_closures(monkeypatch, len(concepts))
+        # the walk closes the top and stops at its first proposal, which no file here holds
+        bounded_closures(monkeypatch, min(len(concepts), 1))
         with pytest.raises(LatticeError, match="stored concepts"):
             lattice_from_json(contranominal_doc(30, concepts))
 
