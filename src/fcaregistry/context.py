@@ -1,8 +1,18 @@
 """Formal contexts: source-by-metadata incidence tables and derivation operators.
 
-A context is the triple (objects, attributes, incidence).  Rows and columns
-are stored as integer bit sets, so every derivation is a chain of bitwise
-ANDs over small integers.
+A context is the triple (objects, attributes, incidence), stored as one
+integer bit mask per object row (bit j is attribute j) and one per attribute
+column (bit i is object i).  Every context the package makes, from records,
+CSV, a saved lattice, a projection or a query, is made from row masks by
+``FormalContext._from_rows``, and ``add_object`` appends one row mask; only
+the public constructor reads 0/1 cell lists, for callers outside the package.
+
+There are two derivation operators, one each way: ``_attr_closure`` maps an
+object mask to the mask of the attributes its objects share, and
+``_extent_mask_of_intent_mask`` maps an attribute mask to the mask of the
+objects having all of them.  Each is a chain of bitwise ANDs, and
+``derive_objects``, ``derive_attributes`` and ``close_attributes`` are these
+operators and their composition.
 """
 
 from __future__ import annotations
@@ -58,6 +68,16 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _check_object_id(obj: str, taken, allow_reserved: bool) -> None:
+    """Refuse an object id that is empty, reserved or already ``taken``."""
+    if not obj:
+        raise ContextError("object id must be non-empty")
+    if obj == RESERVED_OBJECT_ID and not allow_reserved:
+        raise ContextError(f"object id {obj!r} is reserved for queries")
+    if obj in taken:
+        raise ContextError(f"duplicate object id: {obj!r}")
+
+
 def _ordered_attrs(attrs: Iterable[Attribute]) -> list[Attribute]:
     """Deduplicate attributes, keeping a deterministic order.
 
@@ -108,12 +128,7 @@ class FormalContext:
         attributes = tuple(attributes)
         obj_index: dict[str, int] = {}
         for g in objects:
-            if not g:
-                raise ContextError("object id must be non-empty")
-            if g == RESERVED_OBJECT_ID and not allow_reserved_ids:
-                raise ContextError(f"object id {g!r} is reserved for queries")
-            if g in obj_index:
-                raise ContextError(f"duplicate object id: {g!r}")
+            _check_object_id(g, obj_index, allow_reserved_ids)
             obj_index[g] = len(obj_index)
         attr_index: dict[tuple[str, str], int] = {}
         for a in attributes:
@@ -181,12 +196,6 @@ class FormalContext:
     def _full_obj_mask(self) -> int:
         return (1 << len(self.objects)) - 1
 
-    def _obj_bit(self, obj: str) -> int:
-        idx = self._obj_index.get(obj)
-        if idx is None:
-            raise ContextError(f"unknown object id: {obj!r}")
-        return idx
-
     def _attr_bit(self, attr: Attribute) -> int:
         idx = self._attr_index.get(attr.key)
         if idx is None:
@@ -202,7 +211,10 @@ class FormalContext:
     def _obj_mask(self, objs: Iterable[str]) -> int:
         mask = 0
         for g in objs:
-            mask |= 1 << self._obj_bit(g)
+            idx = self._obj_index.get(g)
+            if idx is None:
+                raise ContextError(f"unknown object id: {g!r}")
+            mask |= 1 << idx
         return mask
 
     def _attrs_from_mask(self, mask: int) -> set[Attribute]:
@@ -228,24 +240,16 @@ class FormalContext:
 
     def derive_objects(self, objs: Iterable[str]) -> set[Attribute]:
         """Attributes common to every given object; all of M for the empty set."""
-        mask = self._full_attr_mask
-        for g in objs:
-            mask &= self._rows[self._obj_bit(g)]
-        return self._attrs_from_mask(mask)
+        return self._attrs_from_mask(self._attr_closure(self._obj_mask(objs)))
 
     def derive_attributes(self, attrs: Iterable[Attribute]) -> set[str]:
         """Objects possessing every given attribute; all of G for the empty set."""
-        mask = self._full_obj_mask
-        for a in attrs:
-            mask &= self._cols[self._attr_bit(a)]
-        return self._objects_from_mask(mask)
+        return self._objects_from_mask(self._extent_mask_of_intent_mask(self._attr_mask(attrs)))
 
     def close_attributes(self, attrs: Iterable[Attribute]) -> set[Attribute]:
         """The closure B'' of an attribute set; a superset of the input, idempotent."""
-        ext = self._full_obj_mask
-        for a in attrs:
-            ext &= self._cols[self._attr_bit(a)]
-        return self._attrs_from_mask(self._attr_closure(ext))
+        extent = self._extent_mask_of_intent_mask(self._attr_mask(attrs))
+        return self._attrs_from_mask(self._attr_closure(extent))
 
     # -- projection views --------------------------------------------------
 
@@ -253,27 +257,34 @@ class FormalContext:
         """Restrict attributes to one category; keep objects with at least one left."""
         if category not in CATEGORIES:
             raise ContextError(f"unknown attribute category: {category!r}")
-        keep_attrs = [a for a in self.attributes if a.category == category]
-        keep_mask = self._attr_mask(keep_attrs)
-        keep_objs = [g for g in self.objects if self._rows[self._obj_bit(g)] & keep_mask]
+        keep_attrs = 0
+        for j, a in enumerate(self.attributes):
+            if a.category == category:
+                keep_attrs |= 1 << j
+        keep_objs = 0
+        for i, row in enumerate(self._rows):
+            if row & keep_attrs:
+                keep_objs |= 1 << i
         return self._restrict(keep_objs, keep_attrs)
 
     def select_by_attribute(self, attr: Attribute) -> "FormalContext":
         """Restrict objects to those with the attribute; keep their attribute union."""
         col = self._cols[self._attr_bit(attr)]
-        keep_objs = sorted(self._objects_from_mask(col), key=self._obj_bit)
         union = 0
-        for g in keep_objs:
-            union |= self._rows[self._obj_bit(g)]
-        keep_attrs = [a for j, a in enumerate(self.attributes) if union >> j & 1]
-        return self._restrict(keep_objs, keep_attrs)
+        for i in _bits(col):
+            union |= self._rows[i]
+        return self._restrict(col, union)
 
-    def _restrict(self, objs: Sequence[str], attrs: Sequence[Attribute]) -> "FormalContext":
-        rows = []
-        for g in objs:
-            full = self._rows[self._obj_bit(g)]
-            rows.append([full >> self._attr_bit(a) & 1 for a in attrs])
-        return FormalContext(objs, attrs, rows, allow_reserved_ids=True)
+    def _restrict(self, obj_mask: int, attr_mask: int) -> "FormalContext":
+        """The objects and attributes of two masks, in context order; kept
+        attribute j moves to the bit of its rank among the kept ones."""
+        new_bit = {j: 1 << k for k, j in enumerate(_bits(attr_mask))}
+        objs, rows = [], []
+        for i in _bits(obj_mask):
+            objs.append(self.objects[i])
+            rows.append(sum(new_bit[j] for j in _bits(self._rows[i] & attr_mask)))
+        attrs = [self.attributes[j] for j in new_bit]
+        return FormalContext._from_rows(objs, attrs, rows, allow_reserved_ids=True)
 
     # -- growth -----------------------------------------------------------
 
@@ -289,12 +300,7 @@ class FormalContext:
         Old rows, columns and attribute bits are kept as they are: the new row
         is one more mask, and its object bit is ORed into its columns.
         """
-        if obj in self._obj_index:
-            raise ContextError(f"duplicate object id: {obj!r}")
-        if obj == RESERVED_OBJECT_ID and not allow_reserved:
-            raise ContextError(f"object id {obj!r} is reserved for queries")
-        if not obj:
-            raise ContextError("object id must be non-empty")
+        _check_object_id(obj, self._obj_index, allow_reserved)
         attributes = list(self.attributes)
         attr_index = dict(self._attr_index)
         row = 0
@@ -362,10 +368,9 @@ def context_to_csv(ctx: FormalContext) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([""] + [_format_header_cell(a) for a in ctx.attributes])
-    for g in ctx.objects:
+    for g, mask in zip(ctx.objects, ctx._rows):
         if _unwritable(g, ""):
             raise ContextError(f"cannot write object id {g!r} to CSV: it would read back otherwise")
-        mask = ctx._rows[ctx._obj_bit(g)]
         writer.writerow([g] + [str(mask >> j & 1) for j in range(len(ctx.attributes))])
     return buf.getvalue()
 
@@ -401,5 +406,6 @@ def context_from_csv(text: str) -> FormalContext:
         for c in cells:
             if c not in ("0", "1"):
                 raise ContextError(f"incidence cells must be 0 or 1, got {c!r}")
-        rows.append([int(c) for c in cells])
-    return FormalContext(objects, attrs, rows)
+        # each cell is one digit, and cell j is bit j
+        rows.append(int("".join(reversed(cells)) or "0", 2))
+    return FormalContext._from_rows(objects, attrs, rows)

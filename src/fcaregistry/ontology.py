@@ -222,26 +222,14 @@ class Ontology:
     def term_distance(self, a: str, b: str) -> int | None:
         """Shortest up-or-down path length when one term subsumes the other.
 
-        Both directions search upward, which only visits ancestors: from
-        ``a`` towards ``b``, then from ``b`` towards ``a``.  In a DAG at most
-        one of them can succeed.
+        The upward distances from ``a`` hold ``b`` when ``b`` subsumes
+        ``a``; otherwise those from ``b`` may hold ``a``.  In a DAG at most
+        one of them can, unless the terms are equal.
         """
         a = self._require(a)
         b = self._require(b)
-        if a == b:
-            return 0
-        for start, goal in ((a, b), (b, a)):
-            dist = {start: 0}
-            queue = deque([start])
-            while queue:
-                node = queue.popleft()
-                for nxt in self._parents[node]:
-                    if nxt not in dist:
-                        dist[nxt] = dist[node] + 1
-                        if nxt == goal:
-                            return dist[nxt]
-                        queue.append(nxt)
-        return None
+        up = _distances(a, self._parents, None).get(b)
+        return up if up is not None else _distances(b, self._parents, None).get(a)
 
 
 def load_ontology(text: str) -> Ontology:
@@ -257,6 +245,8 @@ def load_ontology(text: str) -> Ontology:
             raise OntologyError(f"ontology document missing field: {key!r}")
         if not isinstance(doc[key], str):
             raise OntologyError(f"ontology field {key!r} must be a string")
+    if not doc["root"]:
+        raise OntologyError("ontology field 'root' must be a non-empty string")
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise OntologyError("ontology field 'edges' must be a list")
@@ -268,9 +258,9 @@ def load_ontology(text: str) -> Ontology:
             raise OntologyError(f"bad edge entry: {pair!r}")
     aliases = doc.get("aliases")
     if aliases is not None and (
-        not isinstance(aliases, dict) or not all(isinstance(a, str) for a in aliases.values())
+        not isinstance(aliases, dict) or not all(isinstance(a, str) and a for a in aliases.values())
     ):
-        raise OntologyError("ontology field 'aliases' must be an object of strings")
+        raise OntologyError("ontology field 'aliases' must be an object of strings, each non-empty")
     return Ontology(doc["prefix"], doc["root"], edges, aliases)
 
 

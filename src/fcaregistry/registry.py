@@ -229,32 +229,31 @@ def build_context(
         raise RegistryError("at least one category must be included")
     attrs: list[Attribute] = []
     attr_pos: dict[tuple[str, str], int] = {}
-    memberships: list[set[tuple[str, str]]] = []
-    kept: list[MetadataRecord] = []
-    for r in records:
-        keys: set[tuple[str, str]] = set()
-        for category, raw in r.terms_by_category():
-            if category not in cfg.categories_included:
-                continue
-            prefix, term = split_term(raw)
+
+    def bit(prefix: str | None, term: str, category: str) -> int:
+        """The attribute's bit, interning it at its first occurrence."""
+        j = attr_pos.get((prefix or "", term))
+        if j is None:
             a = Attribute(term=term, prefix=prefix, category=category)
-            if a.key not in attr_pos:
-                attr_pos[a.key] = len(attrs)
-                attrs.append(a)
-            keys.add(a.key)
+            j = attr_pos[a.key] = len(attrs)
+            attrs.append(a)
+        return 1 << j
+
+    ids: list[str] = []
+    rows: list[int] = []
+    for r in records:
+        row = 0
+        for category, raw in r.terms_by_category():
+            if category in cfg.categories_included:
+                row |= bit(*split_term(raw), category)
         for rule in cfg.field_rules:
             section = r.identification if rule.section == "identification" else r.availability
             if section.get(rule.fieldname) == rule.equals:
-                a = Attribute(term=rule.attribute_term, category=rule.category())
-                if a.key not in attr_pos:
-                    attr_pos[a.key] = len(attrs)
-                    attrs.append(a)
-                keys.add(a.key)
-        if keys:
-            memberships.append(keys)
-            kept.append(r)
-    rows = [[1 if a.key in keys else 0 for a in attrs] for keys in memberships]
-    return FormalContext([r.id for r in kept], attrs, rows)
+                row |= bit(None, rule.attribute_term, rule.category())
+        if row:
+            ids.append(r.id)
+            rows.append(row)
+    return FormalContext._from_rows(ids, attrs, rows)
 
 
 def validate_record(record: MetadataRecord, onts: list[Ontology]) -> list[Finding]:

@@ -149,6 +149,13 @@ class TestAddObject:
         with pytest.raises(ContextError, match="non-empty"):
             table1.add_object("", [attrs_by_term["NS"]])
 
+    def test_id_checks_come_in_the_constructor_order(self):
+        ctx = FormalContext(["Query"], [Attribute("m")], [[1]], allow_reserved_ids=True)
+        with pytest.raises(ContextError, match="reserved"):
+            ctx.add_object("Query", [])
+        with pytest.raises(ContextError, match="duplicate"):
+            ctx.add_object("Query", [], allow_reserved=True)
+
     def test_equals_the_context_built_from_rows(self):
         rng = random.Random(13)
         for _ in range(50):
@@ -192,6 +199,52 @@ class TestFromRows:
         cells = [[row >> j & 1 for j in range(len(attrs))] for row in rows]
         with pytest.raises(ContextError, match=message):
             FormalContext(objects, attrs, cells)
+
+
+def cells_of(ctx):
+    """The context's incidence as 0/1 cell lists, read from its row masks."""
+    return [[row >> j & 1 for j in range(len(ctx.attributes))] for row in ctx._rows]
+
+
+def cell_restrict(ctx, keep_obj, keep_attr):
+    """The sub-context of the kept object and attribute positions, built
+    from 0/1 cell lists through the public constructor."""
+    cells = cells_of(ctx)
+    return FormalContext(
+        [ctx.objects[i] for i in keep_obj],
+        [ctx.attributes[j] for j in keep_attr],
+        [[cells[i][j] for j in keep_attr] for i in keep_obj],
+        allow_reserved_ids=True,
+    )
+
+
+def same_context(got, want):
+    assert got.objects == want.objects
+    assert [(a.key, a.category) for a in got.attributes] == [(a.key, a.category) for a in want.attributes]
+    assert (got._rows, got._cols) == (want._rows, want._cols)
+
+
+class TestProjectionsMatchCellLists:
+    def test_every_projection_of_random_contexts(self):
+        rng = random.Random(131)
+        for _ in range(200):
+            n_obj, n_attr = rng.randint(0, 9), rng.randint(0, 8)
+            attrs = [Attribute(f"m{j}", rng.choice((None, "P")), rng.choice(CATEGORIES)) for j in range(n_attr)]
+            objects = [f"g{i}" for i in range(n_obj)]
+            if objects and rng.random() < 0.3:
+                objects[rng.randrange(n_obj)] = "Query"
+            density = rng.choice((0.1, 0.3, 0.6))
+            rows = [[int(rng.random() < density) for _ in attrs] for _ in objects]
+            ctx = FormalContext(objects, attrs, rows, allow_reserved_ids=True)
+            cells = cells_of(ctx)
+            for cat in CATEGORIES:
+                keep_attr = [j for j, a in enumerate(attrs) if a.category == cat]
+                keep_obj = [i for i in range(n_obj) if any(cells[i][j] for j in keep_attr)]
+                same_context(ctx.project_by_category(cat), cell_restrict(ctx, keep_obj, keep_attr))
+            for j0, a in enumerate(attrs):
+                keep_obj = [i for i in range(n_obj) if cells[i][j0]]
+                keep_attr = [j for j in range(n_attr) if any(cells[i][j] for i in keep_obj)]
+                same_context(ctx.select_by_attribute(a), cell_restrict(ctx, keep_obj, keep_attr))
 
 
 class TestGaloisProperties:
@@ -271,6 +324,38 @@ class TestCsv:
     def test_oversized_field_is_refused(self):
         with pytest.raises(ContextError, match="unreadable context file: field larger than field limit"):
             context_from_csv(",m\n" + "S" * 140_000 + ",1\n")
+
+    def test_reserved_object_id_is_refused(self):
+        with pytest.raises(ContextError, match="'Query' is reserved"):
+            context_from_csv(",m\nS1,1\nQuery,1\n")
+
+    def test_no_attribute_columns(self):
+        for text in ('""\nS1\nS2\n', "\nS1\nS2\n"):
+            ctx = context_from_csv(text)
+            assert ctx.objects == ("S1", "S2") and ctx.attributes == ()
+            assert (ctx._rows, ctx._cols) == ((0, 0), ())
+        assert context_to_csv(ctx) == '""\nS1\nS2\n'
+
+    def test_matches_the_context_built_from_cells(self):
+        rng = random.Random(137)
+        for _ in range(300):
+            attrs = [
+                Attribute(f"m{j}", rng.choice((None, "P")), rng.choice(CATEGORIES))
+                for j in rng.sample(range(12), rng.randint(0, 8))
+            ]
+            objects = [f"g{i}" for i in range(rng.randint(0, 9))]
+            density = rng.choice((0.1, 0.4, 0.8))
+            cells = [[int(rng.random() < density) for _ in attrs] for _ in objects]
+
+            def pad(cell):
+                return rng.choice(("", " ")) + cell + rng.choice(("", " ", "\t"))
+
+            lines = [",".join([""] + [pad(f"{a}@{a.category}") for a in attrs])]
+            for g, row in zip(objects, cells):
+                lines.append(",".join([pad(g)] + [pad(str(v)) for v in row]))
+                if rng.random() < 0.2:
+                    lines.append(rng.choice(("", " , ")))
+            same_context(context_from_csv("\n".join(lines) + "\n"), FormalContext(objects, attrs, cells))
 
     def test_colon_in_a_prefixed_term_round_trips(self):
         ctx = FormalContext(["S1"], [Attribute("a:b", "T")], [[1]])

@@ -205,6 +205,15 @@ class TestLoadOntology:
         with pytest.raises(OntologyError, match="'aliases' must be an object of strings"):
             load_ontology(doc(edges=[["r", "a"]], aliases={"a": 5}))
 
+    def test_empty_alias(self):
+        # it would resolve "" to the term, while names_of drops the alias
+        with pytest.raises(OntologyError, match="'aliases' must be an object of strings, each non-empty"):
+            load_ontology(doc(edges=[["r", "a"]], aliases={"a": ""}))
+
+    def test_empty_root(self):
+        with pytest.raises(OntologyError, match="ontology field 'root' must be a non-empty string"):
+            load_ontology(doc(root=""))
+
     def test_edge_not_a_pair_of_strings(self):
         with pytest.raises(OntologyError, match="bad edge entry: 5"):
             load_ontology(doc(edges=[["r", "a"], 5]))

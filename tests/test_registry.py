@@ -5,9 +5,12 @@ import random
 import pytest
 
 from fcaregistry import (
+    Attribute,
     BinarizationConfig,
+    ContextError,
     FcaRegistryError,
     FieldRule,
+    FormalContext,
     MetadataRecord,
     OntologyRef,
     RegistryError,
@@ -18,6 +21,7 @@ from fcaregistry import (
     validate_record,
     write_records,
 )
+from fcaregistry.registry import split_term
 from conftest import FIXTURES, TEXT_EDITS, edit_document, mutate_text
 
 
@@ -167,6 +171,82 @@ class TestBuildContext:
         assert {(c.extent, frozenset(x.key for x in c.intent)) for c in la.concepts} == {
             (c.extent, frozenset(x.key for x in c.intent)) for c in lb.concepts
         }
+
+
+def cell_build_context(records, cfg):
+    """The context of ``build_context``, built as 0/1 cell lists from each
+    record's set of attribute keys, through the public constructor."""
+    attrs, attr_pos, memberships, ids = [], {}, [], []
+    for r in records:
+        found = [(c, *split_term(raw)) for c, raw in r.terms_by_category() if c in cfg.categories_included]
+        for rule in cfg.field_rules:
+            section = r.identification if rule.section == "identification" else r.availability
+            if section.get(rule.fieldname) == rule.equals:
+                found.append((rule.category(), None, rule.attribute_term))
+        keys = set()
+        for category, prefix, term in found:
+            a = Attribute(term=term, prefix=prefix, category=category)
+            if a.key not in attr_pos:
+                attr_pos[a.key] = len(attrs)
+                attrs.append(a)
+            keys.add(a.key)
+        if keys:
+            memberships.append(keys)
+            ids.append(r.id)
+    return FormalContext(ids, attrs, [[int(a.key in keys) for a in attrs] for keys in memberships])
+
+
+def random_records(rng):
+    """Records over a small vocabulary: repeated, prefixed and empty-prefixed
+    terms, a term under several categories, fields for the rules, and
+    records often left with no term at all."""
+    vocab = ["a", "b", "c", "NCBI:a", "NCBI:b", ":c", "X:d", "e"]
+
+    def terms():
+        return [rng.choice(vocab) for _ in range(rng.choice((0, 0, 1, 2, 4)))]
+
+    return [
+        MetadataRecord(
+            id=f"R{i}",
+            subjects=terms(),
+            organisms=terms(),
+            quality=terms(),
+            identification={"freq": rng.choice(("daily", "monthly"))},
+            availability={"licence": rng.choice(("open", "closed"))},
+        )
+        for i in range(rng.randint(0, 10))
+    ]
+
+
+RULES = (
+    FieldRule("identification", "freq", "monthly", "monthly"),
+    FieldRule("availability", "licence", "open", "a"),
+    FieldRule("availability", "licence", "open", "open"),
+)
+
+
+class TestBuildContextMatchesCellLists:
+    def test_random_corpora_every_category_subset(self):
+        rng = random.Random(139)
+        categories = ("Subject", "Organism", "Quality", "Identification")
+        subsets = [
+            frozenset(c for k, c in enumerate(categories) if n >> k & 1) for n in range(1, 1 << len(categories))
+        ]
+        for _ in range(150):
+            records = random_records(rng)
+            for included in subsets:
+                cfg = BinarizationConfig(included, RULES[: rng.randint(0, len(RULES))])
+                got, want = build_context(records, cfg), cell_build_context(records, cfg)
+                assert got.objects == want.objects
+                assert [(a.key, a.category) for a in got.attributes] == [
+                    (a.key, a.category) for a in want.attributes
+                ]
+                assert (got._rows, got._cols) == (want._rows, want._cols)
+
+    def test_record_named_query_is_refused(self):
+        records = [MetadataRecord(id="S1", subjects=["a"]), MetadataRecord(id="Query", subjects=["a"])]
+        with pytest.raises(ContextError, match="'Query' is reserved"):
+            build_context(records)
 
 
 class TestRoundTrip:
