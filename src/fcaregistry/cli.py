@@ -101,14 +101,18 @@ def _auto_mode(ont, terms: list[Attribute]) -> str:
 
 
 def _cmd_query(args) -> int:
-    lat = _load_lattice(args.lattice)
     names = [n.strip() for n in args.terms.split(",") if n.strip()]
     if not names:
         raise UsageError("--terms must list at least one term")
     if args.refine and not args.ontology:
         raise UsageError("--refine requires --ontology")
+    if args.ontology and not args.refine:
+        raise UsageError("--ontology requires --refine")
+    if args.hops is not None and not args.refine:
+        raise UsageError("--hops requires --refine")
     if args.hops is not None and args.hops < 0:
         raise UsageError("--hops must be non-negative")
+    lat = _load_lattice(args.lattice)
     terms = _resolve_terms(lat.context, names)
     q = Query(terms=frozenset(terms))
     if args.refine:

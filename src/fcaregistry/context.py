@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import ContextError
@@ -31,8 +31,49 @@ CATEGORIES = ("Identification", "Subject", "Organism", "Quality", "Availability"
 RESERVED_OBJECT_ID = "Query"
 
 
-@dataclass(frozen=True)
-class Attribute:
+#: Sets a record's field in its ``__init__``, past the ``__setattr__`` that refuses.
+#: Unlike ``self.__dict__``, it keeps the values inline without a dict per instance.
+_set_field = object.__setattr__
+
+
+class _Record:
+    """Base of the package's record types: values made once and never changed.
+
+    A subclass names its fields in ``_fields`` and sets each of them in
+    ``__init__`` with ``_set_field``.  Equality asks for the same class
+    and equal fields, the hash is that of the field tuple, and the repr is
+    ``Name(field=value, ...)``, all as ``dataclasses`` makes them for a
+    frozen class.  Plain classes save every process the import of
+    ``dataclasses`` and the methods it generates at start-up.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # ``cls._values(record)`` is the tuple of the record's fields (two or more)
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Attribute(_Record):
     """A metadata term, optionally prefixed by the ontology it came from.
 
     Identity is the (prefix, term) pair; the category is descriptive and is
@@ -40,17 +81,24 @@ class Attribute:
     An empty prefix is no prefix, so equal attributes are those with equal keys.
     """
 
-    term: str
-    prefix: str | None = None
-    category: str = field(default="Subject", compare=False)
+    _fields = ("term", "prefix", "category")
 
-    def __post_init__(self) -> None:
-        if self.prefix == "":
-            object.__setattr__(self, "prefix", None)
-        if not self.term:
+    def __init__(self, term: str, prefix: str | None = None, category: str = "Subject"):
+        if not term:
             raise ContextError("attribute term must be non-empty")
-        if self.category not in CATEGORIES:
-            raise ContextError(f"unknown attribute category: {self.category!r}")
+        if category not in CATEGORIES:
+            raise ContextError(f"unknown attribute category: {category!r}")
+        _set_field(self, "term", term)
+        _set_field(self, "prefix", None if prefix == "" else prefix)
+        _set_field(self, "category", category)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.term, self.prefix) == (other.term, other.prefix)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.term, self.prefix))
 
     @property
     def key(self) -> tuple[str, str]:

@@ -30,23 +30,24 @@ from __future__ import annotations
 import bisect
 import json
 from collections import Counter
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Callable, Iterable, Sequence
 
-from .context import Attribute, FormalContext, _bits
+from .context import Attribute, FormalContext, _bits, _Record, _set_field
 from .errors import ContextError, LatticeError
 
 #: Attribute-count guard for the naive oracle (exponential in the worst case).
 ORACLE_MAX_ATTRIBUTES = 24
 
 
-@dataclass(frozen=True)
-class FormalConcept:
+class FormalConcept(_Record):
     """A closed (extent, intent) pair; a node of the lattice."""
 
-    extent: frozenset[str]
-    intent: frozenset[Attribute]
+    _fields = ("extent", "intent")
+
+    def __init__(self, extent: frozenset[str], intent: frozenset[Attribute]):
+        _set_field(self, "extent", extent)
+        _set_field(self, "intent", intent)
 
 
 def _mask_sort_key(ctx: FormalContext):

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NoReturn, Sequence
 
-from .context import Attribute, FormalContext
+from .context import Attribute, FormalContext, _Record, _set_field
 from .errors import OntologyError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -97,15 +96,24 @@ def _diagnose(
     raise OntologyError(f"terms unreachable from root: {sorted(stranded)}")
 
 
-@dataclass(frozen=True)
-class RefinementReport:
+class RefinementReport(_Record):
     """What a refinement pass did to a query."""
 
-    mode: str
-    added: frozenset[Attribute]
-    dropped_candidates: frozenset[str]
-    hops_used: int | None
-    skipped_terms: frozenset[str] = field(default_factory=frozenset)
+    _fields = ("mode", "added", "dropped_candidates", "hops_used", "skipped_terms")
+
+    def __init__(
+        self,
+        mode: str,
+        added: frozenset[Attribute],
+        dropped_candidates: frozenset[str],
+        hops_used: int | None,
+        skipped_terms: frozenset[str] = frozenset(),
+    ):
+        _set_field(self, "mode", mode)
+        _set_field(self, "added", added)
+        _set_field(self, "dropped_candidates", dropped_candidates)
+        _set_field(self, "hops_used", hops_used)
+        _set_field(self, "skipped_terms", skipped_terms)
 
 
 class Ontology:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .context import Attribute, FormalContext
+from .context import Attribute, FormalContext, _Record, _set_field
 from .errors import RegistryError
 from .ontology import Ontology
 
@@ -23,23 +22,50 @@ FREE_PREFIX = "free"
 _DATE_SHAPE = re.compile(r"^\d{4}(-\d{2}(-\d{2}(T[0-9:.+\-Z]+)?)?)?$")
 
 
-@dataclass(frozen=True)
-class OntologyRef:
-    prefix: str
-    name: str
-    version: str = ""
-    location: str = ""
+class OntologyRef(_Record):
+    _fields = ("prefix", "name", "version", "location")
+
+    def __init__(self, prefix: str, name: str, version: str = "", location: str = ""):
+        _set_field(self, "prefix", prefix)
+        _set_field(self, "name", name)
+        _set_field(self, "version", version)
+        _set_field(self, "location", location)
 
 
-@dataclass
-class MetadataRecord:
-    id: str
-    identification: dict[str, str] = field(default_factory=dict)
-    subjects: list[str] = field(default_factory=list)
-    organisms: list[str] = field(default_factory=list)
-    quality: list[str] = field(default_factory=list)
-    availability: dict[str, str] = field(default_factory=dict)
-    ontologies_used: list[OntologyRef] = field(default_factory=list)
+class MetadataRecord(_Record):
+    """One source's metadata; unlike the other records it may be changed in place."""
+
+    _fields = (
+        "id",
+        "identification",
+        "subjects",
+        "organisms",
+        "quality",
+        "availability",
+        "ontologies_used",
+    )
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(
+        self,
+        id: str,
+        identification: dict[str, str] | None = None,
+        subjects: list[str] | None = None,
+        organisms: list[str] | None = None,
+        quality: list[str] | None = None,
+        availability: dict[str, str] | None = None,
+        ontologies_used: list[OntologyRef] | None = None,
+    ):
+        """Each container left out is a new empty one, not shared with other records."""
+        self.id = id
+        self.identification = {} if identification is None else identification
+        self.subjects = [] if subjects is None else subjects
+        self.organisms = [] if organisms is None else organisms
+        self.quality = [] if quality is None else quality
+        self.availability = {} if availability is None else availability
+        self.ontologies_used = [] if ontologies_used is None else ontologies_used
 
     def declared_prefixes(self) -> set[str]:
         return {ref.prefix for ref in self.ontologies_used} | {FREE_PREFIX}
@@ -61,29 +87,39 @@ def split_term(raw: str) -> tuple[str | None, str]:
     return prefix, term
 
 
-@dataclass(frozen=True)
-class FieldRule:
+class FieldRule(_Record):
     """Binarize one identification/availability field by exact value match."""
 
-    section: str  # "identification" or "availability"
-    fieldname: str
-    equals: str
-    attribute_term: str
+    _fields = ("section", "fieldname", "equals", "attribute_term")
+
+    def __init__(self, section: str, fieldname: str, equals: str, attribute_term: str):
+        _set_field(self, "section", section)  # "identification" or "availability"
+        _set_field(self, "fieldname", fieldname)
+        _set_field(self, "equals", equals)
+        _set_field(self, "attribute_term", attribute_term)
 
     def category(self) -> str:
         return "Identification" if self.section == "identification" else "Availability"
 
 
-@dataclass(frozen=True)
-class BinarizationConfig:
-    categories_included: frozenset[str] = frozenset({"Subject", "Organism", "Quality"})
-    field_rules: tuple[FieldRule, ...] = ()
+class BinarizationConfig(_Record):
+    _fields = ("categories_included", "field_rules")
+
+    def __init__(
+        self,
+        categories_included: frozenset[str] = frozenset({"Subject", "Organism", "Quality"}),
+        field_rules: tuple[FieldRule, ...] = (),
+    ):
+        _set_field(self, "categories_included", categories_included)
+        _set_field(self, "field_rules", field_rules)
 
 
-@dataclass(frozen=True)
-class Finding:
-    level: str  # "warning" or "info"
-    message: str
+class Finding(_Record):
+    _fields = ("level", "message")
+
+    def __init__(self, level: str, message: str):
+        _set_field(self, "level", level)  # "warning" or "info"
+        _set_field(self, "message", message)
 
 
 def _string_map(doc: dict, key: str, rid: str) -> dict[str, str]:

@@ -126,6 +126,38 @@ class TestQuery:
         assert rc == 2
         assert "--hops" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--hops", "2"], "--hops requires --refine"),
+            (["--ontology", "/nonexistent/organisms.ont"], "--ontology requires --refine"),
+            (["--hops", "0", "--ontology", ONT], "--ontology requires --refine"),
+        ],
+        ids=["hops", "missing-ontology", "hops-and-ontology"],
+    )
+    def test_refinement_flag_without_refine_usage_error(self, lattice_file, capsys, flags, message):
+        rc = main(["query", "--lattice", lattice_file, "--terms", "Ch", *flags])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--terms", ","],
+            ["--terms", "Hu", "--refine", "generalize"],
+            ["--terms", "Hu", "--ontology", ONT],
+            ["--terms", "Hu", "--hops", "1"],
+            ["--terms", "Hu", "--refine", "generalize", "--ontology", ONT, "--hops", "-1"],
+        ],
+        ids=["no-terms", "refine-only", "ontology-only", "hops-only", "negative-hops"],
+    )
+    def test_flags_are_checked_before_any_file_is_read(self, tmp_path, capsys, flags):
+        missing = str(tmp_path / "missing.lat")
+        assert main(["query", "--lattice", missing, *flags]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+
     def test_empty_result_is_success(self, lattice_file, capsys):
         assert main(["query", "--lattice", lattice_file, "--terms", "Ch"]) == 0
         assert "no matching sources" in capsys.readouterr().out
