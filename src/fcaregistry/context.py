@@ -334,6 +334,43 @@ class FormalContext:
         attrs = [self.attributes[j] for j in new_bit]
         return FormalContext._from_rows(objs, attrs, rows, allow_reserved_ids=True)
 
+    def _query_context(
+        self, terms: Iterable[Attribute], label: str
+    ) -> tuple["FormalContext", list[list[str]]]:
+        """The context restricted to the terms, with an object ``label`` that has them all.
+
+        Its lattice is the up-set of that object's concept in the grown
+        context, a query's or an inserted object's, with it at the bottom.
+        The objects are one per distinct restricted row, named by its first
+        object, then ``label``.  The attributes are the context's own known
+        terms, in its order, then the unknown terms by key.  Returns the
+        context and the objects of each restricted row.
+        """
+        known = 0
+        unknown = []
+        for a in terms:
+            j = self._attr_index.get(a.key)
+            if j is None:
+                unknown.append(a)
+            else:
+                known |= 1 << j
+        groups: dict[int, list[str]] = {}
+        for g, row in zip(self.objects, self._rows):
+            members = groups.get(row & known)
+            if members is None:
+                groups[row & known] = [g]
+            else:
+                members.append(g)
+        # bit k of a restricted row is the k-th known term
+        bit_of = {j: 1 << k for k, j in enumerate(_bits(known))}
+        rows = [sum(bit_of[j] for j in _bits(x)) for x in groups]
+        attrs = [self.attributes[j] for j in bit_of] + sorted(unknown, key=lambda a: a.key)
+        objects = [members[0] for members in groups.values()] + [label]
+        sub = FormalContext._from_rows(
+            objects, attrs, rows + [(1 << len(attrs)) - 1], allow_reserved_ids=True
+        )
+        return sub, list(groups.values())
+
     # -- growth -----------------------------------------------------------
 
     def add_object(

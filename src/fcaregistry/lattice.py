@@ -4,18 +4,19 @@
 walk down from the top.  Each concept proposes, for every attribute outside
 its intent, the part of its extent that has it; every lower cover is among
 the proposals, and a proposal is one when all the attributes its intent adds
-proposed it (the dual of Lindig's count on the object side,
-``_upper_neighbours``, which serves insertion, where only a few concepts need
-their upper covers).  ``build_lattice`` is this walk from the top alone; a
-query's up-set is the ``build_lattice`` of a small context (see the retrieval
-module), so every lattice is built and ordered one way, by one mask key
-(``_mask_sort_key``).  A lattice is its intent and extent bit masks in
+proposed it (the dual of Lindig's count on the object side).
+``build_lattice`` is this walk from the top alone.  The up-set of a new
+object's concept, a query's or an inserted source's, is this walk over a small
+context (``FormalContext._query_context``), so one walk counts every cover and
+one mask key (``_mask_sort_key``) orders every lattice.  Insertion
+(``insert_object``, after Godin, Missaoui & Alaoui, 1995) merges that up-set
+into the old lattice.  A lattice is its intent and extent bit masks in
 canonical order and each concept's sorted parent positions.  Building,
-insertion (``insert_object``, after Godin, Missaoui & Alaoui, 1995), saving,
-loading and DOT export work on these alone; the cover pairs and the
-``FormalConcept`` values are made on the first access to ``covers`` and
-``concepts``, and the lookups (``top``, ``bottom``, ``concept_with_intent``,
-``index_of`` and the covers of one concept) make only the values they return.
+insertion, saving, loading and DOT export work on these alone; the cover
+pairs and the ``FormalConcept`` values are made on the first access to
+``covers`` and ``concepts``, and the lookups (``top``, ``bottom``,
+``concept_with_intent``, ``index_of`` and the covers of one concept) make
+only the values they return.
 
 The loader parses the stored concepts into masks and runs the same walk,
 stopped before it closes an extent the file does not hold; the file is
@@ -29,9 +30,8 @@ from __future__ import annotations
 
 import bisect
 import json
-from collections import Counter
 from json.encoder import encode_basestring_ascii as _encode
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .context import Attribute, FormalContext, _bits, _Record, _set_field
 from .errors import ContextError, LatticeError
@@ -95,16 +95,17 @@ class ConceptLattice:
 
         The intents, in this order, and the covers, in any order, must be
         those of ``build_lattice(context)``; otherwise ``LatticeError``.
-        The extents are kept as given.
+        The extents are kept as given.  The check is the loader's walk,
+        stopped before it closes an extent that no given intent has.
         """
         concepts = tuple(concepts)
-        ref = build_lattice(context)
         try:
             intents = tuple(context._attr_mask(c.intent) for c in concepts)
             extents = tuple(context._obj_mask(c.extent) for c in concepts)
         except ContextError as exc:
             raise LatticeError(f"concept outside the context: {exc}") from exc
-        if intents != ref._intents:
+        ref = _complete(context, {context._extent_mask_of_intent_mask(b) for b in intents})
+        if ref is None or intents != ref._intents:
             raise LatticeError("the concepts are not those of the context in canonical order")
         if sorted(tuple(pair) for pair in covers) != list(ref.covers):
             raise LatticeError("the covers are not those of the concepts")
@@ -227,24 +228,6 @@ class ConceptLattice:
         return max(longest.values(), default=0)
 
 
-def _upper_neighbours(b: int, counts: dict[int, int], extent_of: Callable[[int], int]) -> list[int]:
-    """Intents of the upper covers of the concept with intent ``b``.
-
-    ``counts`` maps each distinct row to its number of objects, and
-    ``extent_of`` gives the extent mask of an intent.  Each row outside the
-    extent proposes ``b & x``; a proposal is a parent when its proposers are
-    all the objects its extent adds to ``b``'s (Lindig's neighbour test,
-    "Fast Concept Analysis", 2000).
-    """
-    size = extent_of(b).bit_count()
-    proposed: dict[int, int] = {}
-    for x, n in counts.items():
-        c = b & x
-        if c != b:
-            proposed[c] = proposed.get(c, 0) + n
-    return [c for c, n in proposed.items() if n == extent_of(c).bit_count() - size]
-
-
 def _complete(ctx: FormalContext, stored: set[int] | None = None) -> ConceptLattice | None:
     """The lattice of ``ctx``, listed and covered by one walk down from the top.
 
@@ -322,17 +305,20 @@ def insert_object(
 ) -> ConceptLattice:
     """Insert one object; the result is ``build_lattice`` of the grown context.
 
-    Only what the new row x changes is recomputed.  An old concept with
-    intent b falls in one of three cases:
+    The intents inside the new row x, each with its upper covers, are the
+    up-set of the object's concept: the lattice of the context restricted
+    to x with the object added (``FormalContext._query_context``), as a
+    query's is; the old ones among them gain the object.  An old concept
+    with intent b outside x falls in one of two cases (after Godin,
+    Missaoui & Alaoui, 1995):
 
-    - b ⊆ x: its extent gains the object and its upper covers stay;
-    - b ⊄ x and b & x is an old intent: nothing changes;
-    - b ⊄ x and b & x is new: b is a generator and its upper covers are
-      recomputed.
+    - b & x is an old intent: nothing changes;
+    - b & x is new: b is a generator; it drops its parents inside x and
+      gains b & x, unless a parent outside x already meets x there.
 
-    The new intents, the intersections of x with old intents that are not
-    old intents, plus M, are merged into the canonical order and get their
-    upper covers from ``_upper_neighbours``.  Only masks are computed.
+    When the object brings new attributes but not all of M, the new bottom
+    M has x as a parent, and the old bottom if it is still closed, else the
+    old bottom's parents outside x.  Only masks are computed.
     """
     ctx = lat.context.add_object(obj, attrs, allow_reserved=allow_reserved)
     x = ctx._rows[-1]
@@ -343,41 +329,54 @@ def insert_object(
     # concept with an empty extent can only be the bottom, whose intent (the
     # old M) is not closed once the object brings new attributes
     kept = len(old) - (not old_extents[-1] and full != lat.context._full_attr_mask)
-    # old intents with a non-empty extent are intersections of rows, so the
-    # meets with x are the intents that lie in x
-    meets = {b & x for b, e in zip(old, old_extents) if e} | {x}
-    new = (meets | {full}).difference(old_pos)
+    sub, _ = lat.context._query_context(ctx._attrs_from_mask(x), obj)
+    up = _complete(sub)
+    # both contexts rank attributes by key, so the up-set's intents, mapped
+    # to the grown bits, are the grown intents inside x in canonical order
+    bit = [1 << ctx._attr_index[a.key] for a in sub.attributes]
+    inside = [sum(bit[k] for k in _bits(b)) for b in up._intents]
+    new_bottom = full not in old_pos and full != x
+    fresh = [c for c in inside if c not in old_pos] + [full] * new_bottom
     key = _mask_sort_key(ctx)
-    fresh = sorted(new, key=key)
 
     # one walk: old runs between the new intents keep their extents and
     # parent lists, renumbered through moved[i], the new place of old i
     order, extents, parents, moved, start = [], [], [], [], 0
     for c in fresh + [None]:
         end = kept if c is None else bisect.bisect_left(old, key(c), start, kept, key=key)
+        # parents come before their children, so a run that has not moved keeps its
+        # lists, and a list whose last parent stays put (or the top's) has none that moved
+        unmoved = len(order) == start
         moved += range(len(order), len(order) + end - start)
         order += old[start:end]
         extents += old_extents[start:end]
-        # parents come before their children, so the first run keeps its lists,
-        # and a list whose last parent stays put has no parent that moved
-        parents += old_parents[start:end] if not start else [
-            ps if moved[ps[-1]] == ps[-1] else [moved[p] for p in ps] for ps in old_parents[start:end]
+        parents += old_parents[start:end] if unmoved else [
+            [moved[p] for p in ps] if ps and moved[ps[-1]] != ps[-1] else ps
+            for ps in old_parents[start:end]
         ]
         if c is not None:
             order.append(c)
             extents.append(ctx._extent_mask_of_intent_mask(c))
             parents.append([])
         start = end
-    for b in meets & old_pos.keys():
-        extents[moved[old_pos[b]]] |= g
 
-    # generators and new concepts get their upper covers counted
     pos = {b: i for i, b in enumerate(order)}
-    counts = Counter(ctx._rows)
-    recount = [moved[i] for i in range(kept) if old[i] & x in new] + [pos[c] for c in fresh]
-    for i in recount:
-        ups = _upper_neighbours(order[i], counts, lambda c: extents[pos[c]])
-        parents[i] = sorted(pos[c] for c in ups)
+    # inside x: the object joins the old extents, and every parent list is the up-set's
+    for c, ps in zip(inside, up._parents):
+        i = pos[c]
+        if c in old_pos:
+            extents[i] |= g
+        parents[i] = [pos[inside[p]] for p in ps]
+    for i, b in enumerate(old[:kept]):
+        c = b & x
+        if c != b and c not in old_pos:
+            outside = [p for p in parents[moved[i]] if order[p] & ~x]
+            if all(order[p] & x != c for p in outside):
+                bisect.insort(outside, pos[c])
+            parents[moved[i]] = outside
+    if new_bottom:
+        below = [moved[-1]] if kept == len(old) else [moved[p] for p in old_parents[-1] if old[p] & ~x]
+        parents[-1] = sorted(below + [pos[x]])
     return ConceptLattice._from_masks(ctx, pos, extents, parents)
 
 

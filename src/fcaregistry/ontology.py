@@ -275,22 +275,19 @@ def load_ontology(text: str) -> Ontology:
 # -- query refinement --------------------------------------------------------
 
 
-def _attribute_for_term(
-    ont: Ontology, by_key: dict[tuple[str, str], Attribute], term: str
-) -> Attribute | None:
+def _attribute_for_term(ont: Ontology, ctx: FormalContext, term: str) -> Attribute | None:
     """The context attribute carrying an ontology term, under name or alias.
 
-    ``by_key`` maps the context's attribute keys to its attributes.  Bare
-    attributes match by term text alone; prefixed ones must carry the
+    Bare attributes match by term text alone; prefixed ones must carry the
     ontology's prefix.  The name is tried before the alias, and for each
     spelling the bare attribute before the prefixed one.
     """
     prefixes = ("", ont.prefix or "")
     for spelling in ont.names_of(term):
         for prefix in prefixes:
-            attr = by_key.get((prefix, spelling))
-            if attr is not None:
-                return attr
+            j = ctx._attr_index.get((prefix, spelling))
+            if j is not None:
+                return ctx.attributes[j]
     return None
 
 
@@ -311,7 +308,6 @@ def _refine(
 
     if hops is not None and hops < 0:
         raise OntologyError(f"hop bound must be non-negative, got {hops}")
-    by_key = {a.key: a for a in ctx.attributes}
     added: set[Attribute] = set()
     dropped: set[str] = set()
     skipped: set[str] = set()
@@ -327,7 +323,7 @@ def _refine(
             related.update(_distances(node, ont._children, hops))
         related.discard(node)
         for name in related:
-            attr = _attribute_for_term(ont, by_key, name)
+            attr = _attribute_for_term(ont, ctx, name)
             if attr is None:
                 dropped.add(name)
             elif attr not in q.terms:

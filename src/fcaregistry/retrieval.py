@@ -4,12 +4,13 @@ Ranks are those of inserting the query into the lattice as a virtual object
 and walking its subsumers breadth-first: each source takes the distance of
 the first concept that contributed it.  They are computed from the query's
 up-set alone.  The concepts at and above the query concept are those of a
-small context (``_query_context``): one object per distinct row restricted
-to the query's terms, plus the query, which carries every term, unknown
-terms included.  ``build_lattice`` of it is the up-set, with the query
-concept at the bottom, so the walk follows the parent lists of an ordinary
-lattice; the searched lattice is neither copied nor regrown.
-``insert_query`` does the literal insertion and stays as the reference.
+small context (``FormalContext._query_context``): one object per distinct
+row restricted to the query's terms, plus the query, which carries every
+term, unknown terms included.  ``build_lattice`` of it is the up-set, with
+the query concept at the bottom, so the walk follows the parent lists of an
+ordinary lattice; the searched lattice is neither copied nor regrown.
+``insert_query`` does the literal insertion, which merges the same up-set
+into the lattice (``insert_object``), and stays as the reference.
 
 ``result_set_to_json`` emits the bytes of ``json.dumps(doc, sort_keys=True,
 indent=1)`` for the answer document, from a writer for that fixed schema
@@ -24,7 +25,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Callable, Iterable
 
-from .context import Attribute, FormalContext, _bits, _Record, _set_field
+from .context import Attribute, _bits, _Record, _set_field
 from .errors import LatticeError, QueryError
 from .lattice import ConceptLattice, FormalConcept, _json_list, build_lattice, insert_object
 from .ontology import (
@@ -105,42 +106,6 @@ def _check_query(lat: ConceptLattice, q: Query) -> None:
         raise QueryError(f"query label collides with a source id: {q.label!r}")
 
 
-def _query_context(ctx: FormalContext, q: Query) -> tuple[FormalContext, list[list[str]]]:
-    """The context restricted to the query's terms, with the query as an object.
-
-    Its lattice is the query concept's up-set: the query concept is its
-    bottom.  The objects are one per distinct row restricted to the query's
-    known terms, named by its first source, then the query, which carries
-    every attribute.  The attributes are the context's own instances of the
-    known terms, in the context's order, then the unknown terms by key.
-    Returns the context and the sources of each restricted row.
-    """
-    known = 0
-    unknown = []
-    for a in q.terms:
-        j = ctx._attr_index.get(a.key)
-        if j is None:
-            unknown.append(a)
-        else:
-            known |= 1 << j
-    sources: dict[int, list[str]] = {}
-    for g, row in zip(ctx.objects, ctx._rows):
-        members = sources.get(row & known)
-        if members is None:
-            sources[row & known] = [g]
-        else:
-            members.append(g)
-    # bit k of a restricted row is the k-th known term
-    bit_of = {j: 1 << k for k, j in enumerate(_bits(known))}
-    rows = [sum(bit_of[j] for j in _bits(x)) for x in sources]
-    attrs = [ctx.attributes[j] for j in bit_of] + sorted(unknown, key=lambda a: a.key)
-    objects = [members[0] for members in sources.values()] + [q.label]
-    sub = FormalContext._from_rows(
-        objects, attrs, rows + [(1 << len(attrs)) - 1], allow_reserved_ids=True
-    )
-    return sub, list(sources.values())
-
-
 def search(
     lat: ConceptLattice,
     q: Query,
@@ -154,7 +119,7 @@ def search(
     stops once a level has nothing else to offer.
     """
     _check_query(lat, q)
-    sub, sources = _query_context(lat.context, q)
+    sub, sources = lat.context._query_context(q.terms, q.label)
     up = build_lattice(sub)
     collected: dict[str, RankedResult] = {}
     # the query is the last object and no source

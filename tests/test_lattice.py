@@ -183,6 +183,28 @@ def rows_to_insert(rng, lat):
     return {kind: sorted(row, key=lambda a: a.key) for kind, row in rows.items()}
 
 
+def insertion_rules(lat, row):
+    """The rewiring rules an insertion of ``row`` applies, judged from the old
+    lattice's masks: each generator b (outside the row x, with b & x not an
+    old intent) and the new bottom, when the row brings new attributes but
+    does not hold all of the old ones."""
+    ctx = lat.context
+    x = ctx._attr_mask(a for a in row if ctx.has_attribute(a))
+    brings_new = any(not ctx.has_attribute(a) for a in row)
+    dropped = brings_new and not lat._extents[-1]
+    rules = set()
+    for b, ps in zip(lat._intents[: len(lat._intents) - dropped], lat._parents):
+        c = b & x
+        if c != b and c not in lat._pos:
+            if any(lat._intents[p] & x == c and lat._intents[p] & ~x for p in ps):
+                rules.add("generator with a parent outside x that meets x at b & x")
+            else:
+                rules.add("generator covered by b & x")
+    if brings_new and x != ctx._full_attr_mask:
+        rules.add("new bottom under a dropped old bottom" if dropped else "new bottom under a kept old bottom")
+    return rules
+
+
 def random_lattices(seed, n):
     rng = random.Random(seed)
     for i in range(n):
@@ -256,13 +278,14 @@ class TestInsertObject:
     def test_matches_rebuild_for_each_kind_of_row(self):
         rng = random.Random(43)
         seen = collections.Counter()
-        for lat in random_lattices(44, 120):
+        for lat in random_lattices(44, 180):
             for kind, row in rows_to_insert(rng, lat).items():
                 if kind == "new-attributes":
                     kind += "/empty-bottom" if not lat.bottom.extent else "/non-empty-bottom"
                 seen[kind] += 1
+                seen.update(insertion_rules(lat, row))
                 assert_rebuilt(insert_object(lat, "gx", row), lat.context.add_object("gx", row))
-        assert min(seen.values()) >= 20 and len(seen) == 7
+        assert min(seen.values()) >= 20 and len(seen) == 11, seen
 
     def test_chains_of_inserts(self):
         rng = random.Random(47)
@@ -334,6 +357,20 @@ class TestConstructor:
         concepts, covers = edit(list(table1_lattice.concepts), list(table1_lattice.covers))
         with pytest.raises(LatticeError):
             ConceptLattice(table1_lattice.context, concepts, covers)
+
+    @pytest.mark.parametrize("given", ["none", "top", "top and an atom"])
+    def test_a_short_list_of_a_huge_lattice_is_refused_at_once(self, monkeypatch, given):
+        # object i lacks attribute i: 2**30 concepts
+        objects = [f"g{i:02d}" for i in range(30)]
+        attrs = [Attribute(f"m{j:02d}") for j in range(30)]
+        ctx = FormalContext(objects, attrs, [[int(i != j) for j in range(30)] for i in range(30)])
+        top = FormalConcept(frozenset(objects), frozenset())
+        atom = FormalConcept(frozenset(objects[:1]), frozenset(attrs[1:]))
+        concepts = {"none": [], "top": [top], "top and an atom": [top, atom]}[given]
+        # the walk closes the top and stops at its first proposal, which no list here holds
+        bounded_closures(monkeypatch, min(len(concepts), 1))
+        with pytest.raises(LatticeError, match="canonical order"):
+            ConceptLattice(ctx, concepts, [])
 
 
 class TestOracle:
@@ -615,6 +652,20 @@ def assert_built_as_in_three_passes(lat):
     assert lattice_to_json(lat) == lattice_to_json(ref)
 
 
+def upper_neighbours(b, counts, extent_of):
+    """Intents of the upper covers of the concept with intent ``b``, counted on
+    the object side: each distinct row x (``counts`` maps it to its number of
+    objects) outside the extent proposes ``b & x``, and a proposal is a parent
+    when its proposers are all the objects its extent adds to ``b``'s
+    (Lindig's neighbour test, "Fast Concept Analysis", 2000)."""
+    size = extent_of(b).bit_count()
+    proposed = collections.Counter()
+    for x, n in counts.items():
+        if b & x != b:
+            proposed[b & x] += n
+    return [c for c, n in proposed.items() if n == extent_of(c).bit_count() - size]
+
+
 class TestColumnSideCovers:
     def test_matches_the_row_side_count_and_the_oracle(self):
         rng = random.Random(67)
@@ -631,7 +682,7 @@ class TestColumnSideCovers:
             intents, extents = lat._intents, lat._extents
             counts = collections.Counter(ctx._rows)
             extent_of = dict(zip(intents, extents)).__getitem__
-            row_side = [lattice._upper_neighbours(b, counts, extent_of) for b in intents]
+            row_side = [upper_neighbours(b, counts, extent_of) for b in intents]
             assert list(lat._parents) == [sorted(lat._pos[c] for c in ups) for ups in row_side]
             pairs = {(lat.concepts[c], lat.concepts[p]) for c, ps in enumerate(lat._parents) for p in ps}
             assert pairs == enumerate_covers_oracle(lat.concepts)

@@ -143,7 +143,6 @@ def shortest_path(step, a, b):
 
 def refine_oracle(query, ont, ctx, hops, mode):
     """The refinement as read off the ordered public walks."""
-    by_key = {a.key: a for a in ctx.attributes}
     added, dropped, skipped = set(), set(), set()
     for term in query.terms:
         node = ont.resolve(term.term) if term.prefix in (None, ont.prefix) else None
@@ -156,7 +155,7 @@ def refine_oracle(query, ont, ctx, hops, mode):
         if mode in ("specialize", "both"):
             related += ont.descendants(node, hops)
         for name in related:
-            attr = _attribute_for_term(ont, by_key, name)
+            attr = _attribute_for_term(ont, ctx, name)
             if attr is None:
                 dropped.add(name)
             elif attr not in query.terms:
@@ -503,10 +502,9 @@ class TestRefinement:
                     a = Attribute(term=spelling, prefix=prefix, category=category)
                     attrs.setdefault(a.key, a)
             ctx = FormalContext([], list(attrs.values()), [])
-            by_key = {a.key: a for a in ctx.attributes}
             for term in terms:
                 expected = probe(ont, ctx, term)
-                assert _attribute_for_term(ont, by_key, term) is expected
+                assert _attribute_for_term(ont, ctx, term) is expected
                 found += expected is not None
                 missed += expected is None
         assert found >= 100 and missed >= 100, (found, missed)

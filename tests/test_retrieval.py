@@ -141,8 +141,12 @@ def reference_distance(ont, original):
 
 
 def reference_search(lat, query):
-    """The walk over the literally grown lattice, as search once did it."""
+    """The walk over the literally grown lattice, as search once did it.
+
+    The grown lattice is checked against a full build of the grown context,
+    which shares no code with the up-set that ``insert_query`` merges."""
     augmented, query_concept = insert_query(lat, query)
+    assert augmented == build_lattice(lat.context.add_object(query.label, query.terms, allow_reserved=True))
     collected = {}
     frontier = [query_concept]
     visited = {query_concept}
@@ -293,10 +297,12 @@ class TestSearch:
                 twin = rng.choice(sorted(terms, key=lambda a: a.key))
                 terms = (terms - {twin}) | {Attribute(term=twin.term, prefix="")}
             query = Query(terms=frozenset(terms))
-            sub, sources = retrieval._query_context(ctx, query)
+            sub, sources = ctx._query_context(query.terms, query.label)
             members = {group[0]: group for group in sources + [[query.label]]}
             up = build_lattice(sub)
             grown, query_concept = insert_query(lat, query)
+            # a full build of the grown context: insert_query merges the same up-set
+            assert grown == build_lattice(ctx.add_object(query.label, query.terms, allow_reserved=True))
             above = [c for c in grown.concepts if c.extent >= query_concept.extent]
             assert up.bottom.intent == frozenset(sub.attributes) and key(up.bottom.intent) == key(query.terms)
             assert {
