@@ -336,15 +336,15 @@ class FormalContext:
 
     def _query_context(
         self, terms: Iterable[Attribute], label: str
-    ) -> tuple["FormalContext", list[list[str]]]:
+    ) -> tuple["FormalContext", list[int]]:
         """The context restricted to the terms, with an object ``label`` that has them all.
 
         Its lattice is the up-set of that object's concept in the grown
         context, a query's or an inserted object's, with it at the bottom.
-        The objects are one per distinct restricted row, named by its first
+        The objects are one per distinct restricted row, named by its lowest
         object, then ``label``.  The attributes are the context's own known
         terms, in its order, then the unknown terms by key.  Returns the
-        context and the objects of each restricted row.
+        context and each row's object mask, split out by the terms' columns.
         """
         known = 0
         unknown = []
@@ -354,22 +354,22 @@ class FormalContext:
                 unknown.append(a)
             else:
                 known |= 1 << j
-        groups: dict[int, list[str]] = {}
-        for g, row in zip(self.objects, self._rows):
-            members = groups.get(row & known)
-            if members is None:
-                groups[row & known] = [g]
-            else:
-                members.append(g)
-        # bit k of a restricted row is the k-th known term
-        bit_of = {j: 1 << k for k, j in enumerate(_bits(known))}
-        rows = [sum(bit_of[j] for j in _bits(x)) for x in groups]
-        attrs = [self.attributes[j] for j in bit_of] + sorted(unknown, key=lambda a: a.key)
-        objects = [members[0] for members in groups.values()] + [label]
-        sub = FormalContext._from_rows(
-            objects, attrs, rows + [(1 << len(attrs)) - 1], allow_reserved_ids=True
-        )
-        return sub, list(groups.values())
+        # (objects, restricted row) pairs; bit k of a row is the k-th known term
+        parts = [(self._full_obj_mask, 0)] if self.objects else []
+        for k, j in enumerate(_bits(known)):
+            col = self._cols[j]
+            split = []
+            for p, row in parts:
+                if p & ~col:
+                    split.append((p & ~col, row))
+                if p & col:
+                    split.append((p & col, row | 1 << k))
+            parts = split
+        attrs = [self.attributes[j] for j in _bits(known)] + sorted(unknown, key=lambda a: a.key)
+        objects = [self.objects[(p & -p).bit_length() - 1] for p, _ in parts] + [label]
+        rows = [row for _, row in parts] + [(1 << len(attrs)) - 1]
+        sub = FormalContext._from_rows(objects, attrs, rows, allow_reserved_ids=True)
+        return sub, [p for p, _ in parts]
 
     # -- growth -----------------------------------------------------------
 

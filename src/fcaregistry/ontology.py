@@ -3,7 +3,8 @@
 An ontology is a rooted DAG of terms connected by parent -> child
 specialization edges.  Terms may carry a short alias so that a hierarchy of
 full names (e.g. "Vertebrates") can match abbreviated context attributes
-(e.g. "Ve").
+(e.g. "Ve").  A refinement maps each term to the context attribute that
+carries it once (``_carriers``), and adds and drops terms by set operations.
 
 Loading checks the graph with one Kahn pass from the root, which pops every
 term exactly when the graph is acyclic and reaches every term from the
@@ -275,26 +276,23 @@ def load_ontology(text: str) -> Ontology:
 # -- query refinement --------------------------------------------------------
 
 
-def _attribute_for_term(ont: Ontology, ctx: FormalContext, term: str) -> Attribute | None:
-    """The context attribute carrying an ontology term, under name or alias.
-
-    Bare attributes match by term text alone; prefixed ones must carry the
-    ontology's prefix.  The name is tried before the alias, and for each
-    spelling the bare attribute before the prefixed one.
-    """
-    prefixes = ("", ont.prefix or "")
-    for spelling in ont.names_of(term):
-        for prefix in prefixes:
-            j = ctx._attr_index.get((prefix, spelling))
-            if j is not None:
-                return ctx.attributes[j]
-    return None
-
-
 def _resolvable(ont: Ontology, attr: Attribute) -> str | None:
     if attr.prefix is not None and attr.prefix != ont.prefix:
         return None
     return ont.resolve(attr.term)
+
+
+def _carriers(ont: Ontology, ctx: FormalContext) -> dict[str, Attribute]:
+    """Each ontology term's context attribute, under name or alias, in one pass.
+
+    Bare attributes match by term text alone; prefixed ones must carry the
+    ontology's prefix.  The name comes before the alias, and for each
+    spelling the bare attribute before the prefixed one.
+    """
+    carried = [(term, a) for a in ctx.attributes if (term := _resolvable(ont, a)) is not None]
+    # dict keeps the last pair of each term, so the lowest rank is sorted last
+    carried.sort(key=lambda ta: (ta[1].term != ta[0], ta[1].prefix is not None), reverse=True)
+    return dict(carried)
 
 
 def _refine(
@@ -308,6 +306,7 @@ def _refine(
 
     if hops is not None and hops < 0:
         raise OntologyError(f"hop bound must be non-negative, got {hops}")
+    carriers = _carriers(ont, ctx)
     added: set[Attribute] = set()
     dropped: set[str] = set()
     skipped: set[str] = set()
@@ -322,12 +321,11 @@ def _refine(
         if mode in ("specialize", "both"):
             related.update(_distances(node, ont._children, hops))
         related.discard(node)
-        for name in related:
-            attr = _attribute_for_term(ont, ctx, name)
-            if attr is None:
-                dropped.add(name)
-            elif attr not in q.terms:
-                added.add(attr)
+        added.update(carriers[t] for t in related & carriers.keys())
+        # in place: a near-root term relates to thousands of names
+        related.difference_update(carriers)
+        dropped |= related
+    added -= q.terms
     report = RefinementReport(
         mode=mode,
         added=frozenset(added),

@@ -4,13 +4,14 @@ Ranks are those of inserting the query into the lattice as a virtual object
 and walking its subsumers breadth-first: each source takes the distance of
 the first concept that contributed it.  They are computed from the query's
 up-set alone.  The concepts at and above the query concept are those of a
-small context (``FormalContext._query_context``): one object per distinct
-row restricted to the query's terms, plus the query, which carries every
-term, unknown terms included.  ``build_lattice`` of it is the up-set, with
-the query concept at the bottom, so the walk follows the parent lists of an
-ordinary lattice; the searched lattice is neither copied nor regrown.
-``insert_query`` does the literal insertion, which merges the same up-set
-into the lattice (``insert_object``), and stays as the reference.
+small context (``FormalContext._query_context``), split out of the sources
+by the terms' columns: one object per distinct restricted row, standing for
+a mask of sources listed only when a rank reports them, plus the query,
+which carries every term, unknown ones included.  ``build_lattice`` of it
+is the up-set, with the query concept at the bottom, so the walk follows the
+parent lists of an ordinary lattice; the searched lattice is neither copied
+nor regrown.  ``insert_query`` does the literal insertion, which merges the
+same up-set into the lattice (``insert_object``), and stays as the reference.
 
 ``result_set_to_json`` emits the bytes of ``json.dumps(doc, sort_keys=True,
 indent=1)`` for the answer document, from a writer for that fixed schema
@@ -119,11 +120,11 @@ def search(
     stops once a level has nothing else to offer.
     """
     _check_query(lat, q)
-    sub, sources = lat.context._query_context(q.terms, q.label)
+    sub, groups = lat.context._query_context(q.terms, q.label)
     up = build_lattice(sub)
     collected: dict[str, RankedResult] = {}
     # the query is the last object and no source
-    claimed = 1 << len(sources)
+    claimed = 1 << len(groups)
     frontier = [len(up._intents) - 1]
     visited = set(frontier)
     rank = 0
@@ -141,7 +142,7 @@ def search(
             via = frozenset(sub._attrs_from_mask(b))
             for k in _bits(fresh):
                 shared = frozenset(sub._attrs_from_mask(sub._rows[k]))
-                for source in sources[k]:
+                for source in lat.context._objects_from_mask(groups[k]):
                     collected[source] = RankedResult(
                         source=source, rank=rank, shared=shared, via_intent=via
                     )
@@ -182,8 +183,7 @@ def search_refined(
     }
     if mode not in refiners:
         raise QueryError(f"unknown refinement mode: {mode!r}")
-    if not q.terms:
-        raise QueryError("query term set must be non-empty")
+    _check_query(lat, q)
     refined, report = refiners[mode](q, ont, lat.context, hops)
     original = {_resolvable(ont, a) for a in q.terms} - {None}
 

@@ -12,6 +12,7 @@ from fcaregistry import (
     context_from_csv,
     context_to_csv,
 )
+from fcaregistry.context import _bits
 from conftest import FIXTURES, TEXT_EDITS, make_random_context, mutate_text
 
 
@@ -245,6 +246,79 @@ class TestProjectionsMatchCellLists:
                 keep_obj = [i for i in range(n_obj) if cells[i][j0]]
                 keep_attr = [j for j in range(n_attr) if any(cells[i][j] for i in keep_obj)]
                 same_context(ctx.select_by_attribute(a), cell_restrict(ctx, keep_obj, keep_attr))
+
+
+def row_scan_query_context(ctx, terms, label):
+    """The query context as a scan over every row builds it: rows grouped by
+    their restriction to the known terms, each group named by its first
+    object and listed as its ids, and the restricted bits renumbered."""
+    known = 0
+    unknown = []
+    for a in terms:
+        j = ctx._attr_index.get(a.key)
+        if j is None:
+            unknown.append(a)
+        else:
+            known |= 1 << j
+    groups = {}
+    for g, row in zip(ctx.objects, ctx._rows):
+        groups.setdefault(row & known, []).append(g)
+    bit_of = {j: 1 << k for k, j in enumerate(_bits(known))}
+    rows = [sum(bit_of[j] for j in _bits(x)) for x in groups]
+    attrs = [ctx.attributes[j] for j in bit_of] + sorted(unknown, key=lambda a: a.key)
+    objects = [members[0] for members in groups.values()] + [label]
+    sub = FormalContext._from_rows(objects, attrs, rows + [(1 << len(attrs)) - 1], allow_reserved_ids=True)
+    return sub, [set(members) for members in groups.values()]
+
+
+def query_context_view(sub, members):
+    """What a query context says, whatever the order of its objects: its
+    attributes, each group's row (as attribute keys) and members by the
+    group's name, and the last object's name and row."""
+    keys = lambda row: frozenset(a.key for a in sub._attrs_from_mask(row))
+    assert len(members) == len(sub.objects) - 1 and all(members)
+    groups = {g: (keys(row), frozenset(m)) for g, row, m in zip(sub.objects, sub._rows, members)}
+    assert len(groups) == len(members)
+    attributes = [(a.key, a.category) for a in sub.attributes]
+    return attributes, groups, sub.objects[-1], keys(sub._rows[-1])
+
+
+class TestQueryContext:
+    def test_column_splits_match_the_row_scan(self):
+        rng = random.Random(137)
+        unknown = [Attribute(f"u{j}", rng.choice((None, "P"))) for j in range(3)]
+        seen = collections.Counter()
+        for _ in range(600):
+            n_obj, n_attr = rng.randint(0, 9), rng.randint(0, 6)
+            attrs = [Attribute(f"m{j}", rng.choice((None, "P")), rng.choice(CATEGORIES)) for j in range(n_attr)]
+            density = rng.choice((0.2, 0.5, 0.8))
+            rows = [[int(rng.random() < density) for _ in attrs] for _ in range(n_obj)]
+            ctx = FormalContext([f"g{i}" for i in range(n_obj)], attrs, rows)
+            known = rng.sample(attrs, rng.randint(0, n_attr))
+            terms = set(known) | set(rng.sample(unknown, rng.randint(0 if known else 1, 2)))
+            if known and rng.random() < 0.3:
+                # an equal attribute of another category: the context's own one is kept
+                twin = rng.choice(known)
+                terms = (terms - {twin}) | {Attribute(twin.term, twin.prefix or "", "Quality")}
+                seen["twin"] += 1
+            sub, groups = ctx._query_context(terms, "Query")
+            want = query_context_view(*row_scan_query_context(ctx, terms, "Query"))
+            assert query_context_view(sub, [ctx._objects_from_mask(p) for p in groups]) == want
+            assert sum(groups) == ctx._full_obj_mask
+            seen["no_objects"] += not ctx.objects
+            seen["no_attributes"] += not attrs
+            seen["duplicate_rows"] += len(set(ctx._rows)) < n_obj
+            seen["no_known_term"] += not known
+            seen["every_term_known"] += len(known) == len(terms)
+            seen["whole_row_known"] += bool(attrs) and len(known) == n_attr
+        assert min(seen.values()) >= 20, seen
+
+    def test_an_empty_context_gives_only_the_label(self):
+        for attrs in ([], [Attribute("a")]):
+            ctx = FormalContext([], attrs, [])
+            sub, groups = ctx._query_context(set(attrs) | {Attribute("u")}, "Query")
+            assert (sub.objects, groups) == (("Query",), [])
+            assert sub._rows == ((1 << len(sub.attributes)) - 1,)
 
 
 class TestGaloisProperties:

@@ -24,7 +24,7 @@ from fcaregistry import (
     refine_generalize,
     refine_specialize,
 )
-from fcaregistry.ontology import _attribute_for_term, _first_cycle
+from fcaregistry.ontology import _carriers, _first_cycle
 from conftest import FIXTURES, TEXT_EDITS, edit_document, mutate_text
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -138,6 +138,18 @@ def shortest_path(step, a, b):
             if nxt not in dist:
                 dist[nxt] = dist[node] + 1
                 queue.append(nxt)
+    return None
+
+
+def _attribute_for_term(ont, ctx, term):
+    """The context attribute carrying an ontology term, found by probing
+    each spelling: the name before the alias, and for each spelling the
+    bare attribute before the one with the ontology's prefix."""
+    for spelling in ont.names_of(term):
+        for prefix in (None, ont.prefix):
+            candidate = Attribute(term=spelling, prefix=prefix)
+            if ctx.has_attribute(candidate):
+                return ctx.attribute_like(candidate)
     return None
 
 
@@ -477,16 +489,7 @@ class TestRefinement:
                     assert table1.has_attribute(a)
 
     def test_term_lookup_matches_probing_each_spelling(self):
-        """The key map finds the attribute that probing name, then alias, would."""
-
-        def probe(ont, ctx, term):
-            for spelling in ont.names_of(term):
-                for prefix in (None, ont.prefix):
-                    candidate = Attribute(term=spelling, prefix=prefix)
-                    if ctx.has_attribute(candidate):
-                        return ctx.attribute_like(candidate)
-            return None
-
+        """The carrier map holds the attribute that probing name, then alias, finds."""
         rng = random.Random(71)
         found = missed = 0
         for _ in range(60):
@@ -502,12 +505,50 @@ class TestRefinement:
                     a = Attribute(term=spelling, prefix=prefix, category=category)
                     attrs.setdefault(a.key, a)
             ctx = FormalContext([], list(attrs.values()), [])
+            carriers = _carriers(ont, ctx)
             for term in terms:
-                expected = probe(ont, ctx, term)
-                assert _attribute_for_term(ont, ctx, term) is expected
+                expected = _attribute_for_term(ont, ctx, term)
+                assert carriers.get(term) is expected
                 found += expected is not None
                 missed += expected is None
         assert found >= 100 and missed >= 100, (found, missed)
+
+    def test_prefixed_name_is_carried_before_bare_alias(self):
+        ont = Ontology("T", "r", [("r", "t")], {"t": "a"})
+        name, alias = Attribute("t", "T"), Attribute("a")
+        for attrs in ([alias, name], [name, alias]):
+            ctx = FormalContext([], attrs, [])
+            assert _carriers(ont, ctx)["t"] is ctx.attributes[attrs.index(name)]
+            assert _attribute_for_term(ont, ctx, "t") == name
+            refined, report = refine_specialize(q("r"), ont, ctx)
+            assert report.added == frozenset({name}) and refined.terms == frozenset({Attribute("r"), name})
+            assert report.dropped_candidates == frozenset()
+
+    def test_empty_prefix_carries_only_bare_attributes(self):
+        ont = Ontology("", "r", [("r", "t"), ("r", "u")], {"t": "a", "u": "b"})
+        ctx = FormalContext([], [Attribute("b", "T"), Attribute("u", "T"), Attribute("a"), Attribute("t", "")], [])
+        assert _carriers(ont, ctx) == {"t": Attribute("t")}
+        assert _carriers(ont, ctx)["t"] is ctx.attributes[3]
+        _, report = refine_specialize(q("r"), ont, ctx)
+        assert report.added == frozenset({Attribute("t")})
+        assert report.dropped_candidates == frozenset({"u"})
+        _, report = refine_generalize(q(Attribute("t", "T")), ont, ctx)
+        assert report.skipped_terms == frozenset({"t"})
+
+    def test_related_term_carried_by_a_query_term_is_neither_added_nor_dropped(self):
+        ont = Ontology("T", "r", [("r", "t"), ("t", "v"), ("r", "u")], {"t": "a"})
+        ctx = FormalContext([], [Attribute("r"), Attribute("a"), Attribute("v")], [])
+        query = q("v", "a")
+        for refine in (refine_generalize, refine_both):
+            refined, report = refine(query, ont, ctx)
+            # from v: t is carried by the query's "a", r is added; from t: r again
+            assert report.added == frozenset({Attribute("r")})
+            assert refined.terms == query.terms | {Attribute("r")}
+            assert report.dropped_candidates == frozenset()
+        # from r: t is carried by the query's "a", v is added and u has no carrier
+        _, report = refine_specialize(q("r", "a"), ont, ctx)
+        assert report.added == frozenset({Attribute("v")})
+        assert report.dropped_candidates == frozenset({"u"})
 
     def test_matches_the_ordered_walks_on_random_dags(self):
         rng = random.Random(73)

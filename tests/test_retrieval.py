@@ -21,7 +21,7 @@ from fcaregistry import (
     search,
     search_refined,
 )
-from fcaregistry import retrieval
+from fcaregistry import ontology, retrieval
 from fcaregistry.lattice import ConceptLattice
 from conftest import edge_case_context, make_random_context
 
@@ -297,8 +297,9 @@ class TestSearch:
                 twin = rng.choice(sorted(terms, key=lambda a: a.key))
                 terms = (terms - {twin}) | {Attribute(term=twin.term, prefix="")}
             query = Query(terms=frozenset(terms))
-            sub, sources = ctx._query_context(query.terms, query.label)
-            members = {group[0]: group for group in sources + [[query.label]]}
+            sub, groups = ctx._query_context(query.terms, query.label)
+            members = {name: ctx._objects_from_mask(mask) for name, mask in zip(sub.objects, groups)}
+            members[query.label] = {query.label}
             up = build_lattice(sub)
             grown, query_concept = insert_query(lat, query)
             # a full build of the grown context: insert_query merges the same up-set
@@ -467,6 +468,17 @@ class TestSearchRefined:
     def test_bad_mode(self, table1_lattice, organisms, attrs_by_term):
         with pytest.raises(QueryError):
             search_refined(table1_lattice, q(attrs_by_term["Hu"]), organisms, "widen")
+
+    def test_bad_label_refused_before_refining(self, monkeypatch, table1_lattice, organisms):
+        def no_walk(*args):
+            raise AssertionError("the ontology was walked")
+
+        monkeypatch.setattr(ontology, "_distances", no_walk)
+        for label in ("S1", ""):
+            for hops in (None, -1):
+                query = Query(terms=frozenset({Attribute("AO")}), label=label)
+                with pytest.raises(QueryError, match="label"):
+                    search_refined(table1_lattice, query, organisms, "specialize", hops)
 
     def test_generalize_soundness(self, table1_lattice, organisms, table1):
         rs = search_refined(table1_lattice, q(Attribute("Ch")), organisms, "generalize")
