@@ -143,9 +143,13 @@ def _ordered_attrs(attrs: Iterable[Attribute]) -> list[Attribute]:
 
 
 class FormalContext:
-    """An immutable (objects x attributes) boolean incidence table."""
+    """An immutable (objects x attributes) boolean incidence table.
 
-    __slots__ = ("objects", "attributes", "_rows", "_cols", "_obj_index", "_attr_index")
+    ``_ranks``, each attribute's rank by key, is filled by the lattice's
+    sort key on first use; equality and hashing do not read it.
+    """
+
+    __slots__ = ("objects", "attributes", "_rows", "_cols", "_obj_index", "_attr_index", "_ranks")
 
     def __init__(
         self,
@@ -189,7 +193,7 @@ class FormalContext:
         for i, mask in enumerate(rows):
             for j in _bits(mask):
                 cols[j] |= 1 << i
-        self._fill(objects, attributes, tuple(rows), tuple(cols), obj_index, attr_index)
+        self._fill(objects, attributes, tuple(rows), tuple(cols), obj_index, attr_index, None)
 
     def _fill(self, *values) -> None:
         """Set every slot, in ``__slots__`` order."""
@@ -383,7 +387,9 @@ class FormalContext:
         """Return a context extended by one row; new attributes are appended to M.
 
         Old rows, columns and attribute bits are kept as they are: the new row
-        is one more mask, and its object bit is ORed into its columns.
+        is one more mask, and its object bit is ORed into its columns.  The
+        attribute ranks are kept too unless the row brings a new attribute,
+        whose key may sort before the old ones.
         """
         _check_object_id(obj, self._obj_index, allow_reserved)
         attributes = list(self.attributes)
@@ -407,6 +413,7 @@ class FormalContext:
             tuple(cols),
             {**self._obj_index, obj: i},
             attr_index,
+            self._ranks if len(attributes) == len(self.attributes) else None,
         )
         return grown
 

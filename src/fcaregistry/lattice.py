@@ -8,15 +8,16 @@ proposed it (the dual of Lindig's count on the object side).
 ``build_lattice`` is this walk from the top alone.  The up-set of a new
 object's concept, a query's or an inserted source's, is this walk over a small
 context (``FormalContext._query_context``), so one walk counts every cover and
-one mask key (``_mask_sort_key``) orders every lattice.  Insertion
-(``insert_object``, after Godin, Missaoui & Alaoui, 1995) merges that up-set
-into the old lattice.  A lattice is its intent and extent bit masks in
-canonical order and each concept's sorted parent positions.  Building,
-insertion, saving, loading and DOT export work on these alone; the cover
-pairs and the ``FormalConcept`` values are made on the first access to
-``covers`` and ``concepts``, and the lookups (``top``, ``bottom``,
-``concept_with_intent``, ``index_of`` and the covers of one concept) make
-only the values they return.
+one mask key (``_mask_sort_key``, whose attribute ranks each context keeps)
+orders every lattice.  Insertion (``insert_object``, after Godin, Missaoui &
+Alaoui, 1995) merges that up-set into the old lattice and rewires only the
+generators, each the old concept closing a new intent.  A lattice is its
+intent and extent bit masks in canonical order and each concept's sorted
+parent positions.  Building, insertion, saving, loading and DOT export work
+on these alone; the cover pairs and the ``FormalConcept`` values are made on
+the first access to ``covers`` and ``concepts``, and the lookups (``top``,
+``bottom``, ``concept_with_intent``, ``index_of`` and the covers of one
+concept) make only the values they return.
 
 The loader parses the stored concepts into masks and runs the same walk,
 stopped before it closes an extent the file does not hold; the file is
@@ -52,10 +53,14 @@ class FormalConcept(_Record):
 
 def _mask_sort_key(ctx: FormalContext):
     """The canonical order on intent masks: by size, then by the sorted key
-    ranks of their bits, which is the order of their attributes' sorted keys."""
-    rank = [0] * len(ctx.attributes)
-    for r, j in enumerate(sorted(range(len(rank)), key=lambda j: ctx.attributes[j].key)):
-        rank[j] = r
+    ranks of their bits, which is the order of their attributes' sorted keys.
+    The ranks are worked out once per context and kept on it."""
+    rank = ctx._ranks
+    if rank is None:
+        rank = [0] * len(ctx.attributes)
+        for r, j in enumerate(sorted(range(len(rank)), key=lambda j: ctx.attributes[j].key)):
+            rank[j] = r
+        object.__setattr__(ctx, "_ranks", rank)
 
     def key(b: int):
         return (b.bit_count(), sorted([rank[j] for j in _bits(b)]))
@@ -308,28 +313,28 @@ def insert_object(
     The intents inside the new row x, each with its upper covers, are the
     up-set of the object's concept: the lattice of the context restricted
     to x with the object added (``FormalContext._query_context``), as a
-    query's is; the old ones among them gain the object.  An old concept
-    with intent b outside x falls in one of two cases (after Godin,
-    Missaoui & Alaoui, 1995):
-
-    - b & x is an old intent: nothing changes;
-    - b & x is new: b is a generator; it drops its parents inside x and
-      gains b & x, unless a parent outside x already meets x there.
+    query's is; the old ones among them gain the object.  Outside x, only
+    generators change (after Godin, Missaoui & Alaoui, 1995): the generator
+    of a new intent c with no new attribute is the old concept closing it,
+    b0 = c'' in the old context.  It drops its parents inside x and gains
+    c.  Every other old concept keeps its parent list, renumbered.
 
     When the object brings new attributes but not all of M, the new bottom
     M has x as a parent, and the old bottom if it is still closed, else the
-    old bottom's parents outside x.  Only masks are computed.
+    old bottom's parents outside x.  Only masks are computed, and only the
+    generators are looked at outside the up-set.
     """
     ctx = lat.context.add_object(obj, attrs, allow_reserved=allow_reserved)
     x = ctx._rows[-1]
     g = 1 << (len(ctx.objects) - 1)
     full = ctx._full_attr_mask
+    old_ctx, old_full = lat.context, lat.context._full_attr_mask
     old, old_extents, old_pos, old_parents = lat._intents, lat._extents, lat._pos, lat._parents
     # new attributes are appended, so old intents keep their masks; an old
     # concept with an empty extent can only be the bottom, whose intent (the
     # old M) is not closed once the object brings new attributes
-    kept = len(old) - (not old_extents[-1] and full != lat.context._full_attr_mask)
-    sub, _ = lat.context._query_context(ctx._attrs_from_mask(x), obj)
+    kept = len(old) - (not old_extents[-1] and full != old_full)
+    sub, _ = old_ctx._query_context(ctx._attrs_from_mask(x), obj)
     up = _complete(sub)
     # both contexts rank attributes by key, so the up-set's intents, mapped
     # to the grown bits, are the grown intents inside x in canonical order
@@ -367,13 +372,17 @@ def insert_object(
         if c in old_pos:
             extents[i] |= g
         parents[i] = [pos[inside[p]] for p in ps]
-    for i, b in enumerate(old[:kept]):
-        c = b & x
-        if c != b and c not in old_pos:
-            outside = [p for p in parents[moved[i]] if order[p] & ~x]
-            if all(order[p] & x != c for p in outside):
-                bisect.insort(outside, pos[c])
-            parents[moved[i]] = outside
+    # a new intent c with no new attribute has one generator, b0 = closure_old(c).
+    # b0 & x = c, or c would not be closed in the grown context.  No parent of b0
+    # meets x at c, as it would be an old intent between c and its closure b0, so
+    # b0 drops its parents inside x (all above c) and gains c.  Any other old b
+    # with b & x = c lies below b0: its parent on the way up to b0 meets x at c,
+    # and a parent inside x would lie above c, so its list is already right.
+    for c in fresh:
+        if not c & ~old_full:
+            i = moved[old_pos[old_ctx._attr_closure(old_ctx._extent_mask_of_intent_mask(c))]]
+            parents[i] = [p for p in parents[i] if order[p] & ~x]
+            bisect.insort(parents[i], pos[c])
     if new_bottom:
         below = [moved[-1]] if kept == len(old) else [moved[p] for p in old_parents[-1] if old[p] & ~x]
         parents[-1] = sorted(below + [pos[x]])

@@ -183,6 +183,26 @@ def rows_to_insert(rng, lat):
     return {kind: sorted(row, key=lambda a: a.key) for kind, row in rows.items()}
 
 
+def scanned_generators(lat, row):
+    """The generators of an insertion of ``row`` found by scanning every old
+    intent, as insertion once did: each old b outside the row x, with
+    b & x not an old intent, mapped to the intents of its parents in the
+    grown lattice.  It drops its parents inside x and gains b & x, unless a
+    parent outside x already meets x there."""
+    ctx = lat.context
+    x = ctx._attr_mask(a for a in row if ctx.has_attribute(a))
+    dropped = any(not ctx.has_attribute(a) for a in row) and not lat._extents[-1]
+    out = {}
+    for b, ps in zip(lat._intents[: len(lat._intents) - dropped], lat._parents):
+        c = b & x
+        if c != b and c not in lat._pos:
+            outside = [lat._intents[p] for p in ps if lat._intents[p] & ~x]
+            if all(p & x != c for p in outside):
+                outside.append(c)
+            out[b] = outside
+    return out
+
+
 def insertion_rules(lat, row):
     """The rewiring rules an insertion of ``row`` applies, judged from the old
     lattice's masks: each generator b (outside the row x, with b & x not an
@@ -190,17 +210,14 @@ def insertion_rules(lat, row):
     does not hold all of the old ones."""
     ctx = lat.context
     x = ctx._attr_mask(a for a in row if ctx.has_attribute(a))
-    brings_new = any(not ctx.has_attribute(a) for a in row)
-    dropped = brings_new and not lat._extents[-1]
     rules = set()
-    for b, ps in zip(lat._intents[: len(lat._intents) - dropped], lat._parents):
-        c = b & x
-        if c != b and c not in lat._pos:
-            if any(lat._intents[p] & x == c and lat._intents[p] & ~x for p in ps):
-                rules.add("generator with a parent outside x that meets x at b & x")
-            else:
-                rules.add("generator covered by b & x")
-    if brings_new and x != ctx._full_attr_mask:
+    for b, parents in scanned_generators(lat, row).items():
+        if b & x in parents:
+            rules.add("generator covered by b & x")
+        else:
+            rules.add("generator with a parent outside x that meets x at b & x")
+    if any(not ctx.has_attribute(a) for a in row) and x != ctx._full_attr_mask:
+        dropped = not lat._extents[-1]
         rules.add("new bottom under a dropped old bottom" if dropped else "new bottom under a kept old bottom")
     return rules
 
@@ -286,6 +303,40 @@ class TestInsertObject:
                 seen.update(insertion_rules(lat, row))
                 assert_rebuilt(insert_object(lat, "gx", row), lat.context.add_object("gx", row))
         assert min(seen.values()) >= 20 and len(seen) == 11, seen
+
+    def test_each_new_intent_rewires_the_old_concept_closing_it(self):
+        rng = random.Random(45)
+        seen = collections.Counter()
+        for lat in random_lattices(46, 180):
+            ctx = lat.context
+            for row in rows_to_insert(rng, lat).values():
+                grown = insert_object(lat, "gx", row)
+                x = grown.context._rows[-1]
+                closing = {}
+                for c in grown._intents:
+                    if c in lat._pos:
+                        continue
+                    if c & ~ctx._full_attr_mask:
+                        seen["new intent with a new attribute"] += 1
+                        continue
+                    b0 = ctx._attr_closure(ctx._extent_mask_of_intent_mask(c))
+                    assert b0 in lat._pos and b0 & x == c
+                    assert all(lat._intents[p] & x != c for p in lat._parents[lat._pos[b0]])
+                    closing[b0] = c
+                scan = scanned_generators(lat, row)
+                assert closing.keys() <= scan.keys()
+                for b, want in scan.items():
+                    got = [grown._intents[p] for p in grown._parents[grown._pos[b]]]
+                    assert got == sorted(want, key=grown._pos.__getitem__)
+                    if b in closing:
+                        assert closing[b] in got
+                        seen["generator closing a new intent"] += 1
+                    else:
+                        # the other generators keep their parent lists, renumbered
+                        assert got == [lat._intents[p] for p in lat._parents[lat._pos[b]]]
+                        seen["generator below the one closing b & x"] += 1
+                assert_rebuilt(grown, ctx.add_object("gx", row))
+        assert min(seen.values()) >= 20 and len(seen) == 3, seen
 
     def test_chains_of_inserts(self):
         rng = random.Random(47)
@@ -738,17 +789,27 @@ class TestColumnSideCovers:
 
         rng = random.Random(71)
         for _ in range(60):
-            ctx = cover_case_context(rng)
-            key = lattice._mask_sort_key(ctx)
-            masks = [rng.getrandbits(len(ctx.attributes)) for _ in range(20)]
-            masks += [0, ctx._full_attr_mask]
-            for a, b in itertools.product(masks, repeat=2):
-                by_attrs = (
-                    intent_sort_key(ctx._attrs_from_mask(a)),
-                    intent_sort_key(ctx._attrs_from_mask(b)),
-                )
-                assert (key(a) < key(b)) == (by_attrs[0] < by_attrs[1])
-                assert (key(a) == key(b)) == (a == b)
+            base = cover_case_context(rng)
+            lattice._mask_sort_key(base)
+            attrs = list(base.attributes)
+            # grown with and without a new attribute, after base has its ranks;
+            # the new key sorts before every old one
+            grown = [
+                base.add_object("gx", rng.sample(attrs, rng.randint(0, len(attrs)))),
+                base.add_object("gy", [Attribute("a")] + rng.sample(attrs, rng.randint(0, len(attrs)))),
+            ]
+            assert grown[0]._ranks is base._ranks and grown[1]._ranks is None
+            for ctx in [base] + grown:
+                key = lattice._mask_sort_key(ctx)
+                masks = [rng.getrandbits(len(ctx.attributes)) for _ in range(20)]
+                masks += [0, ctx._full_attr_mask]
+                for a, b in itertools.product(masks, repeat=2):
+                    by_attrs = (
+                        intent_sort_key(ctx._attrs_from_mask(a)),
+                        intent_sort_key(ctx._attrs_from_mask(b)),
+                    )
+                    assert (key(a) < key(b)) == (by_attrs[0] < by_attrs[1])
+                    assert (key(a) == key(b)) == (a == b)
 
 
 def lattice_doc(lat):
@@ -1042,6 +1103,31 @@ class TestOnePassInsert:
                 assert grown == ref and ref == grown and hash(grown) == hash(ref)
                 assert grown.covers == ref.covers
                 assert grown == ref and hash(grown) == hash(ref)
+                lat = grown
+
+    @pytest.mark.parametrize("new_first", [True, False], ids=["new-then-old", "old-then-new"])
+    def test_kept_attribute_ranks_never_go_stale(self, new_first):
+        rng = random.Random(93)
+        early = Attribute("a")
+        for _ in range(60):
+            lat = build_lattice(cover_case_context(rng))
+            attrs = list(lat.context.attributes)
+            assert all(early.key < a.key for a in attrs)
+            rows = [
+                [early] + rng.sample(attrs, rng.randint(0, len(attrs))),
+                rng.sample(attrs, rng.randint(0, len(attrs))) + [early] * new_first,
+            ]
+            if not new_first:
+                rows.reverse()
+            for step, row in enumerate(rows):
+                grown = insert_object(lat, f"gx{step}", row)
+                ctx = grown.context
+                if len(ctx.attributes) == len(lat.context.attributes):
+                    assert ctx._ranks is lat.context._ranks
+                # the reference context is made afresh, so it has no ranks to reuse
+                fresh = FormalContext._from_rows(ctx.objects, ctx.attributes, ctx._rows)
+                assert fresh == ctx and fresh._ranks is None
+                assert lattice_to_json(grown) == lattice_to_json(build_lattice(fresh))
                 lat = grown
 
     def test_equality_sees_the_parent_lists(self):
