@@ -6,12 +6,18 @@ full names (e.g. "Vertebrates") can match abbreviated context attributes
 (e.g. "Ve").  A refinement maps each term to the context attribute that
 carries it once (``_carriers``), and adds and drops terms by set operations.
 
-Loading checks the graph with one Kahn pass from the root, which pops every
-term exactly when the graph is acyclic and reaches every term from the
-root.  The slower diagnostics run only when that pass fails or an edge
-repeats.  They name the first fault in a fixed order, and a cycle by the
-first one a depth-first search meets from the smallest term left behind,
-following edges in file order, so the message does not depend on
+Loading makes each container once and keeps it.  One pass over the edges
+gives a children list to each term that has children and a parents list to
+each term that has a parent; every leaf shares one empty tuple as its
+children, and the root has it as its parents.  One Kahn pass from the root
+then pops every term exactly when the graph is acyclic and reaches every
+term from the root.  It counts down only the terms with several parents: a
+term with one parent is popped with it.  Repeated edges are looked for only
+among those terms, and the alias map is made by one update, whose size and
+key set show a fault.  The slower diagnostics run only when one of these
+checks fails.  They name the first fault in a fixed order, and a cycle by
+the first one a depth-first search meets from the smallest term left
+behind, following edges in file order, so the message does not depend on
 ``PYTHONHASHSEED``.
 """
 
@@ -47,7 +53,7 @@ def _distances(start: str, step: dict[str, Sequence[str]], hops: int | None) -> 
     return dist
 
 
-def _first_cycle(children: dict[str, list[str]], starts: list[str]) -> list[str] | None:
+def _first_cycle(children: dict[str, Sequence[str]], starts: list[str]) -> list[str] | None:
     """The first cycle a depth-first search meets, trying each start in
     turn and each term's edges in file order.
 
@@ -79,7 +85,7 @@ def _first_cycle(children: dict[str, list[str]], starts: list[str]) -> list[str]
 
 
 def _diagnose(
-    root: str, edges: Sequence[Sequence[str]], children: dict[str, list[str]], popped: list[str]
+    root: str, edges: Sequence[Sequence[str]], children: dict[str, Sequence[str]], popped: list[str]
 ) -> NoReturn:
     """Raise the first fault of a graph whose Kahn pass from the root left
     terms behind or whose edge list repeats an edge."""
@@ -131,56 +137,77 @@ class Ontology:
     ):
         """Validate and store a rooted DAG given as (parent, child) edges.
 
-        One Kahn pass (Kahn, 1962) from the root pops every term exactly
-        when the graph is acyclic and every term is reachable from the
-        root, so a valid ontology is checked in linear time.  Only when the
-        pass leaves terms behind, or an edge repeats, does ``_diagnose``
-        name the fault; the errors come in this order: a duplicate edge,
-        a cycle (with a witness that does not depend on hashing), terms
-        unreachable from the root.  The alias errors come last.
+        Only a term with children holds a children list, and only a term
+        with a parent a parents list; the lists are kept as built.  Every
+        leaf's children are one shared empty tuple, and so are the root's
+        parents.  One Kahn pass (Kahn, 1962) from the root pops every
+        term exactly when the graph is acyclic and every term is reachable
+        from the root, so a valid ontology is checked in linear time.  The
+        pass counts down only the terms with several parents, and only
+        their parent lists can repeat an edge.  Only when the pass leaves
+        terms behind, or an edge repeats, does ``_diagnose`` name the
+        fault; the errors come in this order: a duplicate edge, a cycle
+        (with a witness that does not depend on hashing), terms unreachable
+        from the root.  The alias errors come last: the name map is the
+        terms plus one update from the aliases, and only when it comes out
+        short, or an alias names an unknown term, are the aliases read one
+        by one, in order, to name the first fault.
         """
         aliases = dict(aliases or {})
-        children: dict[str, list[str]] = {root: []}
-        parents: dict[str, list[str]] = {root: []}
+        children: dict[str, list[str]] = {}
+        parents: dict[str, list[str]] = {}
         for parent, child in edges:
             below = children.get(parent)
             if below is None:
                 children[parent] = [child]
-                parents[parent] = []
             else:
                 below.append(child)
             above = parents.get(child)
             if above is None:
                 parents[child] = [parent]
-                children[child] = []
             else:
                 above.append(parent)
-        pending = {t: len(ps) for t, ps in parents.items()}
-        popped = [] if pending[root] else [root]
+        # a term with one parent is popped when that parent is, so only the
+        # terms with several parents count down
+        pending = {t: len(ps) for t, ps in parents.items() if len(ps) > 1}
+        popped = [] if root in parents else [root]
         for node in popped:  # the list grows while it is read
-            for child in children[node]:
-                left = pending[child] - 1
-                pending[child] = left
-                if not left:
-                    popped.append(child)
-        # a repeated edge lists its parent twice among the child's parents
-        if len(popped) < len(parents) or any(
-            len(ps) > 1 and len(set(ps)) < len(ps) for ps in parents.values()
+            for child in children.get(node, ()):
+                if child in pending:
+                    left = pending[child] - 1
+                    pending[child] = left
+                    if left:
+                        continue
+                popped.append(child)
+        # Each term is popped at most once, and only the root and terms with
+        # parents are, so the pass pops every term exactly when it pops one
+        # more than there are parent lists: a term that is only ever a
+        # parent is never popped, and so neither is any child of it.  A
+        # repeated edge lists its parent twice among its child's parents,
+        # and a term with one parent has no room for that.
+        if len(popped) <= len(parents) or any(
+            len(set(ps)) < len(ps) for ps in map(parents.__getitem__, pending)
         ):
-            _diagnose(root, edges, children, popped)
-        terms = parents.keys()
-        resolve = {t: t for t in terms}
-        for name, alias in aliases.items():
-            if name not in terms:
-                raise OntologyError(f"alias for unknown term: {name!r}")
-            if alias in resolve:
-                raise OntologyError(f"duplicate term or alias: {alias!r}")
-            resolve[alias] = name
+            _diagnose(root, edges, {**dict.fromkeys((root, *parents), ()), **children}, popped)
+        parents[root] = ()
+        kids = dict.fromkeys(popped, ())  # every leaf shares the one empty tuple
+        kids.update(children)
+        resolve = dict(zip(popped, popped))
+        resolve.update(zip(aliases.values(), aliases.keys()))
+        # the map is short when an alias spells a term or another alias
+        if len(resolve) < len(popped) + len(aliases) or not aliases.keys() <= parents.keys():
+            spelled = set(popped)
+            for name, alias in aliases.items():
+                if name not in parents:
+                    raise OntologyError(f"alias for unknown term: {name!r}")
+                if alias in spelled:
+                    raise OntologyError(f"duplicate term or alias: {alias!r}")
+                spelled.add(alias)
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "root", root)
-        object.__setattr__(self, "terms", frozenset(terms))
-        object.__setattr__(self, "_parents", {t: tuple(ps) for t, ps in parents.items()})
-        object.__setattr__(self, "_children", {t: tuple(cs) for t, cs in children.items()})
+        object.__setattr__(self, "terms", frozenset(popped))
+        object.__setattr__(self, "_parents", parents)
+        object.__setattr__(self, "_children", kids)
         object.__setattr__(self, "_alias_of", aliases)
         object.__setattr__(self, "_resolve", resolve)
 
@@ -214,7 +241,7 @@ class Ontology:
             raise OntologyError(f"unknown ontology term: {term!r}")
         return name
 
-    def _walk(self, term: str, step: dict[str, tuple[str, ...]], hops: int | None) -> list[str]:
+    def _walk(self, term: str, step: dict[str, Sequence[str]], hops: int | None) -> list[str]:
         start = self._require(term)
         dist = _distances(start, step, hops)
         del dist[start]

@@ -123,8 +123,28 @@ def doc(**kwargs):
     return json.dumps(base)
 
 
+def load_error(text):
+    """The message ``load_ontology`` refuses the document with."""
+    with pytest.raises(OntologyError) as info:
+        load_ontology(text)
+    return str(info.value)
+
+
 def q(*terms):
     return Query(terms=frozenset(Attribute(t) if isinstance(t, str) else t for t in terms))
+
+
+def reference_walk(step, start):
+    """The terms ``step`` reaches from ``start``, by distance, ties by name."""
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        for nxt in step[node]:
+            if nxt not in dist:
+                dist[nxt] = dist[node] + 1
+                queue.append(nxt)
+    return sorted(dist.keys() - {start}, key=lambda t: (dist[t], t))
 
 
 def shortest_path(step, a, b):
@@ -189,22 +209,46 @@ class TestLoadOntology:
         assert ont.terms == frozenset({"r"})
         assert ont.ancestors("r") == []
         assert ont.descendants("r") == []
+        assert ont.is_leaf("r")
 
     def test_self_loop_is_cycle(self):
         with pytest.raises(OntologyError, match="cycle"):
             load_ontology(doc(edges=[["x", "x"], ["r", "x"]]))
+        # a term whose only parent is itself, and the root as its own parent
+        assert load_error(doc(edges=[["r", "a"], ["x", "x"]])) == "cycle detected through: ['x', 'x']"
+        assert load_error(doc(edges=[["r", "r"], ["r", "a"]])) == "cycle detected through: ['r', 'r']"
 
     def test_longer_cycle(self):
         with pytest.raises(OntologyError, match="cycle"):
             load_ontology(doc(edges=[["r", "a"], ["a", "b"], ["b", "a"]]))
+        # the root given a parent below it
+        assert load_error(doc(edges=[["r", "a"], ["a", "r"]])) == "cycle detected through: ['a', 'r', 'a']"
 
     def test_unreachable_term(self):
         with pytest.raises(OntologyError, match="unreachable"):
             load_ontology(doc(edges=[["a", "b"]]))
+        # a term that is only ever a parent, beside an otherwise complete tree
+        edges = [["r", "a"], ["r", "b"], ["a", "c"], ["x", "b"]]
+        assert load_error(doc(edges=edges)) == "terms unreachable from root: ['x']"
+        assert load_error(doc(edges=[["r", "a"], ["x", "y"]])) == "terms unreachable from root: ['x', 'y']"
+        # the root given a parent from outside
+        assert load_error(doc(edges=[["x", "r"], ["r", "a"]])) == "terms unreachable from root: ['x']"
 
     def test_duplicate_alias(self):
         with pytest.raises(OntologyError, match="duplicate"):
             load_ontology(doc(edges=[["r", "a"]], aliases={"a": "r"}))
+        edges = [["r", "a"], ["r", "b"]]
+        # an alias equal to its own name, to another term, and to another alias
+        assert load_error(doc(edges=edges, aliases={"a": "a"})) == "duplicate term or alias: 'a'"
+        assert load_error(doc(edges=edges, aliases={"a": "b"})) == "duplicate term or alias: 'b'"
+        assert load_error(doc(edges=edges, aliases={"a": "x", "b": "x"})) == "duplicate term or alias: 'x'"
+
+    def test_alias_for_unknown_term(self):
+        edges = [["r", "a"]]
+        assert load_error(doc(edges=edges, aliases={"z": "x"})) == "alias for unknown term: 'z'"
+        # the first fault in alias order is the one named
+        assert load_error(doc(edges=edges, aliases={"z": "x", "a": "r"})) == "alias for unknown term: 'z'"
+        assert load_error(doc(edges=edges, aliases={"a": "r", "z": "x"})) == "duplicate term or alias: 'r'"
 
     def test_duplicate_edge(self):
         with pytest.raises(OntologyError, match="duplicate"):
@@ -274,6 +318,9 @@ class TestLoadOntology:
             Ontology("T", "r", [("r", "a"), ("a", "b"), ("r", "a")])
         with pytest.raises(OntologyError, match=r"^duplicate edge: 'a' -> 'b'$"):
             Ontology("T", "r", [["r", "a"], ["a", "b"], ["a", "b"], ["b", "a"]])
+        # into a term with several parents, whose pass pops it all the same
+        with pytest.raises(OntologyError, match=r"^duplicate edge: 'a' -> 'c'$"):
+            Ontology("T", "r", [("r", "a"), ("r", "b"), ("a", "c"), ("b", "c"), ("a", "c")])
 
     def test_diagnostics_visit_each_term_once(self):
         # 2**60 paths from s0 to s60 through a ladder of stranded diamonds
@@ -316,7 +363,16 @@ class TestLoadOntology:
             else:
                 assert not isinstance(expected, OntologyError), (edges, aliases, expected)
                 kind = "valid"
-                assert (ont.terms, ont._parents, ont._children, ont._resolve) == expected
+                terms, parents, children, resolve = expected
+                assert (ont.terms, ont._resolve) == (terms, resolve)
+                # the lists are kept as built, so compare them as tuples
+                assert ont._parents.keys() == terms and ont._children.keys() == terms
+                assert {t: tuple(ont._parents[t]) for t in ont.terms} == parents
+                assert {t: tuple(ont._children[t]) for t in ont.terms} == children
+                for t in terms:
+                    assert ont.ancestors(t) == reference_walk(parents, t)
+                    assert ont.descendants(t) == reference_walk(children, t)
+                    assert ont.is_leaf(t) == (not children[t])
             outcomes[kind] = outcomes.get(kind, 0) + 1
         assert len(outcomes) == 6 and min(outcomes.values()) >= 30, outcomes
 
