@@ -157,7 +157,7 @@ def _cmd_stats(args) -> int:
     lat = _load_lattice(args.lattice)
     ctx = lat.context
     cells = len(ctx.objects) * len(ctx.attributes)
-    ones = sum(bin(ctx._rows[i]).count("1") for i in range(len(ctx.objects)))
+    ones = sum(row.bit_count() for row in ctx._rows)
     density = ones / cells if cells else 0.0
     n = len(lat._intents)
     noun = "concept" if n == 1 else "concepts"

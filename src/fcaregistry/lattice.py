@@ -225,12 +225,12 @@ class ConceptLattice:
 
     def height(self) -> int:
         """Length in edges of the longest bottom-to-top chain."""
-        longest = {i: 0 for i in range(len(self._intents))}
+        longest = [0] * len(self._intents)
         # canonical order is a reverse topological order for child -> parent
         for i in reversed(range(len(self._intents))):
             for p in self._parents[i]:
                 longest[p] = max(longest[p], longest[i] + 1)
-        return max(longest.values(), default=0)
+        return max(longest, default=0)
 
 
 def _complete(ctx: FormalContext, stored: set[int] | None = None) -> ConceptLattice | None:
@@ -461,12 +461,13 @@ def export_dot(lat: ConceptLattice, reduced_labels: bool = False) -> str:
     """
     ctx = lat.context
     if reduced_labels:
-        own_objects: dict[int, list[str]] = {i: [] for i in range(len(lat._intents))}
-        own_attrs: dict[int, list[Attribute]] = {i: [] for i in range(len(lat._intents))}
+        own_objects: list[list[str]] = [[] for _ in lat._intents]
+        own_attrs: list[list[Attribute]] = [[] for _ in lat._intents]
+        # an object's row and the closure of an attribute's column are intents
         for g, row in zip(ctx.objects, ctx._rows):
             own_objects[lat._pos[row]].append(g)
-        for a in ctx.attributes:
-            own_attrs[lat._pos[ctx._attr_mask(ctx.close_attributes([a]))]].append(a)
+        for a, col in zip(ctx.attributes, ctx._cols):
+            own_attrs[lat._pos[ctx._attr_closure(col)]].append(a)
     lines = ["digraph concept_lattice {", "  rankdir=BT;", "  node [shape=box];"]
     for i, (b, e) in enumerate(zip(lat._intents, lat._extents)):
         if reduced_labels:

@@ -1,17 +1,19 @@
 """Ranked source discovery: walk upward from the query concept.
 
 Ranks are those of inserting the query into the lattice as a virtual object
-and walking its subsumers breadth-first: each source takes the distance of
-the first concept that contributed it.  They are computed from the query's
-up-set alone.  The concepts at and above the query concept are those of a
-small context (``FormalContext._query_context``), split out of the sources
-by the terms' columns: one object per distinct restricted row, standing for
-a mask of sources listed only when a rank reports them, plus the query,
-which carries every term, unknown ones included.  ``build_lattice`` of it
-is the up-set, with the query concept at the bottom, so the walk follows the
-parent lists of an ordinary lattice; the searched lattice is neither copied
-nor regrown.  ``insert_query`` does the literal insertion, which merges the
-same up-set into the lattice (``insert_object``), and stays as the reference.
+and walking its subsumers breadth-first (``_distances``), which visits each
+up-set concept once, at its cover distance: each source takes the distance
+of the first concept that contributed it.  They are computed from the
+query's up-set alone.  The concepts at and above the query concept are
+those of a small context (``FormalContext._query_context``), split out of
+the sources by the terms' columns: one object per distinct restricted row,
+standing for a mask of sources listed only when a rank reports them, plus
+the query, which carries every term, unknown ones included.
+``build_lattice`` of it is the up-set, with the query concept at the
+bottom, so the walk follows the parent lists of an ordinary lattice; the
+searched lattice is neither copied nor regrown.  ``insert_query`` does the
+literal insertion, which merges the same up-set into the lattice
+(``insert_object``), and stays as the reference.
 
 ``result_set_to_json`` emits the bytes of ``json.dumps(doc, sort_keys=True,
 indent=1)`` for the answer document, from a writer for that fixed schema
@@ -32,6 +34,7 @@ from .lattice import ConceptLattice, FormalConcept, _json_list, build_lattice, i
 from .ontology import (
     Ontology,
     RefinementReport,
+    _distances,
     _resolvable,
     refine_both,
     refine_generalize,
@@ -116,51 +119,34 @@ def search(
     """All sources sharing at least one in-context query term, ranked by distance.
 
     Rank 0 is the query concept's own extent; each further rank is one cover
-    step up.  Concepts with an empty intent never contribute, and the walk
-    stops once a level has nothing else to offer.
+    step up.  The breadth-first walk visits each up-set concept once, at its
+    cover distance from the query concept; a concept with an empty intent
+    never contributes.
     """
     _check_query(lat, q)
     sub, groups = lat.context._query_context(q.terms, q.label)
     up = build_lattice(sub)
-    collected: dict[str, RankedResult] = {}
-    # the query is the last object and no source
+    collected: list[RankedResult] = []
+    # the query is the last object and no source; each group is claimed once
     claimed = 1 << len(groups)
-    frontier = [len(up._intents) - 1]
-    visited = set(frontier)
-    rank = 0
-    while frontier:
-        contributed = False
-        for i in frontier:
-            b = up._intents[i]
-            if not b:
-                continue
-            contributed = True
-            fresh = up._extents[i] & ~claimed
-            if not fresh:
-                continue
-            claimed |= fresh
-            via = frozenset(sub._attrs_from_mask(b))
-            for k in _bits(fresh):
-                shared = frozenset(sub._attrs_from_mask(sub._rows[k]))
-                for source in lat.context._objects_from_mask(groups[k]):
-                    collected[source] = RankedResult(
-                        source=source, rank=rank, shared=shared, via_intent=via
-                    )
-        if not contributed:
-            break
-        nxt = []
-        for i in frontier:
-            for p in up._parents[i]:
-                if p not in visited:
-                    visited.add(p)
-                    nxt.append(p)
-        frontier = nxt
-        rank += 1
+    for i, rank in _distances(len(up._intents) - 1, up._parents, None).items():
+        b = up._intents[i]
+        fresh = up._extents[i] & ~claimed
+        if not b or not fresh:
+            continue
+        claimed |= fresh
+        via = frozenset(sub._attrs_from_mask(b))
+        for k in _bits(fresh):
+            shared = frozenset(sub._attrs_from_mask(sub._rows[k]))
+            collected.extend(
+                RankedResult(source=source, rank=rank, shared=shared, via_intent=via)
+                for source in lat.context._objects_from_mask(groups[k])
+            )
     if tie_break is None:
         key = lambda r: (r.rank, -len(r.shared), r.source)
     else:
         key = lambda r: (r.rank, -len(r.shared), tie_break(r), r.source)
-    ordered = tuple(sorted(collected.values(), key=key))
+    ordered = tuple(sorted(collected, key=key))
     return ResultSet(query=q, results=ordered)
 
 
@@ -187,24 +173,22 @@ def search_refined(
     refined, report = refiners[mode](q, ont, lat.context, hops)
     original = {_resolvable(ont, a) for a in q.terms} - {None}
 
-    def distance(shared_terms: frozenset[Attribute]) -> float:
-        best = math.inf
-        for node in {_resolvable(ont, a) for a in shared_terms} - {None}:
-            for term in original:
-                d = ont.term_distance(term, node)
-                if d is not None:
-                    best = min(best, d)
-        return best
-
     # the key depends on the shared set alone, and search hands out one
     # object per distinct set
     distances: dict[frozenset[Attribute], float] = {}
 
     def distance_key(result: RankedResult) -> float:
-        d = distances.get(result.shared)
-        if d is None:
-            d = distances[result.shared] = distance(result.shared)
-        return d
+        shared = result.shared
+        best = distances.get(shared)
+        if best is None:
+            best = math.inf
+            for node in {_resolvable(ont, a) for a in shared} - {None}:
+                for term in original:
+                    d = ont.term_distance(term, node)
+                    if d is not None:
+                        best = min(best, d)
+            distances[shared] = best
+        return best
 
     rs = search(lat, refined, tie_break=distance_key)
     return ResultSet(query=refined, results=rs.results, refinement_applied=report)

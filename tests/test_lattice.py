@@ -482,6 +482,20 @@ class TestCovers:
         for c, p in table1_lattice.covers:
             assert table1_lattice.concepts[p].intent < table1_lattice.concepts[c].intent
 
+    def test_height_is_the_longest_oracle_chain(self):
+        rng = random.Random(83)
+        edge_rng = random.Random(84)
+        contexts = [make_random_context(rng) for _ in range(30)]
+        contexts += [edge_case_context(edge_rng) for _ in range(30)]
+        for ctx in contexts:
+            oracle = enumerate_concepts_oracle(ctx)
+            covers = enumerate_covers_oracle(oracle)
+            # a child's extent is smaller than its parent's
+            longest = {}
+            for c in sorted(oracle, key=lambda c: len(c.extent)):
+                longest[c] = max((longest[child] + 1 for child, p in covers if p == c), default=0)
+            assert build_lattice(ctx).height() == max(longest.values())
+
 
 class TestDot:
     def test_empty_lattice(self):
@@ -503,6 +517,36 @@ class TestDot:
 
     def test_deterministic(self, table1_lattice):
         assert export_dot(table1_lattice) == export_dot(table1_lattice)
+
+    def test_reduced_labels_sit_at_the_oracle_introducers(self):
+        rng = random.Random(85)
+        edge_rng = random.Random(86)
+        contexts = [make_random_context(rng) for _ in range(30)]
+        contexts += [edge_case_context(edge_rng) for _ in range(30)]
+        for ctx in contexts:
+            lat = build_lattice(ctx)
+            oracle = enumerate_concepts_oracle(ctx)
+            # the least concept holding an object, the greatest holding an attribute
+            expected = {
+                g: min((c for c in oracle if g in c.extent), key=lambda c: len(c.extent))
+                for g in ctx.objects
+            }
+            expected |= {
+                str(a): max((c for c in oracle if a in c.intent), key=lambda c: len(c.extent))
+                for a in ctx.attributes
+            }
+            placed = {}
+            dot = export_dot(lat, reduced_labels=True)
+            for line in dot.splitlines():
+                if "[label=" not in line:
+                    continue
+                i = int(line.split()[0][1:])
+                label = line.split('"')[1]
+                for part in label.split(r"\\n"):
+                    for name in filter(None, part.strip("{}").split(", ")):
+                        assert name not in placed
+                        placed[name] = lat.concepts[i]
+            assert placed == expected
 
 
 class TestPersistence:
