@@ -53,6 +53,8 @@ def _resolve_terms(ctx, names: list[str]) -> list[Attribute]:
             terms.append(matches[0])
         else:
             prefix, sep, term = name.partition(":")
+            if sep and not term:
+                raise UsageError(f"no term after the prefix in {name!r}")
             terms.append(Attribute(term=term, prefix=prefix) if sep else Attribute(term=name))
     return terms
 

@@ -9,11 +9,14 @@ proposed it (the dual of Lindig's count on the object side).
 object's concept, a query's or an inserted source's, is this walk over a small
 context (``FormalContext._query_context``), so one walk counts every cover and
 one mask key (``_mask_sort_key``, whose attribute ranks each context keeps)
-orders every lattice.  Insertion (``insert_object``, after Godin, Missaoui &
-Alaoui, 1995) merges that up-set into the old lattice and rewires only the
-generators, each the old concept closing a new intent.  A lattice is its
-intent and extent bit masks in canonical order and each concept's sorted
-parent positions.  Building, insertion, saving, loading and DOT export work
+orders every lattice.  A lattice is its intent bit masks in canonical order,
+with the position of each, and two maps keyed by intent: to its extent mask,
+and to its parent intents in canonical order.  Insertion (``insert_object``,
+after Godin, Missaoui & Alaoui, 1995) takes the up-set's parent lists for
+the intents inside the row, sorts each new intent into the order and rewires
+only the generators, each the old concept closing a new intent; since
+parents are intents, not positions, every other list is shared with the old
+lattice as it is.  Building, insertion, saving, loading and DOT export work
 on these alone; the cover pairs and the ``FormalConcept`` values are made on
 the first access to ``covers`` and ``concepts``, and the lookups (``top``,
 ``bottom``, ``concept_with_intent``, ``index_of`` and the covers of one
@@ -80,14 +83,16 @@ class ConceptLattice:
 
     Concepts are kept in canonical order (intent size, then lexicographic
     intent), so the first concept is the top and the last is the bottom.
-    The stored state is each concept's intent and extent mask in that order
-    and its parent positions; ``covers`` and ``concepts`` are made from them
-    once, when first read, and the lookups make only the values they return.
-    Instances are immutable; insertion returns a new lattice.
+    The stored state is the intent masks in that order, their positions,
+    and each intent's extent mask and parent intents (in canonical order);
+    ``covers`` and ``concepts`` are made from them once, when first read, and
+    the lookups make only the values they return.  Instances are immutable,
+    and so are the parent lists, which lattices grown by insertion share;
+    insertion returns a new lattice.
     """
 
     __slots__ = (
-        "context", "_intents", "_extents", "_pos", "_parents", "_covers", "_children", "_concepts"
+        "context", "_intents", "_extent", "_pos", "_parents", "_covers", "_children", "_concepts"
     )
 
     def __init__(
@@ -114,37 +119,41 @@ class ConceptLattice:
             raise LatticeError("the concepts are not those of the context in canonical order")
         if sorted(tuple(pair) for pair in covers) != list(ref.covers):
             raise LatticeError("the covers are not those of the concepts")
-        self._fill(context, intents, extents, ref._pos, ref._parents)
+        self._fill(context, ref._pos, dict(zip(intents, extents)), ref._parents)
 
     @classmethod
-    def _from_masks(cls, ctx, pos, extents, parents) -> "ConceptLattice":
+    def _from_masks(cls, ctx, pos, extent, parents) -> "ConceptLattice":
         """A lattice from the position map of its intent masks (whose keys are
-        the intents in canonical order), the extent masks in that order and
-        each concept's sorted parent positions."""
+        the intents in canonical order) and two maps keyed by intent: to its
+        extent mask, and to its parent intents in canonical order."""
         lat = object.__new__(cls)
-        lat._fill(ctx, tuple(pos), tuple(extents), pos, parents)
+        lat._fill(ctx, pos, extent, parents)
         return lat
 
-    def _fill(self, context, intents, extents, pos, parents) -> None:
+    def _fill(self, context, pos, extent, parents) -> None:
         # covers, child lists and concept values are made on first use
-        values = (context, intents, extents, pos, parents, None, None, None)
+        values = (context, tuple(pos), extent, pos, parents, None, None, None)
         for name, value in zip(ConceptLattice.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
+
+    def _pairs(self) -> Iterable[tuple[int, int]]:
+        """The (child, parent) position pairs in sorted order."""
+        pos, parents = self._pos, self._parents
+        return ((i, pos[p]) for i, b in enumerate(self._intents) for p in parents[b])
 
     @property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """The (child, parent) position pairs, sorted, made on first access."""
         if self._covers is None:
-            pairs = tuple((i, p) for i, ps in enumerate(self._parents) for p in ps)
-            object.__setattr__(self, "_covers", pairs)
+            object.__setattr__(self, "_covers", tuple(self._pairs()))
         return self._covers
 
     @property
     def concepts(self) -> tuple[FormalConcept, ...]:
         """The concepts in canonical order, made from the masks on first access."""
         if self._concepts is None:
-            ctx = self.context
-            values = tuple(_concept(ctx, b, e) for b, e in zip(self._intents, self._extents))
+            ctx, extent = self.context, self._extent
+            values = tuple(_concept(ctx, b, extent[b]) for b in self._intents)
             object.__setattr__(self, "_concepts", values)
         return self._concepts
 
@@ -155,29 +164,30 @@ class ConceptLattice:
         if not isinstance(other, ConceptLattice):
             return NotImplemented
         # equal contexts give equal bit positions, and both lattices are in canonical
-        # order, so equal masks are equal concepts and equal parent lists equal covers
+        # order, so equal masks are equal concepts and equal parent maps equal covers
         return (
             self.context == other.context
             and self._intents == other._intents
-            and self._extents == other._extents
+            and self._extent == other._extent
             and self._parents == other._parents
         )
 
     def __hash__(self):
-        return hash((self.context, self._intents, self._extents))
+        return hash((self.context, self._intents))
 
     def __repr__(self) -> str:
-        return f"ConceptLattice({len(self._intents)} concepts, {sum(map(len, self._parents))} covers)"
+        return f"ConceptLattice({len(self._intents)} concepts, {sum(map(len, self._parents.values()))} covers)"
 
     def cover_concepts(self) -> set[tuple[FormalConcept, FormalConcept]]:
         """The cover relation as concept pairs (order-insensitive form)."""
-        return {(self.concepts[c], self.concepts[p]) for c, ps in enumerate(self._parents) for p in ps}
+        return {(self.concepts[c], self.concepts[p]) for c, p in self._pairs()}
 
     def _value(self, i: int) -> FormalConcept:
         """The concept at position i, made on its own unless all are made."""
         if self._concepts is not None:
             return self._concepts[i]
-        return _concept(self.context, self._intents[i], self._extents[i])
+        b = self._intents[i]
+        return _concept(self.context, b, self._extent[b])
 
     @property
     def top(self) -> FormalConcept:
@@ -187,29 +197,28 @@ class ConceptLattice:
     def bottom(self) -> FormalConcept:
         return self._value(-1)
 
-    def _index_of_intent(self, intent: Iterable[Attribute]) -> int | None:
-        try:
-            return self._pos.get(self.context._attr_mask(intent))
-        except ContextError:
-            return None
-
     def index_of(self, concept: FormalConcept) -> int:
-        idx = self._index_of_intent(concept.intent)
+        ctx = self.context
         try:
-            found = idx is not None and self.context._obj_mask(concept.extent) == self._extents[idx]
+            b = ctx._attr_mask(concept.intent)
+            found = b in self._pos and ctx._obj_mask(concept.extent) == self._extent[b]
         except ContextError:
             found = False
         if not found:
             raise LatticeError(f"concept not in lattice: {concept}")
-        return idx
+        return self._pos[b]
 
     def concept_with_intent(self, intent: Iterable[Attribute]) -> FormalConcept | None:
-        idx = self._index_of_intent(intent)
+        try:
+            idx = self._pos.get(self.context._attr_mask(intent))
+        except ContextError:
+            return None
         return None if idx is None else self._value(idx)
 
     def upper_covers(self, concept: FormalConcept) -> list[FormalConcept]:
         """Immediate parents in the Hasse diagram, in canonical order."""
-        return [self._value(p) for p in self._parents[self.index_of(concept)]]
+        ps = self._parents[self._intents[self.index_of(concept)]]
+        return [self._value(self._pos[p]) for p in ps]
 
     def lower_covers(self, concept: FormalConcept) -> list[FormalConcept]:
         """Immediate children in the Hasse diagram, in canonical order."""
@@ -217,20 +226,19 @@ class ConceptLattice:
         if self._children is None:
             children: list[list[int]] = [[] for _ in self._intents]
             # children are visited in order, so each list comes out sorted
-            for c, ps in enumerate(self._parents):
-                for p in ps:
-                    children[p].append(c)
+            for c, p in self._pairs():
+                children[p].append(c)
             object.__setattr__(self, "_children", children)
         return [self._value(c) for c in self._children[idx]]
 
     def height(self) -> int:
         """Length in edges of the longest bottom-to-top chain."""
-        longest = [0] * len(self._intents)
+        longest = dict.fromkeys(self._intents, 0)
         # canonical order is a reverse topological order for child -> parent
-        for i in reversed(range(len(self._intents))):
-            for p in self._parents[i]:
-                longest[p] = max(longest[p], longest[i] + 1)
-        return max(longest, default=0)
+        for b in reversed(self._intents):
+            for p in self._parents[b]:
+                longest[p] = max(longest[p], longest[b] + 1)
+        return max(longest.values(), default=0)
 
 
 def _complete(ctx: FormalContext, stored: set[int] | None = None) -> ConceptLattice | None:
@@ -283,16 +291,13 @@ def _complete(ctx: FormalContext, stored: set[int] | None = None) -> ConceptLatt
                 sizes.append(d.bit_count())
                 parents.append([])
             if n == sizes[k] - sizes[i]:
-                parents[k].append(i)
-    keys = list(map(_mask_sort_key(ctx), intents))
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    # the inverse of a permutation sorts it: concept i goes to place[i]
-    place = sorted(range(len(order)), key=order.__getitem__)
+                parents[k].append(intents[i])
+    pos = {b: k for k, b in enumerate(sorted(intents, key=_mask_sort_key(ctx)))}
     return ConceptLattice._from_masks(
         ctx,
-        {intents[i]: k for k, i in enumerate(order)},
-        [extents[i] for i in order],
-        [sorted([place[p] for p in parents[i]]) for i in order],
+        pos,
+        dict(zip(intents, extents)),
+        {b: sorted(ps, key=pos.__getitem__) for b, ps in zip(intents, parents)},
     )
 
 
@@ -317,7 +322,8 @@ def insert_object(
     generators change (after Godin, Missaoui & Alaoui, 1995): the generator
     of a new intent c with no new attribute is the old concept closing it,
     b0 = c'' in the old context.  It drops its parents inside x and gains
-    c.  Every other old concept keeps its parent list, renumbered.
+    c.  Every other old concept keeps its parent list, which the new
+    lattice shares with the old one.
 
     When the object brings new attributes but not all of M, the new bottom
     M has x as a parent, and the old bottom if it is still closed, else the
@@ -329,64 +335,51 @@ def insert_object(
     g = 1 << (len(ctx.objects) - 1)
     full = ctx._full_attr_mask
     old_ctx, old_full = lat.context, lat.context._full_attr_mask
-    old, old_extents, old_pos, old_parents = lat._intents, lat._extents, lat._pos, lat._parents
-    # new attributes are appended, so old intents keep their masks; an old
-    # concept with an empty extent can only be the bottom, whose intent (the
-    # old M) is not closed once the object brings new attributes
-    kept = len(old) - (not old_extents[-1] and full != old_full)
     sub, _ = old_ctx._query_context(ctx._attrs_from_mask(x), obj)
     up = _complete(sub)
-    # both contexts rank attributes by key, so the up-set's intents, mapped
-    # to the grown bits, are the grown intents inside x in canonical order
+    # both contexts rank attributes by key, so the up-set's intents, mapped to
+    # the grown bits, are the grown intents inside x in canonical order
     bit = [1 << ctx._attr_index[a.key] for a in sub.attributes]
-    inside = [sum(bit[k] for k in _bits(b)) for b in up._intents]
-    new_bottom = full not in old_pos and full != x
-    fresh = [c for c in inside if c not in old_pos] + [full] * new_bottom
+    grown = {b: sum(bit[k] for k in _bits(b)) for b in up._intents}
     key = _mask_sort_key(ctx)
-
-    # one walk: old runs between the new intents keep their extents and
-    # parent lists, renumbered through moved[i], the new place of old i
-    order, extents, parents, moved, start = [], [], [], [], 0
-    for c in fresh + [None]:
-        end = kept if c is None else bisect.bisect_left(old, key(c), start, kept, key=key)
-        # parents come before their children, so a run that has not moved keeps its
-        # lists, and a list whose last parent stays put (or the top's) has none that moved
-        unmoved = len(order) == start
-        moved += range(len(order), len(order) + end - start)
-        order += old[start:end]
-        extents += old_extents[start:end]
-        parents += old_parents[start:end] if unmoved else [
-            [moved[p] for p in ps] if ps and moved[ps[-1]] != ps[-1] else ps
-            for ps in old_parents[start:end]
-        ]
-        if c is not None:
-            order.append(c)
-            extents.append(ctx._extent_mask_of_intent_mask(c))
-            parents.append([])
-        start = end
-
-    pos = {b: i for i, b in enumerate(order)}
-    # inside x: the object joins the old extents, and every parent list is the up-set's
-    for c, ps in zip(inside, up._parents):
-        i = pos[c]
-        if c in old_pos:
-            extents[i] |= g
-        parents[i] = [pos[inside[p]] for p in ps]
-    # a new intent c with no new attribute has one generator, b0 = closure_old(c).
-    # b0 & x = c, or c would not be closed in the grown context.  No parent of b0
-    # meets x at c, as it would be an old intent between c and its closure b0, so
-    # b0 drops its parents inside x (all above c) and gains c.  Any other old b
-    # with b & x = c lies below b0: its parent on the way up to b0 meets x at c,
-    # and a parent inside x would lie above c, so its list is already right.
-    for c in fresh:
-        if not c & ~old_full:
-            i = moved[old_pos[old_ctx._attr_closure(old_ctx._extent_mask_of_intent_mask(c))]]
-            parents[i] = [p for p in parents[i] if order[p] & ~x]
-            bisect.insort(parents[i], pos[c])
-    if new_bottom:
-        below = [moved[-1]] if kept == len(old) else [moved[p] for p in old_parents[-1] if old[p] & ~x]
-        parents[-1] = sorted(below + [pos[x]])
-    return ConceptLattice._from_masks(ctx, pos, extents, parents)
+    # new attributes are appended, so old intents keep their masks; lists are
+    # shared with the old lattice, so a changed one is replaced, never edited
+    order, extent, parents = list(lat._intents), dict(lat._extent), dict(lat._parents)
+    bottom = order[-1]
+    # an old concept with an empty extent can only be the bottom, whose intent
+    # (the old M) is not closed once the object brings new attributes
+    closed = bool(extent[bottom]) or full == old_full
+    if not closed:
+        order.pop()
+        del extent[bottom], parents[bottom]
+    for b in up._intents:
+        c = grown[b]
+        parents[c] = [grown[p] for p in up._parents[b]]
+        if c in extent:
+            extent[c] |= g
+            continue
+        bisect.insort(order, c, key=key)
+        extent[c] = ctx._extent_mask_of_intent_mask(c)
+        if c & ~old_full:
+            continue
+        # a new intent c with no new attribute has one generator, b0 =
+        # closure_old(c).  b0 & x = c, or c would not be closed in the grown
+        # context.  No parent of b0 meets x at c, as it would be an old intent
+        # between c and its closure b0, so b0 drops its parents inside x (all
+        # above c) and gains c.  Any other old b with b & x = c lies below b0:
+        # its parent on the way up to b0 meets x at c, and a parent inside x
+        # would lie above c, so its list is already right.
+        b0 = old_ctx._attr_closure(old_ctx._extent_mask_of_intent_mask(c))
+        ps = [p for p in parents[b0] if p & ~x]
+        bisect.insort(ps, c, key=key)
+        parents[b0] = ps
+    if full not in extent:
+        below = [bottom] if closed else [p for p in lat._parents[bottom] if p & ~x]
+        order.append(full)
+        # only the new object has the new attributes, and it lacks one of M
+        extent[full] = 0
+        parents[full] = sorted(below + [x], key=key)
+    return ConceptLattice._from_masks(ctx, {b: i for i, b in enumerate(order)}, extent, parents)
 
 
 def enumerate_concepts_oracle(ctx: FormalContext) -> set[FormalConcept]:
@@ -448,8 +441,9 @@ def _dot_escape(text: str) -> str:
 
 
 def _label(extent: Iterable[str], intent: Iterable[Attribute]) -> str:
-    ext = ", ".join(sorted(extent))
-    itt = ", ".join(str(a) for a in sorted(intent, key=lambda a: a.key))
+    """The extent and intent, each escaped for a DOT string, on two lines."""
+    ext = _dot_escape(", ".join(sorted(extent)))
+    itt = _dot_escape(", ".join(str(a) for a in sorted(intent, key=lambda a: a.key)))
     return f"{{{ext}}}\\n{{{itt}}}"
 
 
@@ -469,12 +463,12 @@ def export_dot(lat: ConceptLattice, reduced_labels: bool = False) -> str:
         for a, col in zip(ctx.attributes, ctx._cols):
             own_attrs[lat._pos[ctx._attr_closure(col)]].append(a)
     lines = ["digraph concept_lattice {", "  rankdir=BT;", "  node [shape=box];"]
-    for i, (b, e) in enumerate(zip(lat._intents, lat._extents)):
+    for i, b in enumerate(lat._intents):
         if reduced_labels:
             label = _label(own_objects[i], own_attrs[i])
         else:
-            label = _label(ctx._objects_from_mask(e), ctx._attrs_from_mask(b))
-        lines.append(f'  c{i} [label="{_dot_escape(label)}"];')
+            label = _label(ctx._objects_from_mask(lat._extent[b]), ctx._attrs_from_mask(b))
+        lines.append(f'  c{i} [label="{label}"];')
     for child, parent in lat.covers:
         lines.append(f"  c{child} -> c{parent};")
     lines.append("}")
@@ -510,10 +504,11 @@ def lattice_to_json(lat: ConceptLattice) -> str:
     rank = sorted(range(len(names)), key=by_id.__getitem__)
     ranked = [names[i] for i in by_id]
     ints = list(map(str, range(max(n, len(lat._intents)))))
+    extent = lat._extent
     concepts = (
-        f'{{\n   "extent": {_json_list([ranked[r] for r in sorted([rank[i] for i in _bits(e)])], "   ")}'
+        f'{{\n   "extent": {_json_list([ranked[r] for r in sorted([rank[i] for i in _bits(extent[b])])], "   ")}'
         f',\n   "intent": {_json_list([ints[j] for j in _bits(b)], "   ")}\n  }}'
-        for b, e in zip(lat._intents, lat._extents)
+        for b in lat._intents
     )
     attributes = (
         f'{{\n    "category": {_encode(a.category)},\n'
@@ -523,8 +518,7 @@ def lattice_to_json(lat: ConceptLattice) -> str:
     )
     # format writes 0 as "0" even with no attributes
     rows = ('"' + (format(row, "b").zfill(n)[::-1] if n else "") + '"' for row in ctx._rows)
-    pairs = ((i, p) for i, ps in enumerate(lat._parents) for p in ps)
-    covers = ("[\n   " + ints[i] + ",\n   " + ints[p] + "\n  ]" for i, p in pairs)
+    covers = ("[\n   " + ints[i] + ",\n   " + ints[p] + "\n  ]" for i, p in lat._pairs())
     return (
         f'{{\n "concepts": {_json_list(concepts, " ")},\n'
         f' "context": {{\n  "attributes": {_json_list(attributes, "  ")},\n'
@@ -625,10 +619,10 @@ def lattice_from_json(text: str) -> ConceptLattice:
         raise LatticeError(f"malformed lattice file: {exc}") from exc
     masks = _stored_concepts(ctx, _expect(doc.get("concepts"), list, "'concepts'"))
     lat = None if masks is None else _complete(ctx, set(masks[0]))
-    if lat is None or (lat._extents, lat._intents) != masks:
+    if lat is None or (tuple(map(lat._extent.get, masks[1])), lat._intents) != masks:
         raise LatticeError(_MISMATCH.format("concepts"))
     stored = _expect(doc.get("covers"), list, "'covers'")
-    counted = [[i, p] for i, ps in enumerate(lat._parents) for p in ps]
+    counted = [[i, p] for i, p in lat._pairs()]
     if stored != counted or any(type(x) is not int for pair in stored for x in pair):
         raise LatticeError(_MISMATCH.format("covers"))
     return lat

@@ -170,11 +170,13 @@ def _record_from_doc(doc: dict) -> MetadataRecord:
     for category, raw in record.terms_by_category():
         if not isinstance(raw, str):
             raise RegistryError(f"record {rid!r}: {category} terms must be strings, got {raw!r}")
-        prefix, _ = split_term(raw)
+        prefix, term = split_term(raw)
         if prefix is not None and prefix not in declared:
             raise RegistryError(
                 f"record {rid!r} uses undeclared ontology prefix: {prefix!r}"
             )
+        if not term:
+            raise RegistryError(f"record {rid!r} has an empty {category} term: {raw!r}")
     return record
 
 

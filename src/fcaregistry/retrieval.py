@@ -129,9 +129,8 @@ def search(
     collected: list[RankedResult] = []
     # the query is the last object and no source; each group is claimed once
     claimed = 1 << len(groups)
-    for i, rank in _distances(len(up._intents) - 1, up._parents, None).items():
-        b = up._intents[i]
-        fresh = up._extents[i] & ~claimed
+    for b, rank in _distances(up._intents[-1], up._parents, None).items():
+        fresh = up._extent[b] & ~claimed
         if not b or not fresh:
             continue
         claimed |= fresh

@@ -114,6 +114,13 @@ class TestQuery:
     def test_empty_terms_usage_error(self, lattice_file):
         assert main(["query", "--lattice", lattice_file, "--terms", ""]) == 2
 
+    @pytest.mark.parametrize("terms, name", [("Hu,NS:", "NS:"), ("GO:,Hu", "GO:")])
+    def test_empty_term_after_a_prefix_usage_error(self, lattice_file, capsys, terms, name):
+        assert main(["query", "--lattice", lattice_file, "--terms", terms]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: no term after the prefix in {name!r}\n"
+
     def test_refine_without_ontology_usage_error(self, lattice_file):
         rc = main(["query", "--lattice", lattice_file, "--terms", "Ch", "--refine", "generalize"])
         assert rc == 2
@@ -217,6 +224,12 @@ class TestClassify:
     def test_unknown_attribute_data_error(self, lattice_file, tmp_path):
         rc = main(["classify", "--lattice", lattice_file, "--attribute", "Zz", "--out", str(tmp_path / "x")])
         assert rc == 1
+
+    def test_empty_term_after_a_prefix_usage_error(self, lattice_file, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["classify", "--lattice", lattice_file, "--attribute", "NS:", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "usage error: no term after the prefix in 'NS:'\n")
+        assert not out.exists()
 
 
 class TestExportAndStats:

@@ -2,6 +2,7 @@ import collections
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -191,12 +192,12 @@ def scanned_generators(lat, row):
     parent outside x already meets x there."""
     ctx = lat.context
     x = ctx._attr_mask(a for a in row if ctx.has_attribute(a))
-    dropped = any(not ctx.has_attribute(a) for a in row) and not lat._extents[-1]
+    dropped = any(not ctx.has_attribute(a) for a in row) and not lat._extent[lat._intents[-1]]
     out = {}
-    for b, ps in zip(lat._intents[: len(lat._intents) - dropped], lat._parents):
+    for b in lat._intents[: len(lat._intents) - dropped]:
         c = b & x
         if c != b and c not in lat._pos:
-            outside = [lat._intents[p] for p in ps if lat._intents[p] & ~x]
+            outside = [p for p in lat._parents[b] if p & ~x]
             if all(p & x != c for p in outside):
                 outside.append(c)
             out[b] = outside
@@ -217,7 +218,7 @@ def insertion_rules(lat, row):
         else:
             rules.add("generator with a parent outside x that meets x at b & x")
     if any(not ctx.has_attribute(a) for a in row) and x != ctx._full_attr_mask:
-        dropped = not lat._extents[-1]
+        dropped = not lat._extent[lat._intents[-1]]
         rules.add("new bottom under a dropped old bottom" if dropped else "new bottom under a kept old bottom")
     return rules
 
@@ -321,19 +322,19 @@ class TestInsertObject:
                         continue
                     b0 = ctx._attr_closure(ctx._extent_mask_of_intent_mask(c))
                     assert b0 in lat._pos and b0 & x == c
-                    assert all(lat._intents[p] & x != c for p in lat._parents[lat._pos[b0]])
+                    assert all(p & x != c for p in lat._parents[b0])
                     closing[b0] = c
                 scan = scanned_generators(lat, row)
                 assert closing.keys() <= scan.keys()
                 for b, want in scan.items():
-                    got = [grown._intents[p] for p in grown._parents[grown._pos[b]]]
+                    got = grown._parents[b]
                     assert got == sorted(want, key=grown._pos.__getitem__)
                     if b in closing:
                         assert closing[b] in got
                         seen["generator closing a new intent"] += 1
                     else:
-                        # the other generators keep their parent lists, renumbered
-                        assert got == [lat._intents[p] for p in lat._parents[lat._pos[b]]]
+                        # the other generators keep their parent lists, shared with the old lattice
+                        assert got is lat._parents[b]
                         seen["generator below the one closing b & x"] += 1
                 assert_rebuilt(grown, ctx.add_object("gx", row))
         assert min(seen.values()) >= 20 and len(seen) == 3, seen
@@ -497,6 +498,15 @@ class TestCovers:
             assert build_lattice(ctx).height() == max(longest.values())
 
 
+def dot_labels(dot):
+    """Each node's label as Graphviz reads it, by node position: in a DOT
+    string, a backslash escapes a quote or a backslash, and ``\\n`` breaks
+    the line."""
+    found = re.findall(r'^  c(\d+) \[label="((?:[^"\\]|\\.)*)"\];$', dot, re.M)
+    unescape = lambda m: "\n" if m.group(1) == "n" else m.group(1)
+    return {int(i): re.sub(r"\\(.)", unescape, raw) for i, raw in found}
+
+
 class TestDot:
     def test_empty_lattice(self):
         dot = export_dot(build_lattice(FormalContext([], [], [])))
@@ -517,6 +527,23 @@ class TestDot:
 
     def test_deterministic(self, table1_lattice):
         assert export_dot(table1_lattice) == export_dot(table1_lattice)
+
+    def test_labels_break_lines_and_escape_each_part(self):
+        # "n\\n" is a backslash and an n, which must stay text, not break the line
+        ids = ["a\\b", 'q"', "n\\n"]
+        attrs = [Attribute("t\\"), Attribute('"u', prefix='p\\"')]
+        lat = build_lattice(FormalContext(ids, attrs, [[1, 0], [1, 1], [0, 1]]))
+        labels = dot_labels(export_dot(lat))
+        assert len(labels) == len(lat.concepts) == 4
+        for i, c in enumerate(lat.concepts):
+            ext = ", ".join(sorted(c.extent))
+            itt = ", ".join(str(a) for a in sorted(c.intent, key=lambda a: a.key))
+            assert labels[i] == f"{{{ext}}}\n{{{itt}}}"
+        reduced = dot_labels(export_dot(lat, reduced_labels=True))
+        assert all(label.count("\n") == 1 for label in reduced.values())
+        parts = [part.strip("{}") for label in reduced.values() for part in label.split("\n")]
+        names = [name for part in parts if part for name in part.split(", ")]
+        assert sorted(names) == sorted(ids + [str(a) for a in attrs])
 
     def test_reduced_labels_sit_at_the_oracle_introducers(self):
         rng = random.Random(85)
@@ -542,7 +569,7 @@ class TestDot:
                     continue
                 i = int(line.split()[0][1:])
                 label = line.split('"')[1]
-                for part in label.split(r"\\n"):
+                for part in label.split(r"\n"):
                     for name in filter(None, part.strip("{}").split(", ")):
                         assert name not in placed
                         placed[name] = lat.concepts[i]
@@ -665,8 +692,9 @@ class TestMasksOnly:
         assert concept in reference and len(made) == 1
         idx = lat.index_of(concept)
         assert reference[idx] == concept and len(made) == 1
-        assert lat.upper_covers(concept) == [reference[p] for p in lat._parents[idx]]
-        assert len(made) == 1 + len(lat._parents[idx])
+        parents = lat._parents[lat._intents[idx]]
+        assert lat.upper_covers(concept) == [reference[lat._pos[p]] for p in parents]
+        assert len(made) == 1 + len(parents)
         del made[:]
         lower = lat.lower_covers(concept)
         assert lower == [reference[c] for c, p in lat.covers if p == idx]
@@ -710,10 +738,11 @@ def cover_case_context(rng):
 
 
 def three_pass_build(ctx):
-    """The intent masks, extent masks and parent lists of the lattice of
-    ``ctx``, made as ``build_lattice`` once made them: the intents are M and
-    every intersection of rows, each gets its extent, and the covers are
-    counted from the attribute side over the finished list."""
+    """The intent masks in canonical order, and the maps from each intent to
+    its extent mask and to its parent intents, of the lattice of ``ctx``,
+    made as ``build_lattice`` once made them: the intents are M and every
+    intersection of rows, each gets its extent, and the covers are counted
+    from the attribute side over the finished list."""
     intents: set[int] = set()
     for x in ctx._rows:
         if x not in intents:
@@ -721,9 +750,9 @@ def three_pass_build(ctx):
             intents.add(x)
     intents = sorted(intents | {ctx._full_attr_mask}, key=lattice._mask_sort_key(ctx))
     extents = [ctx._extent_mask_of_intent_mask(b) for b in intents]
-    at = {e: i for i, e in enumerate(extents)}
-    parents = [[] for _ in intents]
-    for i, (b, a) in enumerate(zip(intents, extents)):
+    at = dict(zip(extents, intents))
+    parents = {b: [] for b in intents}
+    for b, a in zip(intents, extents):
         if not a:
             continue
         u = 0
@@ -734,16 +763,16 @@ def three_pass_build(ctx):
         if outside:
             proposed[0] += outside
         for c, n in proposed.items():
-            if n == intents[at[c]].bit_count() - b.bit_count():
-                parents[at[c]].append(i)
-    return intents, extents, parents
+            if n == at[c].bit_count() - b.bit_count():
+                parents[at[c]].append(b)
+    return intents, dict(zip(intents, extents)), parents
 
 
 def assert_built_as_in_three_passes(lat):
-    intents, extents, parents = three_pass_build(lat.context)
-    assert (lat._intents, lat._extents, lat._parents) == (tuple(intents), tuple(extents), parents)
+    intents, extent, parents = three_pass_build(lat.context)
+    assert (lat._intents, lat._extent, lat._parents) == (tuple(intents), extent, parents)
     assert lat._pos == {b: i for i, b in enumerate(intents)}
-    ref = ConceptLattice._from_masks(lat.context, lat._pos, extents, parents)
+    ref = ConceptLattice._from_masks(lat.context, lat._pos, extent, parents)
     assert lattice_to_json(lat) == lattice_to_json(ref)
 
 
@@ -774,16 +803,16 @@ class TestColumnSideCovers:
         seen = collections.Counter()
         for ctx in contexts:
             lat = build_lattice(ctx)
-            intents, extents = lat._intents, lat._extents
+            intents, pos = lat._intents, lat._pos
             counts = collections.Counter(ctx._rows)
-            extent_of = dict(zip(intents, extents)).__getitem__
+            extent_of = lat._extent.__getitem__
             row_side = [upper_neighbours(b, counts, extent_of) for b in intents]
-            assert list(lat._parents) == [sorted(lat._pos[c] for c in ups) for ups in row_side]
-            pairs = {(lat.concepts[c], lat.concepts[p]) for c, ps in enumerate(lat._parents) for p in ps}
+            assert [lat._parents[b] for b in intents] == [sorted(ups, key=pos.__getitem__) for ups in row_side]
+            pairs = {(lat.concepts[pos[c]], lat.concepts[pos[p]]) for c in intents for p in lat._parents[c]}
             assert pairs == enumerate_covers_oracle(lat.concepts)
             seen["no objects"] += not ctx.objects
             seen["no attributes"] += not ctx.attributes
-            seen["bottom with objects"] += extents[-1] != 0
+            seen["bottom with objects"] += extent_of(intents[-1]) != 0
             seen["duplicate rows"] += len(set(ctx._rows)) < len(ctx._rows)
             seen["duplicate columns"] += len(set(ctx._cols)) < len(ctx._cols)
         assert min(seen.values()) >= 10, seen
@@ -802,7 +831,7 @@ class TestColumnSideCovers:
             assert lat.cover_concepts() == enumerate_covers_oracle(oracle)
             seen["no objects"] += not ctx.objects
             seen["no attributes"] += not ctx.attributes
-            seen["bottom with objects"] += lat._extents[-1] != 0
+            seen["bottom with objects"] += lat._extent[lat._intents[-1]] != 0
             seen["duplicate rows"] += len(set(ctx._rows)) < len(ctx._rows)
             seen["duplicate columns"] += len(set(ctx._cols)) < len(ctx._cols)
         assert min(seen.values()) >= 10, seen
@@ -815,7 +844,7 @@ class TestColumnSideCovers:
 
     def test_missing_concepts_are_found(self, table1_lattice):
         for lat in [table1_lattice] + list(random_lattices(83, 20)):
-            stored = lat._extents
+            stored = tuple(map(lat._extent.__getitem__, lat._intents))
             assert lattice._complete(lat.context, set(stored)) == lat
             # every concept is the top or a lower cover of another, so the walk proposes it
             for k in range(len(stored)):
@@ -1101,7 +1130,7 @@ class TestWriter:
             assert_written_by_the_encoder(lat)
             seen["no objects"] += not ctx.objects
             seen["no attributes"] += not ctx.attributes
-            seen["empty extent"] += 0 in lat._extents
+            seen["empty extent"] += 0 in lat._extent.values()
             seen["empty intent"] += 0 in lat._intents and len(lat._intents) > 1
             seen["ids out of order"] += list(ctx.objects) != sorted(ctx.objects)
             for a in ctx.attributes:
@@ -1137,7 +1166,7 @@ class TestOnePassInsert:
                 row = rng.choice(list(rows_to_insert(rng, lat).values()))
                 grown = insert_object(lat, f"gx{step}", row)
                 ref = build_lattice(lat.context.add_object(f"gx{step}", row))
-                assert (grown._intents, grown._extents) == (ref._intents, ref._extents)
+                assert (grown._intents, grown._extent) == (ref._intents, ref._extent)
                 assert grown._parents == ref._parents and grown._pos == ref._pos
                 # covers are made when first read, and == and hash do not depend on it
                 assert grown._covers is None and ref._covers is None
@@ -1176,12 +1205,12 @@ class TestOnePassInsert:
 
     def test_equality_sees_the_parent_lists(self):
         for lat in random_lattices(91, 40):
-            parents = [list(ps) for ps in lat._parents]
-            i = next((i for i, ps in enumerate(parents) if ps), None)
-            if i is None:
+            parents = dict(lat._parents)
+            b = next((b for b in lat._intents if parents[b]), None)
+            if b is None:
                 continue
-            parents[i].pop()
-            odd = lattice.ConceptLattice._from_masks(lat.context, lat._pos, lat._extents, parents)
+            parents[b] = parents[b][:-1]
+            odd = lattice.ConceptLattice._from_masks(lat.context, lat._pos, lat._extent, parents)
             assert odd != lat and lat != odd
             assert odd.covers != lat.covers
             assert odd != lat and lat != odd

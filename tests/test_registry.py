@@ -84,6 +84,21 @@ class TestParseRecords:
         (record,) = parse_records(json.dumps({"id": "S1", "ontologies_used": [{"prefix": "NCBI"}]}))
         assert record.ontologies_used == [OntologyRef(prefix="NCBI", name="")]
 
+    @pytest.mark.parametrize(
+        "category, raw, declared",
+        [("Subject", "", []), ("Quality", "free:", []), ("Organism", "NCBI:", ["NCBI"])],
+    )
+    def test_empty_term_names_the_record_and_the_term(self, category, raw, declared):
+        key = {"Subject": "subjects", "Organism": "organisms", "Quality": "quality"}[category]
+        doc = {"id": "S7", key: ["NS", raw], "ontologies_used": [{"prefix": p} for p in declared]}
+        with pytest.raises(RegistryError) as info:
+            parse_records(json.dumps(doc))
+        assert str(info.value) == f"record 'S7' has an empty {category} term: {raw!r}"
+
+    def test_empty_term_under_an_undeclared_prefix_names_the_prefix(self):
+        with pytest.raises(RegistryError, match="undeclared ontology prefix: 'MESH'"):
+            parse_records(json.dumps({"id": "S1", "subjects": ["MESH:"]}))
+
     def test_non_string_term(self):
         with pytest.raises(RegistryError, match="Organism terms must be strings, got 5"):
             parse_records(json.dumps({"id": "S1", "organisms": ["Hu", 5]}))

@@ -217,7 +217,7 @@ class TestInsertQuery:
         def grow_without_concepts(lat, obj, attrs, **kwargs):
             grown = lat.context.add_object(obj, attrs, **kwargs)
             # the public constructor would refuse this lattice
-            return ConceptLattice._from_masks(grown, {}, [], [])
+            return ConceptLattice._from_masks(grown, {}, {}, {})
 
         monkeypatch.setattr(retrieval, "insert_object", grow_without_concepts)
         with pytest.raises(LatticeError):
