@@ -455,13 +455,14 @@ def context_to_csv(ctx: FormalContext) -> str:
     """Serialize a context as the cross-table CSV format (deterministic bytes).
 
     ``context_from_csv`` reads the text back to an equal context; a name it
-    would read otherwise raises ``ContextError``.
+    would read otherwise, or the reserved id it would refuse, raises
+    ``ContextError``.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([""] + [_format_header_cell(a) for a in ctx.attributes])
     for g, mask in zip(ctx.objects, ctx._rows):
-        if _unwritable(g, ""):
+        if _unwritable(g, "") or g == RESERVED_OBJECT_ID:
             raise ContextError(f"cannot write object id {g!r} to CSV: it would read back otherwise")
         writer.writerow([g] + [str(mask >> j & 1) for j in range(len(ctx.attributes))])
     return buf.getvalue()

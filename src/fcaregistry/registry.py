@@ -211,7 +211,7 @@ def _unique(records: list[MetadataRecord]) -> list[MetadataRecord]:
 def _read_records(path: Path) -> list[MetadataRecord]:
     try:
         text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise RegistryError(f"cannot read record file {str(path)!r}: {exc}") from exc
     return parse_records(text)
 

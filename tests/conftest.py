@@ -1,5 +1,8 @@
 import copy
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,15 @@ from fcaregistry import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = FIXTURES.parent / "src"
+
+
+def run_python(*args, hashseed=None, timeout=60, cwd=None):
+    """Run ``python *args`` on the sources of this checkout in a child process of at most ``timeout`` s."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    if hashseed is not None:
+        env["PYTHONHASHSEED"] = hashseed
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout, cwd=cwd)
 
 
 @pytest.fixture(scope="session")

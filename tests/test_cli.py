@@ -1,13 +1,11 @@
 import json
 import os
 import shutil
-import subprocess
-import sys
 
 import pytest
 
 from fcaregistry.cli import main
-from conftest import FIXTURES
+from conftest import FIXTURES, run_python
 
 TABLE1 = str(FIXTURES / "table1.csv")
 CORPUS = str(FIXTURES / "bioregistry8")
@@ -20,13 +18,6 @@ def lattice_file(tmp_path, capsys):
     assert main(["build", "--context", TABLE1, "--out", str(out)]) == 0
     capsys.readouterr()
     return str(out)
-
-
-def run_cli(argv):
-    """Run the command in a child process on the sources of this checkout."""
-    src = str(FIXTURES.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-m", "fcaregistry.cli", *argv], capture_output=True, text=True, env=env)
 
 
 class TestBuild:
@@ -114,7 +105,7 @@ class TestQuery:
     def test_empty_terms_usage_error(self, lattice_file):
         assert main(["query", "--lattice", lattice_file, "--terms", ""]) == 2
 
-    @pytest.mark.parametrize("terms, name", [("Hu,NS:", "NS:"), ("GO:,Hu", "GO:")])
+    @pytest.mark.parametrize("terms, name", [("Hu,NS:", "NS:"), ("GO:,Hu", "GO:"), ("NS:", "NS:")])
     def test_empty_term_after_a_prefix_usage_error(self, lattice_file, capsys, terms, name):
         assert main(["query", "--lattice", lattice_file, "--terms", terms]) == 2
         out, err = capsys.readouterr()
@@ -231,6 +222,11 @@ class TestClassify:
         assert capsys.readouterr() == ("", "usage error: no term after the prefix in 'NS:'\n")
         assert not out.exists()
 
+    def test_a_view_from_a_lattice_is_the_view_from_its_context(self, lattice_file, tmp_path):
+        for source, path in (("lattice", lattice_file), ("context", TABLE1)):
+            assert main(["classify", f"--{source}", path, "--attribute", "Hu", "--out", str(tmp_path / source)]) == 0
+        assert (tmp_path / "lattice").read_bytes() == (tmp_path / "context").read_bytes()
+
 
 class TestExportAndStats:
     def test_export_dot_counts(self, lattice_file, capsys):
@@ -266,12 +262,14 @@ class TestExportAndStats:
 
 
 class TestNonUtf8Input:
-    """A lone 0xff byte in any input file is a data error, not a traceback."""
+    """A lone 0xff byte in any input file, or a missing record file, is one error line naming it."""
 
-    @pytest.mark.parametrize("reader", ["context", "lattice", "ontology", "record-file", "record-directory"])
+    @pytest.mark.parametrize("reader", ["context", "lattice", "ontology", "record-file", "record-directory", "no-file"])
     def test_exit_1_with_the_package_error(self, reader, lattice_file, tmp_path):
         out = str(tmp_path / "out.lat")
-        if reader == "record-directory":
+        if reader == "no-file":
+            bad = tmp_path / "missing.json"
+        elif reader == "record-directory":
             shutil.copytree(CORPUS, tmp_path / "corpus")
             bad = tmp_path / "corpus" / "S1.json"
         else:
@@ -279,7 +277,8 @@ class TestNonUtf8Input:
                       "record-file": f"{CORPUS}/S1.json"}[reader]
             bad = tmp_path / f"bad-{os.path.basename(source)}"
             shutil.copy(source, bad)
-        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        if bad.exists():
+            bad.write_bytes(bad.read_bytes() + b"\xff\n")
         argv = {
             "context": ["build", "--context", str(bad), "--out", out],
             "lattice": ["stats", "--lattice", str(bad)],
@@ -287,10 +286,11 @@ class TestNonUtf8Input:
                          "--ontology", str(bad)],
             "record-file": ["build", "--records", str(bad), "--out", out],
             "record-directory": ["build", "--records", str(tmp_path / "corpus"), "--out", out],
+            "no-file": ["build", "--records", str(bad), "--out", out],
         }[reader]
-        proc = run_cli(argv)
+        proc = run_python("-m", "fcaregistry.cli", *argv)
         assert proc.returncode == 1
-        assert proc.stderr.startswith("error: cannot read ")
+        assert proc.stderr.startswith("error: cannot read ") and proc.stderr.count("\n") == 1
         assert str(bad) in proc.stderr
         assert "Traceback" not in proc.stderr
 
@@ -314,6 +314,6 @@ class TestDeepOrLongInput:
                          "--ontology", str(bad)],
             "records": ["build", "--records", str(bad), "--out", out],
         }[reader]
-        proc = run_cli(argv)
+        proc = run_python("-m", "fcaregistry.cli", *argv)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr

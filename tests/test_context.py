@@ -431,6 +431,11 @@ class TestCsv:
                     lines.append(rng.choice(("", " , ")))
             same_context(context_from_csv("\n".join(lines) + "\n"), FormalContext(objects, attrs, cells))
 
+    def test_the_reserved_query_id_is_not_written(self):
+        ctx = FormalContext(["Query"], [Attribute("a")], [[1]], allow_reserved_ids=True)
+        with pytest.raises(ContextError, match="cannot write object id 'Query' to CSV"):
+            context_to_csv(ctx)
+
     def test_colon_in_a_prefixed_term_round_trips(self):
         ctx = FormalContext(["S1"], [Attribute("a:b", "T")], [[1]])
         assert context_from_csv(context_to_csv(ctx)) == ctx

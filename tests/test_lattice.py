@@ -15,6 +15,7 @@ from fcaregistry import (
     FormalContext,
     LatticeError,
     Query,
+    build_context,
     build_lattice,
     enumerate_concepts_oracle,
     enumerate_covers_oracle,
@@ -22,6 +23,7 @@ from fcaregistry import (
     insert_object,
     lattice_from_json,
     lattice_to_json,
+    load_records,
     search,
     search_refined,
 )
@@ -1144,6 +1146,12 @@ class TestWriter:
                     seen[f"{ch!r} in an object id"] += ch in g
         assert len(seen) == 7 + len(CATEGORIES) + 3 * len(AWKWARD), seen
         assert min(seen.values()) >= 10, seen
+
+    def test_matches_the_generic_encoder_on_the_fixtures(self, table1, attrs_by_term):
+        corpus = build_context(load_records(FIXTURES / "bioregistry8"))
+        views = [table1.select_by_attribute(attrs_by_term["Hu"]), corpus.project_by_category("Organism")]
+        for ctx in (table1, corpus, *views):
+            assert_written_by_the_encoder(build_lattice(ctx))
 
     def test_matches_the_generic_encoder_after_each_insert(self):
         rng = random.Random(83)

@@ -2,12 +2,8 @@ import ast
 import collections
 import graphlib
 import json
-import os
 import random
-import subprocess
-import sys
 from collections import deque
-from pathlib import Path
 
 import pytest
 
@@ -25,9 +21,7 @@ from fcaregistry import (
     refine_specialize,
 )
 from fcaregistry.ontology import _carriers, _first_cycle
-from conftest import FIXTURES, TEXT_EDITS, edit_document, mutate_text
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import FIXTURES, TEXT_EDITS, edit_document, mutate_text, run_python
 
 
 def graphlib_validate(root, edges, aliases):
@@ -291,18 +285,11 @@ class TestLoadOntology:
             "import sys\n"
             "from fcaregistry import OntologyError, load_ontology\n"
             "try:\n"
-            "    load_ontology(sys.stdin.read())\n"
+            "    load_ontology(sys.argv[1])\n"
             "except OntologyError as exc:\n"
             "    print(exc)\n"
         )
-        messages = []
-        for seed in ("0", "1"):
-            path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
-            proc = subprocess.run(
-                [sys.executable, "-c", script], input=text, capture_output=True, text=True, env=env, check=True
-            )
-            messages.append(proc.stdout)
+        messages = [run_python("-c", script, text, hashseed=seed).stdout for seed in ("0", "1")]
         # the smallest term left behind is 'a', and its cycle comes first
         assert messages == ["cycle detected through: ['a', 'b', 'c', 'a']\n"] * 2
 

@@ -10,21 +10,16 @@ draws the same field values with the new classes (``NEW``) or the old ones
 import ast
 import copy
 import json
-import os
 import pickle
 import random
-import subprocess
-import sys
 from dataclasses import MISSING, dataclass, field, fields
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import fcaregistry
 from fcaregistry import CATEGORIES, ContextError
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import SRC, run_python
 
 # -- the old definitions ------------------------------------------------------
 
@@ -344,11 +339,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         "import json, sys; before = set(sys.modules); import fcaregistry.cli; "
         "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-    )
-    loaded = set(json.loads(done.stdout))
+    loaded = set(json.loads(run_python("-c", script).stdout))
     assert "fcaregistry.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
 
