@@ -145,11 +145,11 @@ def _ordered_attrs(attrs: Iterable[Attribute]) -> list[Attribute]:
 class FormalContext:
     """An immutable (objects x attributes) boolean incidence table.
 
-    ``_ranks``, each attribute's rank by key, is filled by the lattice's
-    sort key on first use; equality and hashing do not read it.
+    Every slot is set once, when the context is made; the canonical order
+    of a lattice's concepts is kept by the lattice (``ConceptLattice._key``).
     """
 
-    __slots__ = ("objects", "attributes", "_rows", "_cols", "_obj_index", "_attr_index", "_ranks")
+    __slots__ = ("objects", "attributes", "_rows", "_cols", "_obj_index", "_attr_index")
 
     def __init__(
         self,
@@ -193,7 +193,7 @@ class FormalContext:
         for i, mask in enumerate(rows):
             for j in _bits(mask):
                 cols[j] |= 1 << i
-        self._fill(objects, attributes, tuple(rows), tuple(cols), obj_index, attr_index, None)
+        self._fill(objects, attributes, tuple(rows), tuple(cols), obj_index, attr_index)
 
     def _fill(self, *values) -> None:
         """Set every slot, in ``__slots__`` order."""
@@ -229,10 +229,7 @@ class FormalContext:
 
     def attribute_like(self, attr: Attribute) -> Attribute:
         """Return the context's own instance for an equal attribute."""
-        idx = self._attr_index.get(attr.key)
-        if idx is None:
-            raise ContextError(f"unknown attribute: {attr}")
-        return self.attributes[idx]
+        return self.attributes[self._attr_bit(attr)]
 
     def intent_of(self, obj: str) -> set[Attribute]:
         """All attributes of a single object."""
@@ -387,9 +384,7 @@ class FormalContext:
         """Return a context extended by one row; new attributes are appended to M.
 
         Old rows, columns and attribute bits are kept as they are: the new row
-        is one more mask, and its object bit is ORed into its columns.  The
-        attribute ranks are kept too unless the row brings a new attribute,
-        whose key may sort before the old ones.
+        is one more mask, and its object bit is ORed into its columns.
         """
         _check_object_id(obj, self._obj_index, allow_reserved)
         attributes = list(self.attributes)
@@ -413,7 +408,6 @@ class FormalContext:
             tuple(cols),
             {**self._obj_index, obj: i},
             attr_index,
-            self._ranks if len(attributes) == len(self.attributes) else None,
         )
         return grown
 

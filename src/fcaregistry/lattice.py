@@ -8,19 +8,19 @@ proposed it (the dual of Lindig's count on the object side).
 ``build_lattice`` is this walk from the top alone.  The up-set of a new
 object's concept, a query's or an inserted source's, is this walk over a small
 context (``FormalContext._query_context``), so one walk counts every cover and
-one mask key (``_mask_sort_key``, whose attribute ranks each context keeps)
-orders every lattice.  A lattice is its intent bit masks in canonical order,
-with the position of each, and two maps keyed by intent: to its extent mask,
-and to its parent intents in canonical order.  Insertion (``insert_object``,
-after Godin, Missaoui & Alaoui, 1995) takes the up-set's parent lists for
-the intents inside the row, sorts each new intent into the order and rewires
-only the generators, each the old concept closing a new intent; since
-parents are intents, not positions, every other list is shared with the old
-lattice as it is.  Building, insertion, saving, loading and DOT export work
-on these alone; the cover pairs and the ``FormalConcept`` values are made on
-the first access to ``covers`` and ``concepts``, and the lookups (``top``,
-``bottom``, ``concept_with_intent``, ``index_of`` and the covers of one
-concept) make only the values they return.
+one mask key (``_mask_sort_key``) orders every lattice.  A lattice is its
+intent bit masks in canonical order, with the position of each, two maps
+keyed by intent (to its extent mask, and to its parent intents in canonical
+order) and the key it is sorted by, which an insertion with no new attribute
+reuses.  Insertion (``insert_object``, after Godin, Missaoui & Alaoui, 1995)
+takes the up-set's parent lists for the intents inside the row, sorts each
+new intent into the order and rewires only the generators, each the old
+concept closing a new intent; since parents are intents, not positions,
+every other list is shared with the old lattice as it is.  Building, insertion, saving, loading and DOT export work
+on these alone; the cover pairs are made on each read of ``covers``, the
+``FormalConcept`` values on the first access to ``concepts``, and the lookups
+(``top``, ``bottom``, ``concept_with_intent``, ``index_of`` and the covers of
+one concept) make only the values they return.
 
 The loader parses the stored concepts into masks and runs the same walk,
 stopped before it closes an extent the file does not hold; the file is
@@ -57,13 +57,11 @@ class FormalConcept(_Record):
 def _mask_sort_key(ctx: FormalContext):
     """The canonical order on intent masks: by size, then by the sorted key
     ranks of their bits, which is the order of their attributes' sorted keys.
-    The ranks are worked out once per context and kept on it."""
-    rank = ctx._ranks
-    if rank is None:
-        rank = [0] * len(ctx.attributes)
-        for r, j in enumerate(sorted(range(len(rank)), key=lambda j: ctx.attributes[j].key)):
-            rank[j] = r
-        object.__setattr__(ctx, "_ranks", rank)
+    The ranks are worked out on each call; a lattice keeps the key it is
+    sorted by, and a context grown without a new attribute ranks alike."""
+    rank = [0] * len(ctx.attributes)
+    for r, j in enumerate(sorted(range(len(rank)), key=lambda j: ctx.attributes[j].key)):
+        rank[j] = r
 
     def key(b: int):
         return (b.bit_count(), sorted([rank[j] for j in _bits(b)]))
@@ -84,16 +82,14 @@ class ConceptLattice:
     Concepts are kept in canonical order (intent size, then lexicographic
     intent), so the first concept is the top and the last is the bottom.
     The stored state is the intent masks in that order, their positions,
-    and each intent's extent mask and parent intents (in canonical order);
-    ``covers`` and ``concepts`` are made from them once, when first read, and
-    the lookups make only the values they return.  Instances are immutable,
-    and so are the parent lists, which lattices grown by insertion share;
-    insertion returns a new lattice.
+    each intent's extent mask and parent intents (in canonical order), and
+    the mask key of that order; ``covers`` is made from them on each read,
+    ``concepts`` once, when first read, and the lookups make only the values
+    they return.  Instances are immutable, and so are the parent lists,
+    which lattices grown by insertion share; insertion returns a new lattice.
     """
 
-    __slots__ = (
-        "context", "_intents", "_extent", "_pos", "_parents", "_covers", "_children", "_concepts"
-    )
+    __slots__ = ("context", "_intents", "_extent", "_pos", "_parents", "_key", "_concepts")
 
     def __init__(
         self,
@@ -117,22 +113,23 @@ class ConceptLattice:
         ref = _complete(context, {context._extent_mask_of_intent_mask(b) for b in intents})
         if ref is None or intents != ref._intents:
             raise LatticeError("the concepts are not those of the context in canonical order")
-        if sorted(tuple(pair) for pair in covers) != list(ref.covers):
+        if sorted(tuple(pair) for pair in covers) != list(ref._pairs()):
             raise LatticeError("the covers are not those of the concepts")
-        self._fill(context, ref._pos, dict(zip(intents, extents)), ref._parents)
+        self._fill(context, ref._pos, dict(zip(intents, extents)), ref._parents, ref._key)
 
     @classmethod
-    def _from_masks(cls, ctx, pos, extent, parents) -> "ConceptLattice":
+    def _from_masks(cls, ctx, pos, extent, parents, key) -> "ConceptLattice":
         """A lattice from the position map of its intent masks (whose keys are
-        the intents in canonical order) and two maps keyed by intent: to its
-        extent mask, and to its parent intents in canonical order."""
+        the intents in canonical order), two maps keyed by intent: to its
+        extent mask, and to its parent intents in canonical order, and the
+        ``_mask_sort_key`` of ``ctx`` that orders them."""
         lat = object.__new__(cls)
-        lat._fill(ctx, pos, extent, parents)
+        lat._fill(ctx, pos, extent, parents, key)
         return lat
 
-    def _fill(self, context, pos, extent, parents) -> None:
-        # covers, child lists and concept values are made on first use
-        values = (context, tuple(pos), extent, pos, parents, None, None, None)
+    def _fill(self, context, pos, extent, parents, key) -> None:
+        # concept values are made on first use
+        values = (context, tuple(pos), extent, pos, parents, key, None)
         for name, value in zip(ConceptLattice.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
@@ -143,10 +140,8 @@ class ConceptLattice:
 
     @property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """The (child, parent) position pairs, sorted, made on first access."""
-        if self._covers is None:
-            object.__setattr__(self, "_covers", tuple(self._pairs()))
-        return self._covers
+        """The (child, parent) position pairs, sorted, made on each read."""
+        return tuple(self._pairs())
 
     @property
     def concepts(self) -> tuple[FormalConcept, ...]:
@@ -223,13 +218,8 @@ class ConceptLattice:
     def lower_covers(self, concept: FormalConcept) -> list[FormalConcept]:
         """Immediate children in the Hasse diagram, in canonical order."""
         idx = self.index_of(concept)
-        if self._children is None:
-            children: list[list[int]] = [[] for _ in self._intents]
-            # children are visited in order, so each list comes out sorted
-            for c, p in self._pairs():
-                children[p].append(c)
-            object.__setattr__(self, "_children", children)
-        return [self._value(c) for c in self._children[idx]]
+        # children are visited in order, so the list comes out sorted
+        return [self._value(c) for c, p in self._pairs() if p == idx]
 
     def height(self) -> int:
         """Length in edges of the longest bottom-to-top chain."""
@@ -292,12 +282,14 @@ def _complete(ctx: FormalContext, stored: set[int] | None = None) -> ConceptLatt
                 parents.append([])
             if n == sizes[k] - sizes[i]:
                 parents[k].append(intents[i])
-    pos = {b: k for k, b in enumerate(sorted(intents, key=_mask_sort_key(ctx)))}
+    key = _mask_sort_key(ctx)
+    pos = {b: k for k, b in enumerate(sorted(intents, key=key))}
     return ConceptLattice._from_masks(
         ctx,
         pos,
         dict(zip(intents, extents)),
         {b: sorted(ps, key=pos.__getitem__) for b, ps in zip(intents, parents)},
+        key,
     )
 
 
@@ -341,7 +333,8 @@ def insert_object(
     # the grown bits, are the grown intents inside x in canonical order
     bit = [1 << ctx._attr_index[a.key] for a in sub.attributes]
     grown = {b: sum(bit[k] for k in _bits(b)) for b in up._intents}
-    key = _mask_sort_key(ctx)
+    # without a new attribute the grown context ranks its attributes as the old one
+    key = lat._key if full == old_full else _mask_sort_key(ctx)
     # new attributes are appended, so old intents keep their masks; lists are
     # shared with the old lattice, so a changed one is replaced, never edited
     order, extent, parents = list(lat._intents), dict(lat._extent), dict(lat._parents)
@@ -379,7 +372,7 @@ def insert_object(
         # only the new object has the new attributes, and it lacks one of M
         extent[full] = 0
         parents[full] = sorted(below + [x], key=key)
-    return ConceptLattice._from_masks(ctx, {b: i for i, b in enumerate(order)}, extent, parents)
+    return ConceptLattice._from_masks(ctx, {b: i for i, b in enumerate(order)}, extent, parents, key)
 
 
 def enumerate_concepts_oracle(ctx: FormalContext) -> set[FormalConcept]:

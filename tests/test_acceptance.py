@@ -5,6 +5,7 @@ stated tolerance, and fails loudly on any deviation.
 """
 
 import random
+import re
 import time
 from contextlib import contextmanager
 
@@ -192,6 +193,24 @@ def test_criterion_7_round_trip_and_determinism(tmp_path, table1):
         by_term = {a.term: a for a in ctx.attributes}
         q = Query(terms=frozenset(by_term[t] for t in ("NS", "Hu", "MR")))
         assert result_set_to_json(search(lat, q)) == result_set_to_json(search(lat, q))
+
+
+def test_readme_quick_tour_prints_what_it_documents(monkeypatch, capsys):
+    readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    (tour,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    monkeypatch.chdir(FIXTURES.parent)
+    names = {}
+    exec(tour, names)
+    assert len(names["lat"].concepts) == 12
+    assert capsys.readouterr().out.splitlines() == [
+        "S2 1 ['MR', 'NS']",
+        "S3 1 ['Hu', 'NS']",
+        "S5 1 ['Hu', 'NS']",
+        "S1 2 ['MR']",
+        "S4 2 ['MR']",
+        "S6 2 ['NS']",
+        "['S8', 'S6', 'S1', 'S2', 'S4']",
+    ]
 
 
 if __name__ == "__main__":

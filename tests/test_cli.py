@@ -49,6 +49,14 @@ class TestBuild:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_out_in_a_missing_directory_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.lat"
+        assert main(["build", "--context", TABLE1, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(out) in captured.err
+
 
 class TestQuery:
     def test_golden_query(self, lattice_file, capsys):
@@ -101,6 +109,27 @@ class TestQuery:
         assert main([*argv, "--refine", "generalize", "--ontology", ONT]) == 0
         assert auto == capsys.readouterr().out
         assert '"S8"' in auto
+
+    def test_auto_mode_on_the_root_is_specialize(self, lattice_file, capsys):
+        argv = ["query", "--lattice", lattice_file, "--terms", "Any Organism", "--format", "machine"]
+        assert main([*argv, "--refine", "auto", "--ontology", ONT]) == 0
+        auto = capsys.readouterr().out
+        assert main([*argv, "--refine", "specialize", "--ontology", ONT]) == 0
+        assert auto == capsys.readouterr().out
+        assert '"mode": "specialize"' in auto
+
+    def test_auto_mode_on_the_root_and_a_leaf_is_usage_error(self, lattice_file, capsys):
+        argv = ["query", "--lattice", lattice_file, "--terms", "Any Organism,Ch", "--refine", "auto", "--ontology", ONT]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "usage error: mixed leaf/root terms; pick a refinement mode explicitly\n")
+
+    def test_a_bare_term_under_two_prefixes_is_usage_error(self, tmp_path, capsys):
+        context, lat = tmp_path / "two.csv", tmp_path / "two.lat"
+        context.write_text(",a:x,b:x\nS1,1,0\nS2,0,1\n", encoding="utf-8")
+        assert main(["build", "--context", str(context), "--out", str(lat)]) == 0
+        capsys.readouterr()
+        assert main(["query", "--lattice", str(lat), "--terms", "x"]) == 2
+        assert capsys.readouterr() == ("", "usage error: ambiguous term 'x'; candidates: a:x, b:x\n")
 
     def test_empty_terms_usage_error(self, lattice_file):
         assert main(["query", "--lattice", lattice_file, "--terms", ""]) == 2
@@ -211,6 +240,15 @@ class TestClassify:
             "--attribute", "Hu", "--out", str(tmp_path / "x"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("given", [("lattice", "context"), ()], ids=["both", "neither"])
+    def test_not_exactly_one_input_usage_error(self, lattice_file, tmp_path, capsys, given):
+        paths = {"lattice": lattice_file, "context": TABLE1}
+        flags = [arg for source in given for arg in (f"--{source}", paths[source])]
+        out = tmp_path / "x"
+        assert main(["classify", *flags, "--category", "Subject", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "usage error: give exactly one of --lattice or --context\n")
+        assert not out.exists()
 
     def test_unknown_attribute_data_error(self, lattice_file, tmp_path):
         rc = main(["classify", "--lattice", lattice_file, "--attribute", "Zz", "--out", str(tmp_path / "x")])

@@ -774,7 +774,7 @@ def assert_built_as_in_three_passes(lat):
     intents, extent, parents = three_pass_build(lat.context)
     assert (lat._intents, lat._extent, lat._parents) == (tuple(intents), extent, parents)
     assert lat._pos == {b: i for i, b in enumerate(intents)}
-    ref = ConceptLattice._from_masks(lat.context, lat._pos, extent, parents)
+    ref = ConceptLattice._from_masks(lat.context, lat._pos, extent, parents, lat._key)
     assert lattice_to_json(lat) == lattice_to_json(ref)
 
 
@@ -865,15 +865,12 @@ class TestColumnSideCovers:
         rng = random.Random(71)
         for _ in range(60):
             base = cover_case_context(rng)
-            lattice._mask_sort_key(base)
             attrs = list(base.attributes)
-            # grown with and without a new attribute, after base has its ranks;
-            # the new key sorts before every old one
+            # grown with and without a new attribute; the new key sorts before every old one
             grown = [
                 base.add_object("gx", rng.sample(attrs, rng.randint(0, len(attrs)))),
                 base.add_object("gy", [Attribute("a")] + rng.sample(attrs, rng.randint(0, len(attrs)))),
             ]
-            assert grown[0]._ranks is base._ranks and grown[1]._ranks is None
             for ctx in [base] + grown:
                 key = lattice._mask_sort_key(ctx)
                 masks = [rng.getrandbits(len(ctx.attributes)) for _ in range(20)]
@@ -1176,10 +1173,8 @@ class TestOnePassInsert:
                 ref = build_lattice(lat.context.add_object(f"gx{step}", row))
                 assert (grown._intents, grown._extent) == (ref._intents, ref._extent)
                 assert grown._parents == ref._parents and grown._pos == ref._pos
-                # covers are made when first read, and == and hash do not depend on it
-                assert grown._covers is None and ref._covers is None
                 assert grown == ref and hash(grown) == hash(ref)
-                assert grown.cover_concepts() == ref.cover_concepts() and grown._covers is None
+                assert grown.cover_concepts() == ref.cover_concepts()
                 assert ref.covers == tuple(sorted(ref.covers))
                 assert grown == ref and ref == grown and hash(grown) == hash(ref)
                 assert grown.covers == ref.covers
@@ -1203,11 +1198,13 @@ class TestOnePassInsert:
             for step, row in enumerate(rows):
                 grown = insert_object(lat, f"gx{step}", row)
                 ctx = grown.context
+                # a row with no new attribute reuses the lattice's key, and one with a new attribute makes one
                 if len(ctx.attributes) == len(lat.context.attributes):
-                    assert ctx._ranks is lat.context._ranks
-                # the reference context is made afresh, so it has no ranks to reuse
+                    assert grown._key is lat._key
+                else:
+                    assert grown._key is not lat._key
                 fresh = FormalContext._from_rows(ctx.objects, ctx.attributes, ctx._rows)
-                assert fresh == ctx and fresh._ranks is None
+                assert fresh == ctx
                 assert lattice_to_json(grown) == lattice_to_json(build_lattice(fresh))
                 lat = grown
 
@@ -1218,7 +1215,7 @@ class TestOnePassInsert:
             if b is None:
                 continue
             parents[b] = parents[b][:-1]
-            odd = lattice.ConceptLattice._from_masks(lat.context, lat._pos, lat._extent, parents)
+            odd = lattice.ConceptLattice._from_masks(lat.context, lat._pos, lat._extent, parents, lat._key)
             assert odd != lat and lat != odd
             assert odd.covers != lat.covers
             assert odd != lat and lat != odd

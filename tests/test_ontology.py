@@ -275,6 +275,11 @@ class TestLoadOntology:
         with pytest.raises(OntologyError):
             load_ontology("[")
 
+    @pytest.mark.parametrize("text", ["[]", '"r"', "null"])
+    def test_a_document_that_is_not_an_object(self, text):
+        with pytest.raises(OntologyError, match="^ontology document must be a JSON object$"):
+            load_ontology(text)
+
     def test_deeply_nested_document(self):
         with pytest.raises(OntologyError, match="malformed ontology document"):
             load_ontology("[" * 100_000 + "]" * 100_000)

@@ -12,6 +12,7 @@ import copy
 import json
 import pickle
 import random
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from types import SimpleNamespace
 
@@ -356,3 +357,20 @@ def test_no_module_imports_dataclasses():
             else:
                 continue
             assert not any(n.split(".")[0] == "dataclasses" for n in imported), path.name
+
+
+def test_every_module_imports_only_the_standard_library():
+    modules = sorted((SRC / "fcaregistry").glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # a relative import is the package itself
+                imported = [] if node.level else [node.module]
+            else:
+                continue
+            for name in imported:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "fcaregistry", (path.name, name)

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -217,7 +218,7 @@ class TestInsertQuery:
         def grow_without_concepts(lat, obj, attrs, **kwargs):
             grown = lat.context.add_object(obj, attrs, **kwargs)
             # the public constructor would refuse this lattice
-            return ConceptLattice._from_masks(grown, {}, {}, {})
+            return ConceptLattice._from_masks(grown, {}, {}, {}, None)
 
         monkeypatch.setattr(retrieval, "insert_object", grow_without_concepts)
         with pytest.raises(LatticeError):
@@ -496,6 +497,23 @@ class TestRendering:
         text = result_set_to_table(rs, styled=False)
         assert "S7" in text and "rank" in text
         assert "\x1b[" not in text
+
+    @pytest.mark.parametrize(
+        "tty, no_color, bold",
+        [(True, None, True), (True, "1", False), (False, None, False)],
+        ids=["terminal", "terminal-no-color", "pipe"],
+    )
+    def test_header_is_bold_only_on_a_terminal_without_no_color(
+        self, monkeypatch, table1_lattice, attrs_by_term, tty, no_color, bold
+    ):
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: tty)
+        if no_color is None:
+            monkeypatch.delenv("FCA_REGISTRY_NO_COLOR", raising=False)
+        else:
+            monkeypatch.setenv("FCA_REGISTRY_NO_COLOR", no_color)
+        text = result_set_to_table(search(table1_lattice, q(attrs_by_term["Mo"])))
+        assert text.startswith("\x1b[1msource  rank") == bold
+        assert text.count("\x1b[") == 2 * bold
 
     def test_empty_result_render(self, table1_lattice):
         rs = search(table1_lattice, q(Attribute("Ch")))
