@@ -31,28 +31,47 @@ CATEGORIES = ("Identification", "Subject", "Organism", "Quality", "Availability"
 RESERVED_OBJECT_ID = "Query"
 
 
-#: Sets a record's field in its ``__init__``, past the ``__setattr__`` that refuses.
-#: Unlike ``self.__dict__``, it keeps the values inline without a dict per instance.
+#: Sets a field or slot past the ``__setattr__`` that refuses.
+#: Unlike ``self.__dict__``, it keeps a record's values inline without a dict per instance.
 _set_field = object.__setattr__
+
+
+def _fill_slots(obj, *values) -> None:
+    """Set every slot of ``obj``, in ``__slots__`` order."""
+    for name, value in zip(obj.__slots__, values, strict=True):
+        _set_field(obj, name, value)
 
 
 class _Record:
     """Base of the package's record types: values made once and never changed.
 
-    A subclass names its fields in ``_fields`` and sets each of them in
-    ``__init__`` with ``_set_field``.  Equality asks for the same class
-    and equal fields, the hash is that of the field tuple, and the repr is
-    ``Name(field=value, ...)``, all as ``dataclasses`` makes them for a
-    frozen class.  Plain classes save every process the import of
-    ``dataclasses`` and the methods it generates at start-up.
+    A subclass declares its fields once, as class annotations, in order; a
+    default is a class attribute, so ``Query.label == "Query"``.  A subclass
+    without its own ``__init__`` gets one made here, as ``dataclasses`` makes
+    it: one positional-or-keyword parameter per field, in order, with the
+    defaults, setting each field with ``_set_field``.  Equality asks for the
+    same class and equal fields, the hash is that of the field tuple, and
+    the repr is ``Name(field=value, ...)``, all as ``dataclasses`` makes
+    them for a frozen class.  Plain classes save every process the import
+    of ``dataclasses`` and the methods it generates at start-up.
     """
-
-    _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        cls._fields = fields = tuple(cls.__annotations__)
         # ``cls._values(record)`` is the tuple of the record's fields (two or more)
-        cls._values = attrgetter(*cls._fields)
+        cls._values = attrgetter(*fields)
+        if "__init__" not in cls.__dict__:
+            # spelled out, not ``*args``: the signature stays the fields', and
+            # a call costs what a hand-written one does
+            params = ", ".join(f"{f}=cls.{f}" if f in cls.__dict__ else f for f in fields)
+            body = "".join(f"\n    _set_field(self, {f!r}, {f})" for f in fields)
+            namespace = {"cls": cls, "_set_field": _set_field}
+            exec(f"def __init__(self, {params}):{body}", namespace)
+            init = namespace["__init__"]
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
+            init.__annotations__ = dict(cls.__annotations__)
+            cls.__init__ = init
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -81,7 +100,9 @@ class Attribute(_Record):
     An empty prefix is no prefix, so equal attributes are those with equal keys.
     """
 
-    _fields = ("term", "prefix", "category")
+    term: str
+    prefix: str | None
+    category: str
 
     def __init__(self, term: str, prefix: str | None = None, category: str = "Subject"):
         if not term:
@@ -193,12 +214,7 @@ class FormalContext:
         for i, mask in enumerate(rows):
             for j in _bits(mask):
                 cols[j] |= 1 << i
-        self._fill(objects, attributes, tuple(rows), tuple(cols), obj_index, attr_index)
-
-    def _fill(self, *values) -> None:
-        """Set every slot, in ``__slots__`` order."""
-        for name, value in zip(FormalContext.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        _fill_slots(self, objects, attributes, tuple(rows), tuple(cols), obj_index, attr_index)
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("FormalContext is immutable")
@@ -401,7 +417,8 @@ class FormalContext:
         for j in _bits(row):
             cols[j] |= 1 << i
         grown = object.__new__(FormalContext)
-        grown._fill(
+        _fill_slots(
+            grown,
             self.objects + (obj,),
             tuple(attributes),
             self._rows + (row,),

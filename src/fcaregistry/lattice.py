@@ -37,7 +37,7 @@ import json
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Iterable, Sequence
 
-from .context import Attribute, FormalContext, _bits, _Record, _set_field
+from .context import Attribute, FormalContext, _bits, _fill_slots, _Record, _set_field
 from .errors import ContextError, LatticeError
 
 #: Attribute-count guard for the naive oracle (exponential in the worst case).
@@ -47,11 +47,8 @@ ORACLE_MAX_ATTRIBUTES = 24
 class FormalConcept(_Record):
     """A closed (extent, intent) pair; a node of the lattice."""
 
-    _fields = ("extent", "intent")
-
-    def __init__(self, extent: frozenset[str], intent: frozenset[Attribute]):
-        _set_field(self, "extent", extent)
-        _set_field(self, "intent", intent)
+    extent: frozenset[str]
+    intent: frozenset[Attribute]
 
 
 def _mask_sort_key(ctx: FormalContext):
@@ -129,9 +126,7 @@ class ConceptLattice:
 
     def _fill(self, context, pos, extent, parents, key) -> None:
         # concept values are made on first use
-        values = (context, tuple(pos), extent, pos, parents, key, None)
-        for name, value in zip(ConceptLattice.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        _fill_slots(self, context, tuple(pos), extent, pos, parents, key, None)
 
     def _pairs(self) -> Iterable[tuple[int, int]]:
         """The (child, parent) position pairs in sorted order."""
@@ -149,7 +144,7 @@ class ConceptLattice:
         if self._concepts is None:
             ctx, extent = self.context, self._extent
             values = tuple(_concept(ctx, b, extent[b]) for b in self._intents)
-            object.__setattr__(self, "_concepts", values)
+            _set_field(self, "_concepts", values)
         return self._concepts
 
     def __setattr__(self, name, value):

@@ -27,7 +27,7 @@ import json
 from collections import deque
 from typing import TYPE_CHECKING, NoReturn, Sequence
 
-from .context import Attribute, FormalContext, _Record, _set_field
+from .context import Attribute, FormalContext, _fill_slots, _Record
 from .errors import OntologyError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -106,21 +106,11 @@ def _diagnose(
 class RefinementReport(_Record):
     """What a refinement pass did to a query."""
 
-    _fields = ("mode", "added", "dropped_candidates", "hops_used", "skipped_terms")
-
-    def __init__(
-        self,
-        mode: str,
-        added: frozenset[Attribute],
-        dropped_candidates: frozenset[str],
-        hops_used: int | None,
-        skipped_terms: frozenset[str] = frozenset(),
-    ):
-        _set_field(self, "mode", mode)
-        _set_field(self, "added", added)
-        _set_field(self, "dropped_candidates", dropped_candidates)
-        _set_field(self, "hops_used", hops_used)
-        _set_field(self, "skipped_terms", skipped_terms)
+    mode: str
+    added: frozenset[Attribute]
+    dropped_candidates: frozenset[str]
+    hops_used: int | None
+    skipped_terms: frozenset[str] = frozenset()
 
 
 class Ontology:
@@ -203,13 +193,7 @@ class Ontology:
                 if alias in spelled:
                     raise OntologyError(f"duplicate term or alias: {alias!r}")
                 spelled.add(alias)
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "terms", frozenset(popped))
-        object.__setattr__(self, "_parents", parents)
-        object.__setattr__(self, "_children", kids)
-        object.__setattr__(self, "_alias_of", aliases)
-        object.__setattr__(self, "_resolve", resolve)
+        _fill_slots(self, prefix, root, frozenset(popped), parents, kids, aliases, resolve)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ontology is immutable")
@@ -347,10 +331,13 @@ def _refine(
             related.update(_distances(node, ont._parents, hops))
         if mode in ("specialize", "both"):
             related.update(_distances(node, ont._children, hops))
-        related.discard(node)
+        # ``related`` holds the node too: its carrier joins a query that spells
+        # the node otherwise (``Human`` for ``Hu``), and is no addition when it
+        # is the query term itself (``added -= q.terms`` below)
         added.update(carriers[t] for t in related & carriers.keys())
         # in place: a near-root term relates to thousands of names
         related.difference_update(carriers)
+        related.discard(node)
         dropped |= related
     added -= q.terms
     report = RefinementReport(

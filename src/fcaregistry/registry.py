@@ -12,7 +12,7 @@ import json
 import re
 from pathlib import Path
 
-from .context import Attribute, FormalContext, _Record, _set_field
+from .context import Attribute, FormalContext, _Record
 from .errors import RegistryError
 from .ontology import Ontology
 
@@ -23,27 +23,23 @@ _DATE_SHAPE = re.compile(r"^\d{4}(-\d{2}(-\d{2}(T[0-9:.+\-Z]+)?)?)?$")
 
 
 class OntologyRef(_Record):
-    _fields = ("prefix", "name", "version", "location")
-
-    def __init__(self, prefix: str, name: str, version: str = "", location: str = ""):
-        _set_field(self, "prefix", prefix)
-        _set_field(self, "name", name)
-        _set_field(self, "version", version)
-        _set_field(self, "location", location)
+    prefix: str
+    name: str
+    version: str = ""
+    location: str = ""
 
 
 class MetadataRecord(_Record):
     """One source's metadata; unlike the other records it may be changed in place."""
 
-    _fields = (
-        "id",
-        "identification",
-        "subjects",
-        "organisms",
-        "quality",
-        "availability",
-        "ontologies_used",
-    )
+    id: str
+    identification: dict[str, str]
+    subjects: list[str]
+    organisms: list[str]
+    quality: list[str]
+    availability: dict[str, str]
+    ontologies_used: list[OntologyRef]
+
     __hash__ = None
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
@@ -90,36 +86,23 @@ def split_term(raw: str) -> tuple[str | None, str]:
 class FieldRule(_Record):
     """Binarize one identification/availability field by exact value match."""
 
-    _fields = ("section", "fieldname", "equals", "attribute_term")
-
-    def __init__(self, section: str, fieldname: str, equals: str, attribute_term: str):
-        _set_field(self, "section", section)  # "identification" or "availability"
-        _set_field(self, "fieldname", fieldname)
-        _set_field(self, "equals", equals)
-        _set_field(self, "attribute_term", attribute_term)
+    section: str  # "identification" or "availability"
+    fieldname: str
+    equals: str
+    attribute_term: str
 
     def category(self) -> str:
         return "Identification" if self.section == "identification" else "Availability"
 
 
 class BinarizationConfig(_Record):
-    _fields = ("categories_included", "field_rules")
-
-    def __init__(
-        self,
-        categories_included: frozenset[str] = frozenset({"Subject", "Organism", "Quality"}),
-        field_rules: tuple[FieldRule, ...] = (),
-    ):
-        _set_field(self, "categories_included", categories_included)
-        _set_field(self, "field_rules", field_rules)
+    categories_included: frozenset[str] = frozenset({"Subject", "Organism", "Quality"})
+    field_rules: tuple[FieldRule, ...] = ()
 
 
 class Finding(_Record):
-    _fields = ("level", "message")
-
-    def __init__(self, level: str, message: str):
-        _set_field(self, "level", level)  # "warning" or "info"
-        _set_field(self, "message", message)
+    level: str  # "warning" or "info"
+    message: str
 
 
 def _string_map(doc: dict, key: str, rid: str) -> dict[str, str]:

@@ -28,7 +28,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Callable, Iterable
 
-from .context import Attribute, _bits, _Record, _set_field
+from .context import Attribute, _bits, _Record
 from .errors import LatticeError, QueryError
 from .lattice import ConceptLattice, FormalConcept, _json_list, build_lattice, insert_object
 from .ontology import (
@@ -45,39 +45,23 @@ from .ontology import (
 class Query(_Record):
     """A named attribute set to search for."""
 
-    _fields = ("terms", "label")
-
-    def __init__(self, terms: frozenset[Attribute], label: str = "Query"):
-        _set_field(self, "terms", terms)
-        _set_field(self, "label", label)
+    terms: frozenset[Attribute]
+    label: str = "Query"
 
 
 class RankedResult(_Record):
     """One matching source: its BFS rank and the terms it shares with the query."""
 
-    _fields = ("source", "rank", "shared", "via_intent")
-
-    def __init__(
-        self, source: str, rank: int, shared: frozenset[Attribute], via_intent: frozenset[Attribute]
-    ):
-        _set_field(self, "source", source)
-        _set_field(self, "rank", rank)
-        _set_field(self, "shared", shared)
-        _set_field(self, "via_intent", via_intent)
+    source: str
+    rank: int
+    shared: frozenset[Attribute]
+    via_intent: frozenset[Attribute]
 
 
 class ResultSet(_Record):
-    _fields = ("query", "results", "refinement_applied")
-
-    def __init__(
-        self,
-        query: Query,
-        results: tuple[RankedResult, ...],
-        refinement_applied: RefinementReport | None = None,
-    ):
-        _set_field(self, "query", query)
-        _set_field(self, "results", results)
-        _set_field(self, "refinement_applied", refinement_applied)
+    query: Query
+    results: tuple[RankedResult, ...]
+    refinement_applied: RefinementReport | None = None
 
     def sources(self) -> list[str]:
         return [r.source for r in self.results]

@@ -79,6 +79,31 @@ class TestQuery:
             ("S1", "1"), ("S2", "1"), ("S4", "1"), ("S6", "1"), ("S8", "1"),
         }
 
+    @pytest.mark.parametrize(
+        "terms, mode, hops, expected",
+        [
+            ("Human", "generalize", [], ["S3", "S5", "S8", "S6", "S1", "S2", "S4"]),
+            ("Any Organism", "specialize", [], ["S1", "S2", "S4", "S6", "S8", "S3", "S5", "S7"]),
+            ("Human", "generalize", ["--hops", "0"], ["S3", "S5"]),
+        ],
+        ids=["human-generalize", "root-specialize", "human-hops-0"],
+    )
+    def test_a_term_typed_by_its_name_reaches_the_carrier_of_its_alias(
+        self, lattice_file, capsys, terms, mode, hops, expected
+    ):
+        # table1 carries Human as "Hu" and Any Organism as "AO", their aliases
+        argv = ["query", "--lattice", lattice_file, "--refine", mode, "--ontology", ONT, *hops, "--format", "machine"]
+        assert main([*argv, "--terms", terms]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [(r["source"], r["rank"]) for r in doc["results"]] == [(s, 1) for s in expected]
+        alias = {"Human": "Hu", "Any Organism": "AO"}[terms]
+        assert alias in doc["refinement"]["added"]
+        assert terms not in doc["refinement"]["dropped_candidates"]
+        assert main([*argv, "--terms", alias]) == 0
+        by_alias = json.loads(capsys.readouterr().out)
+        assert {r["source"] for r in by_alias["results"]} == set(expected)
+        assert by_alias["refinement"]["dropped_candidates"] == doc["refinement"]["dropped_candidates"]
+
     def test_auto_mode_on_leaf(self, lattice_file, capsys):
         rc = main([
             "query", "--lattice", lattice_file, "--terms", "Ch",

@@ -201,6 +201,20 @@ class TestFromRows:
         with pytest.raises(ContextError, match=message):
             FormalContext(objects, attrs, cells)
 
+    @pytest.mark.parametrize("row", [[1], [1, 0, 1]], ids=["short", "long"])
+    def test_public_constructor_refuses_a_row_of_another_length(self, row):
+        with pytest.raises(ContextError, match="column count does not match attribute count"):
+            FormalContext(["g", "h"], [Attribute("a"), Attribute("b")], [[0, 1], row])
+
+
+def test_slots_cannot_be_assigned():
+    ctx = make_random_context(random.Random(5))
+    before = (ctx.objects, ctx.attributes, ctx._rows, ctx._cols)
+    for name in [*FormalContext.__slots__, "extra"]:
+        with pytest.raises(AttributeError, match="FormalContext is immutable"):
+            setattr(ctx, name, None)
+    assert (ctx.objects, ctx.attributes, ctx._rows, ctx._cols) == before
+
 
 def cells_of(ctx):
     """The context's incidence as 0/1 cell lists, read from its row masks."""

@@ -383,6 +383,14 @@ class TestConstructor:
         assert public.covers == table1_lattice.covers
         assert lattice_to_json(public) == lattice_to_json(table1_lattice)
 
+    def test_slots_cannot_be_assigned(self):
+        lat = build_lattice(make_random_context(random.Random(5)))
+        before = lattice_to_json(lat)
+        for name in [*ConceptLattice.__slots__, "extra"]:
+            with pytest.raises(AttributeError, match="ConceptLattice is immutable"):
+                setattr(lat, name, None)
+        assert lattice_to_json(lat) == before
+
     def test_covers_in_any_order(self, table1_lattice):
         shuffled = list(table1_lattice.covers)
         random.Random(59).shuffle(shuffled)

@@ -175,6 +175,10 @@ def refine_oracle(query, ont, ctx, hops, mode):
         if node is None:
             skipped.add(term.term)
             continue
+        # the term's own carrier, which may spell it otherwise than the query
+        own = _attribute_for_term(ont, ctx, node)
+        if own is not None and own not in query.terms:
+            added.add(own)
         related = []
         if mode in ("generalize", "both"):
             related += ont.ancestors(node, hops)
@@ -197,6 +201,21 @@ class TestLoadOntology:
         assert len(organisms.terms) == 8
         assert organisms.resolve("Ch") == "Chicken"
         assert organisms.resolve("Chicken") == "Chicken"
+
+    def test_alias_is_the_short_name_of_a_term(self, organisms):
+        assert organisms.alias("Human") == "Hu"
+        assert organisms.alias("Any Organism") == "AO"
+        # an alias, an unknown name, and a term without an alias
+        assert organisms.alias("Hu") is None
+        assert organisms.alias("Dog") is None
+        assert load_ontology(doc(edges=[["r", "a"]], aliases={"r": "x"})).alias("a") is None
+
+    def test_slots_cannot_be_assigned(self):
+        ont = load_ontology(doc(edges=[["r", "a"]], aliases={"a": "x"}))
+        for name in [*Ontology.__slots__, "extra"]:
+            with pytest.raises(AttributeError, match="Ontology is immutable"):
+                setattr(ont, name, None)
+        assert (ont.prefix, ont.root, ont.terms, ont.resolve("x")) == ("T", "r", {"r", "a"}, "a")
 
     def test_single_term(self):
         ont = load_ontology(doc())

@@ -9,6 +9,7 @@ draws the same field values with the new classes (``NEW``) or the old ones
 
 import ast
 import copy
+import inspect
 import json
 import pickle
 import random
@@ -279,6 +280,19 @@ class TestContract:
                 assert vars(clone) == vars(record)
                 if _hashable(name):
                     assert hash(clone) == hash(record)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_signature_lists_the_old_parameters(name):
+    """What ``help()`` and keyword callers see: the old parameters, in order,
+    each with the old plain default or none; factory defaults are not compared."""
+    params = list(inspect.signature(getattr(NEW, name)).parameters.values())
+    old = fields(getattr(OLD, name))
+    assert [p.name for p in params] == [f.name for f in old]
+    for p, f in zip(params, old):
+        assert p.kind is p.POSITIONAL_OR_KEYWORD, p
+        if f.default_factory is MISSING:
+            assert p.default == (p.empty if f.default is MISSING else f.default), p
 
 
 @pytest.mark.parametrize("name", [name for name in NAMES if name != "MetadataRecord"])
