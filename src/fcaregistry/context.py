@@ -289,16 +289,21 @@ class FormalContext:
         return {self.objects[i] for i in _bits(mask)}
 
     def _extent_mask_of_intent_mask(self, intent_mask: int) -> int:
-        mask = self._full_obj_mask
-        for j in _bits(intent_mask):
-            mask &= self._cols[j]
+        mask, cols = self._full_obj_mask, self._cols
+        # the lowest set bit at a time, inline: this runs once per concept
+        while intent_mask:
+            low = intent_mask & -intent_mask
+            mask &= cols[low.bit_length() - 1]
+            intent_mask ^= low
         return mask
 
     def _attr_closure(self, extent_mask: int) -> int:
         """The mask of the attributes common to the objects of an extent mask."""
-        mask = self._full_attr_mask
-        for i in _bits(extent_mask):
-            mask &= self._rows[i]
+        mask, rows = self._full_attr_mask, self._rows
+        while extent_mask:
+            low = extent_mask & -extent_mask
+            mask &= rows[low.bit_length() - 1]
+            extent_mask ^= low
         return mask
 
     # -- derivation operators --------------------------------------------

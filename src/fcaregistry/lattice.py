@@ -13,8 +13,8 @@ intent bit masks in canonical order, with the position of each, two maps
 keyed by intent (to its extent mask, and to its parent intents in canonical
 order) and the key it is sorted by, which an insertion with no new attribute
 reuses.  Insertion (``insert_object``, after Godin, Missaoui & Alaoui, 1995)
-takes the up-set's parent lists for the intents inside the row, sorts each
-new intent into the order and rewires only the generators, each the old
+takes the up-set's parent lists for the intents inside the row, bisects
+each new intent into the order and rewires only the generators, each the old
 concept closing a new intent; since parents are intents, not positions,
 every other list is shared with the old lattice as it is.  Building, insertion, saving, loading and DOT export work
 on these alone; the cover pairs are made on each read of ``covers``, the
@@ -27,6 +27,9 @@ stopped before it closes an extent the file does not hold; the file is
 accepted when the walk gives back the stored concepts, in order, and the
 stored covers.  So a load closes only stored extents, and a short file of a
 context with a huge lattice is refused at once.
+The walk and the derivation operators scan a mask's bits inline, the
+lowest set bit at a time; the sort key is one int per mask; an insertion
+copies the position map and rewrites it from the first position that moved.
 The oracles recompute concepts and covers by brute force and share no code.
 """
 
@@ -52,16 +55,31 @@ class FormalConcept(_Record):
 
 
 def _mask_sort_key(ctx: FormalContext):
-    """The canonical order on intent masks: by size, then by the sorted key
-    ranks of their bits, which is the order of their attributes' sorted keys.
-    The ranks are worked out on each call; a lattice keeps the key it is
-    sorted by, and a context grown without a new attribute ranks alike."""
-    rank = [0] * len(ctx.attributes)
-    for r, j in enumerate(sorted(range(len(rank)), key=lambda j: ctx.attributes[j].key)):
-        rank[j] = r
+    """The canonical order on intent masks, as one int per mask: by size,
+    then by the sorted key ranks of their bits, which is the order of their
+    attributes' sorted keys.
 
-    def key(b: int):
-        return (b.bit_count(), sorted([rank[j] for j in _bits(b)]))
+    With n attributes, bit j weighs ``1 << (n - 1 - rank[j])``, and a mask
+    b's key is ``(popcount(b) << n)`` minus the sum of its bits' weights.
+    The sum is below ``1 << n``, so fewer bits sort first; between equal
+    counts, the mask holding the lowest rank the two do not share has the
+    larger sum, so it sorts first, as its sorted rank list does.  The
+    weights are n ints of up to n bits, about n²/16 bytes (about 250 KB at
+    n = 2,000).  They are worked out on each call; a lattice keeps the key
+    it is sorted by, and a lattice grown without a new attribute shares it.
+    """
+    n = len(ctx.attributes)
+    weight = [0] * n
+    for r, j in enumerate(sorted(range(n), key=lambda j: ctx.attributes[j].key)):
+        weight[j] = 1 << (n - 1 - r)
+
+    def key(b: int) -> int:
+        k = b.bit_count() << n
+        while b:
+            low = b & -b
+            k -= weight[low.bit_length() - 1]
+            b ^= low
+        return k
 
     return key
 
@@ -112,21 +130,23 @@ class ConceptLattice:
             raise LatticeError("the concepts are not those of the context in canonical order")
         if sorted(tuple(pair) for pair in covers) != list(ref._pairs()):
             raise LatticeError("the covers are not those of the concepts")
-        self._fill(context, ref._pos, dict(zip(intents, extents)), ref._parents, ref._key)
+        self._fill(context, intents, ref._pos, dict(zip(intents, extents)), ref._parents, ref._key)
 
     @classmethod
-    def _from_masks(cls, ctx, pos, extent, parents, key) -> "ConceptLattice":
-        """A lattice from the position map of its intent masks (whose keys are
-        the intents in canonical order), two maps keyed by intent: to its
-        extent mask, and to its parent intents in canonical order, and the
-        ``_mask_sort_key`` of ``ctx`` that orders them."""
+    def _from_masks(cls, ctx, intents, pos, extent, parents, key) -> "ConceptLattice":
+        """A lattice from its intent masks in canonical order, the position of
+        each, two maps keyed by intent: to its extent mask, and to its parent
+        intents in canonical order, and the ``_mask_sort_key`` of ``ctx``
+        that orders them.  The intents are passed on their own because the
+        map's key order need not be theirs: an insertion rewrites the
+        positions of a copied map from the first one that moved."""
         lat = object.__new__(cls)
-        lat._fill(ctx, pos, extent, parents, key)
+        lat._fill(ctx, intents, pos, extent, parents, key)
         return lat
 
-    def _fill(self, context, pos, extent, parents, key) -> None:
+    def _fill(self, context, intents, pos, extent, parents, key) -> None:
         # concept values are made on first use
-        _fill_slots(self, context, tuple(pos), extent, pos, parents, key, None)
+        _fill_slots(self, context, tuple(intents), extent, pos, parents, key, None)
 
     def _pairs(self) -> Iterable[tuple[int, int]]:
         """The (child, parent) position pairs in sorted order."""
@@ -243,6 +263,7 @@ def _complete(ctx: FormalContext, stored: set[int] | None = None) -> ConceptLatt
     stored extents, each at most once.
     """
     rows, cols = ctx._rows, ctx._cols
+    n_cols = len(cols)
     top = ctx._full_obj_mask
     if stored is not None and top not in stored:
         return None
@@ -254,16 +275,23 @@ def _complete(ctx: FormalContext, stored: set[int] | None = None) -> ConceptLatt
     for i, a in enumerate(extents):
         if not a:
             continue
-        u = 0
-        for g in _bits(a):
-            u |= rows[g]
+        u, m = 0, a
+        while m:
+            low = m & -m
+            u |= rows[low.bit_length() - 1]
+            m ^= low
+        b, size = intents[i], sizes[i]
         proposed: dict[int, int] = {}
-        outside = len(cols) - u.bit_count()
+        get = proposed.get
+        outside = n_cols - u.bit_count()
         if outside:
             proposed[0] = outside
-        for m in _bits(u & ~intents[i]):
-            c = a & cols[m]
-            proposed[c] = proposed.get(c, 0) + 1
+        m = u & ~b
+        while m:
+            low = m & -m
+            c = a & cols[low.bit_length() - 1]
+            proposed[c] = get(c, 0) + 1
+            m ^= low
         for c, n in proposed.items():
             k = at.get(c)
             if k is None:
@@ -275,12 +303,14 @@ def _complete(ctx: FormalContext, stored: set[int] | None = None) -> ConceptLatt
                 intents.append(d)
                 sizes.append(d.bit_count())
                 parents.append([])
-            if n == sizes[k] - sizes[i]:
-                parents[k].append(intents[i])
+            if n == sizes[k] - size:
+                parents[k].append(b)
     key = _mask_sort_key(ctx)
-    pos = {b: k for k, b in enumerate(sorted(intents, key=key))}
+    order = sorted(intents, key=key)
+    pos = dict(zip(order, range(len(order))))
     return ConceptLattice._from_masks(
         ctx,
+        order,
         pos,
         dict(zip(intents, extents)),
         {b: sorted(ps, key=pos.__getitem__) for b, ps in zip(intents, parents)},
@@ -316,6 +346,11 @@ def insert_object(
     M has x as a parent, and the old bottom if it is still closed, else the
     old bottom's parents outside x.  Only masks are computed, and only the
     generators are looked at outside the up-set.
+
+    Each new intent is placed by bisecting the order on its int key.  The
+    position map is the old lattice's, copied and rewritten in one update
+    from the first position that moved on; the positions before it are
+    kept as they are.
     """
     ctx = lat.context.add_object(obj, attrs, allow_reserved=allow_reserved)
     x = ctx._rows[-1]
@@ -333,20 +368,26 @@ def insert_object(
     # new attributes are appended, so old intents keep their masks; lists are
     # shared with the old lattice, so a changed one is replaced, never edited
     order, extent, parents = list(lat._intents), dict(lat._extent), dict(lat._parents)
+    # the copied map is rewritten from the first position that moved, the
+    # lowest insertion; a popped bottom's is rewritten too, since x, new
+    # then, is inserted at or before it
+    pos, first = dict(lat._pos), len(order)
     bottom = order[-1]
     # an old concept with an empty extent can only be the bottom, whose intent
     # (the old M) is not closed once the object brings new attributes
     closed = bool(extent[bottom]) or full == old_full
     if not closed:
         order.pop()
-        del extent[bottom], parents[bottom]
+        del extent[bottom], parents[bottom], pos[bottom]
     for b in up._intents:
         c = grown[b]
         parents[c] = [grown[p] for p in up._parents[b]]
         if c in extent:
             extent[c] |= g
             continue
-        bisect.insort(order, c, key=key)
+        i = bisect.bisect(order, key(c), key=key)
+        order.insert(i, c)
+        first = min(first, i)
         extent[c] = ctx._extent_mask_of_intent_mask(c)
         if c & ~old_full:
             continue
@@ -367,7 +408,8 @@ def insert_object(
         # only the new object has the new attributes, and it lacks one of M
         extent[full] = 0
         parents[full] = sorted(below + [x], key=key)
-    return ConceptLattice._from_masks(ctx, {b: i for i, b in enumerate(order)}, extent, parents, key)
+    pos.update(zip(order[first:], range(first, len(order))))
+    return ConceptLattice._from_masks(ctx, order, pos, extent, parents, key)
 
 
 def enumerate_concepts_oracle(ctx: FormalContext) -> set[FormalConcept]:

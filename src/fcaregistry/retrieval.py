@@ -15,9 +15,15 @@ searched lattice is neither copied nor regrown.  ``insert_query`` does the
 literal insertion, which merges the same up-set into the lattice
 (``insert_object``), and stays as the reference.
 
+The answer is assembled per group of sources with one restricted row:
+their results share one ``shared`` and one ``via_intent`` set, the sources
+are listed by the bits of the group's mask, and the results are sorted as
+plain tuples with no key function.
+
 ``result_set_to_json`` emits the bytes of ``json.dumps(doc, sort_keys=True,
 indent=1)`` for the answer document, from a writer for that fixed schema
-instead of the generic encoder.
+instead of the generic encoder; it renders the text around each source once
+per run of consecutive results with equal values.
 """
 
 from __future__ import annotations
@@ -105,12 +111,17 @@ def search(
     Rank 0 is the query concept's own extent; each further rank is one cover
     step up.  The breadth-first walk visits each up-set concept once, at its
     cover distance from the query concept; a concept with an empty intent
-    never contributes.
+    never contributes.  Results are ordered by rank, then by more shared
+    terms, then by ``tie_break`` if given, then by source id; ``tie_break``
+    is called once per result, on the result returned.  Each result is
+    sorted as a plain tuple ending in its source id and the result; the ids
+    are distinct, so no comparison reaches a result.
     """
     _check_query(lat, q)
     sub, groups = lat.context._query_context(q.terms, q.label)
     up = build_lattice(sub)
-    collected: list[RankedResult] = []
+    objects = lat.context.objects
+    collected: list[tuple] = []
     # the query is the last object and no source; each group is claimed once
     claimed = 1 << len(groups)
     for b, rank in _distances(up._intents[-1], up._parents, None).items():
@@ -121,16 +132,19 @@ def search(
         via = frozenset(sub._attrs_from_mask(b))
         for k in _bits(fresh):
             shared = frozenset(sub._attrs_from_mask(sub._rows[k]))
-            collected.extend(
-                RankedResult(source=source, rank=rank, shared=shared, via_intent=via)
-                for source in lat.context._objects_from_mask(groups[k])
-            )
-    if tie_break is None:
-        key = lambda r: (r.rank, -len(r.shared), r.source)
-    else:
-        key = lambda r: (r.rank, -len(r.shared), tie_break(r), r.source)
-    ordered = tuple(sorted(collected, key=key))
-    return ResultSet(query=q, results=ordered)
+            more = -len(shared)
+            m = groups[k]
+            while m:
+                low = m & -m
+                source = objects[low.bit_length() - 1]
+                r = RankedResult(source, rank, shared, via)
+                if tie_break is None:
+                    collected.append((rank, more, source, r))
+                else:
+                    collected.append((rank, more, tie_break(r), source, r))
+                m ^= low
+    collected.sort()
+    return ResultSet(query=q, results=tuple([t[-1] for t in collected]))
 
 
 def search_refined(
@@ -191,7 +205,11 @@ def result_set_to_json(rs: ResultSet) -> str:
     The text equals ``json.dumps(doc, sort_keys=True, indent=1) + "\n"`` of
     the document with ``query``, ``refinement`` and ``results`` keys, and is
     written by a writer for that fixed schema: strings are escaped by the C
-    encoder, and each distinct term set is rendered once.
+    encoder, and each distinct term set is rendered once.  A result's text
+    is a head (``rank`` and ``shared``), its encoded source and a tail
+    (``via_intent``); head and tail are rendered once per run of
+    consecutive results with equal values, so each result costs one
+    encoded string and one concatenation.
     """
     query, ref = rs.query, rs.refinement_applied
     if ref is None:
@@ -216,15 +234,16 @@ def result_set_to_json(rs: ResultSet) -> str:
             text = rendered[terms] = _string_list(map(str, terms), "   ")
         return text
 
-    items = [
-        "  {\n"
-        f'   "rank": {int.__repr__(r.rank)},\n'
-        f'   "shared": {term_set(r.shared)},\n'
-        f'   "source": {_encode(r.source)},\n'
-        f'   "via_intent": {term_set(r.via_intent)}\n'
-        "  }"
-        for r in rs.results
-    ]
+    items = []
+    rank = shared = via = None
+    for r in rs.results:
+        if r.rank != rank or r.shared != shared:
+            rank, shared = r.rank, r.shared
+            head = f'  {{\n   "rank": {int.__repr__(rank)},\n   "shared": {term_set(shared)},\n   "source": '
+        if r.via_intent != via:
+            via = r.via_intent
+            tail = f',\n   "via_intent": {term_set(via)}\n  }}'
+        items.append(head + _encode(r.source) + tail)
     results = "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
     return (
         "{\n"

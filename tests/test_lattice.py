@@ -782,7 +782,7 @@ def assert_built_as_in_three_passes(lat):
     intents, extent, parents = three_pass_build(lat.context)
     assert (lat._intents, lat._extent, lat._parents) == (tuple(intents), extent, parents)
     assert lat._pos == {b: i for i, b in enumerate(intents)}
-    ref = ConceptLattice._from_masks(lat.context, lat._pos, extent, parents, lat._key)
+    ref = ConceptLattice._from_masks(lat.context, intents, lat._pos, extent, parents, lat._key)
     assert lattice_to_json(lat) == lattice_to_json(ref)
 
 
@@ -890,6 +890,49 @@ class TestColumnSideCovers:
                     )
                     assert (key(a) < key(b)) == (by_attrs[0] < by_attrs[1])
                     assert (key(a) == key(b)) == (a == b)
+
+    def test_mask_key_is_one_int_in_the_order_of_the_rank_key(self):
+        rng = random.Random(97)
+        contexts = [FormalContext([], [], []), FormalContext(["g", "h"], [], [[], []])]
+        # wider than one machine word, attributes out of key order
+        names = [f"w{j:03d}" for j in range(90)]
+        rng.shuffle(names)
+        contexts.append(FormalContext(["g"], [Attribute(t) for t in names], [[1] * 90]))
+        seen = collections.Counter()
+        for _ in range(60):
+            base = cover_case_context(rng)
+            contexts.append(base)
+            attrs = list(base.attributes)
+            # "t30" sorts between "t3" and "t4" under the same prefix
+            between = [Attribute(a.term + "0", a.prefix) for a in rng.sample(attrs, min(2, len(attrs)))]
+            grown = base.add_object("gx", between + rng.sample(attrs, rng.randint(0, len(attrs))))
+            contexts += [grown, grown.add_object("gy", [Attribute("a"), Attribute("zz")])]
+            seen["new key between old keys"] += any(
+                min(a.key for a in attrs) < b.key < max(a.key for a in attrs) for b in between
+            )
+        for ctx in contexts:
+            key, old = lattice._mask_sort_key(ctx), old_mask_sort_key(ctx)
+            masks = {0, ctx._full_attr_mask} | {rng.getrandbits(len(ctx.attributes)) for _ in range(24)}
+            assert all(type(key(b)) is int for b in masks)
+            for a, b in itertools.permutations(masks, 2):
+                assert (key(a) < key(b)) == (old(a) < old(b)), (a, b)
+                seen["equal counts"] += a.bit_count() == b.bit_count()
+            seen["no attributes"] += not ctx.attributes
+            seen["wider than 64 bits"] += len(ctx.attributes) > 64
+        assert seen["wider than 64 bits"] == 1, seen
+        assert min(seen[k] for k in ("new key between old keys", "equal counts", "no attributes")) >= 20, seen
+
+
+def old_mask_sort_key(ctx):
+    """The canonical order as once keyed: a (popcount, sorted key ranks) tuple."""
+    rank = [0] * len(ctx.attributes)
+    for r, j in enumerate(sorted(range(len(rank)), key=lambda j: ctx.attributes[j].key)):
+        rank[j] = r
+
+    def key(b):
+        return (b.bit_count(), sorted([rank[j] for j in _bits(b)]))
+
+    return key
 
 
 def lattice_doc(lat):
@@ -1189,6 +1232,25 @@ class TestOnePassInsert:
                 assert grown == ref and hash(grown) == hash(ref)
                 lat = grown
 
+    def test_positions_are_rewritten_after_each_insert(self):
+        rng = random.Random(101)
+        seen = collections.Counter()
+        for lat in random_lattices(102, 80):
+            for step in range(6):
+                row = rng.choice(list(rows_to_insert(rng, lat).values()))
+                if rng.random() < 0.3:
+                    row = row + [Attribute(f"new{step}")]
+                grown = insert_object(lat, f"gx{step}", row)
+                intents = grown._intents
+                assert grown._pos == dict(zip(intents, range(len(intents))))
+                seen["new attribute"] += len(grown.context.attributes) > len(lat.context.attributes)
+                seen["popped an unclosed bottom"] += lat._intents[-1] not in grown._pos
+                # the first position whose intent changed
+                first = next((i for i, (b, c) in enumerate(zip(lat._intents, intents)) if b != c), None)
+                seen["nothing moved" if first is None else "the top moved" if first == 0 else "moved from the middle"] += 1
+                lat = grown
+        assert min(seen.values()) >= 20, seen
+
     @pytest.mark.parametrize("new_first", [True, False], ids=["new-then-old", "old-then-new"])
     def test_kept_attribute_ranks_never_go_stale(self, new_first):
         rng = random.Random(93)
@@ -1223,7 +1285,7 @@ class TestOnePassInsert:
             if b is None:
                 continue
             parents[b] = parents[b][:-1]
-            odd = lattice.ConceptLattice._from_masks(lat.context, lat._pos, lat._extent, parents, lat._key)
+            odd = lattice.ConceptLattice._from_masks(lat.context, lat._intents, lat._pos, lat._extent, parents, lat._key)
             assert odd != lat and lat != odd
             assert odd.covers != lat.covers
             assert odd != lat and lat != odd

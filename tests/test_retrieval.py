@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import random
@@ -218,7 +219,7 @@ class TestInsertQuery:
         def grow_without_concepts(lat, obj, attrs, **kwargs):
             grown = lat.context.add_object(obj, attrs, **kwargs)
             # the public constructor would refuse this lattice
-            return ConceptLattice._from_masks(grown, {}, {}, {}, None)
+            return ConceptLattice._from_masks(grown, (), {}, {}, {}, None)
 
         monkeypatch.setattr(retrieval, "insert_object", grow_without_concepts)
         with pytest.raises(LatticeError):
@@ -278,6 +279,37 @@ class TestSearch:
             seen["no_objects"] += not ctx.objects
             seen["zero_column"] += any(not ctx.derive_attributes([a]) for a in known)
             seen["top_intent"] += bool(lat.top.intent)
+        assert min(seen.values()) >= 20, seen
+
+    def test_tie_break_is_called_once_on_each_result_it_orders(self):
+        def key(r):
+            # sources are g0, g1, ...; a key shared by every third keeps ties for the id to break
+            return int(r.source[1:]) % 3
+
+        rng = random.Random(61)
+        unknown = [Attribute(term=f"u{j}") for j in range(3)]
+        seen = collections.Counter()
+        for _ in range(400):
+            ctx = edge_case_context(rng)
+            lat = build_lattice(ctx)
+            terms = set(rng.sample(ctx.attributes, rng.randint(0, len(ctx.attributes))))
+            terms |= set(rng.sample(unknown, rng.randint(0 if terms else 1, 2)))
+            query = Query(terms=frozenset(terms))
+            calls = []
+            rs = search(lat, query, tie_break=lambda r: calls.append(r) or key(r))
+            assert len(calls) == len(rs.results)
+            called = {r.source: r for r in calls}
+            assert all(called[r.source] is r for r in rs.results)
+            expected = sorted(
+                reference_search(lat, query).results, key=lambda r: (r.rank, -len(r.shared), key(r), r.source)
+            )
+            assert rs.results == tuple(expected)
+            seen["no results"] += not rs.results
+            seen["the key reorders"] += rs.results != search(lat, query).results
+            seen["the id breaks a tie of the key"] += any(
+                (a.rank, len(a.shared), key(a)) == (b.rank, len(b.shared), key(b))
+                for a, b in zip(rs.results, rs.results[1:])
+            )
         assert min(seen.values()) >= 20, seen
 
     def test_up_set_is_the_grown_lattice_above_the_query(self):
@@ -548,6 +580,41 @@ class TestRendering:
             seen["control"] += any(c < " " or c == "\x7f" for c in raw)
             seen["non_ascii"] += any("\x7f" < c < "\ud800" for c in raw)
             seen["surrogate"] += any("\ud800" <= c <= "\udfff" for c in raw)
+        assert min(seen.values()) >= 20, seen
+
+    def test_json_renders_each_run_of_equal_values_as_each_result(self):
+        """Results next to each other share rank, shared and via_intent by
+        value, as distinct sets, or differ in exactly one of the three."""
+        rng = random.Random(109)
+        seen = collections.Counter()
+        for _ in range(300):
+            pool = [Attribute(term=awkward_text(rng), prefix=rng.choice((None, awkward_text(rng)))) for _ in range(4)]
+
+            def other(terms):
+                while True:
+                    picked = frozenset(rng.sample(pool, rng.randint(0, len(pool))))
+                    if picked != terms:
+                        return picked
+
+            def copy(terms):
+                return frozenset(list(terms))
+
+            results = [RankedResult("s0", rng.randint(0, 3), other(None), other(None))]
+            for i in range(1, rng.randint(1, 8)):
+                prev = results[-1]
+                change = rng.choice(("nothing", "rank", "shared", "via_intent"))
+                seen[f"{change} changed"] += 1
+                results.append(
+                    RankedResult(
+                        f"s{i}{awkward_text(rng)}",
+                        prev.rank + rng.randint(1, 2) if change == "rank" else prev.rank,
+                        other(prev.shared) if change == "shared" else copy(prev.shared),
+                        other(prev.via_intent) if change == "via_intent" else copy(prev.via_intent),
+                    )
+                )
+                seen["equal sets that are distinct"] += change != "shared" and results[-1].shared is not prev.shared
+            rs = ResultSet(query=Query(terms=frozenset(pool[:2]), label=awkward_text(rng)), results=tuple(results))
+            assert result_set_to_json(rs) == json_dumps_oracle(rs)
         assert min(seen.values()) >= 20, seen
 
     def test_json_matches_generic_encoder_on_answers(self, table1_lattice, organisms):
