@@ -36,6 +36,12 @@ RESERVED_OBJECT_ID = "Query"
 _set_field = object.__setattr__
 
 
+def _check_text(text: str, what: str) -> None:
+    """Refuse text UTF-8 cannot encode: a lone surrogate, such as the JSON escape ``"\\ud800"``."""
+    if not text.isascii() and any("\ud800" <= ch <= "\udfff" for ch in text):
+        raise ContextError(f"{what} {text!r} holds a lone surrogate")
+
+
 def _fill_slots(obj, *values) -> None:
     """Set every slot of ``obj``, in ``__slots__`` order."""
     for name, value in zip(obj.__slots__, values, strict=True):
@@ -107,6 +113,8 @@ class Attribute(_Record):
     def __init__(self, term: str, prefix: str | None = None, category: str = "Subject"):
         if not term:
             raise ContextError("attribute term must be non-empty")
+        _check_text(term, "attribute term")
+        _check_text(prefix or "", "attribute prefix")
         if category not in CATEGORIES:
             raise ContextError(f"unknown attribute category: {category!r}")
         _set_field(self, "term", term)
@@ -141,6 +149,7 @@ def _check_object_id(obj: str, taken, allow_reserved: bool) -> None:
     """Refuse an object id that is empty, reserved or already ``taken``."""
     if not obj:
         raise ContextError("object id must be non-empty")
+    _check_text(obj, "object id")
     if obj == RESERVED_OBJECT_ID and not allow_reserved:
         raise ContextError(f"object id {obj!r} is reserved for queries")
     if obj in taken:

@@ -9,18 +9,19 @@ proposed it (the dual of Lindig's count on the object side).
 object's concept, a query's or an inserted source's, is this walk over a small
 context (``FormalContext._query_context``), so one walk counts every cover and
 one mask key (``_mask_sort_key``) orders every lattice.  A lattice is its
-intent bit masks in canonical order, with the position of each, two maps
-keyed by intent (to its extent mask, and to its parent intents in canonical
-order) and the key it is sorted by, which an insertion with no new attribute
-reuses.  Insertion (``insert_object``, after Godin, Missaoui & Alaoui, 1995)
-takes the up-set's parent lists for the intents inside the row, bisects
-each new intent into the order and rewires only the generators, each the old
-concept closing a new intent; since parents are intents, not positions,
-every other list is shared with the old lattice as it is.  Building, insertion, saving, loading and DOT export work
-on these alone; the cover pairs are made on each read of ``covers``, the
-``FormalConcept`` values on the first access to ``concepts``, and the lookups
-(``top``, ``bottom``, ``concept_with_intent``, ``index_of`` and the covers of
-one concept) make only the values they return.
+intent bit masks in canonical order, two maps keyed by intent (to its extent
+mask, and to its parent intents in canonical order) and the key it is sorted
+by, which an insertion with no new attribute reuses.  Insertion
+(``insert_object``, after Godin, Missaoui & Alaoui, 1995) takes the up-set's
+parent lists for the intents inside the row, bisects each new intent into
+the order and rewires only the generators, each the old concept closing a
+new intent; since parents are intents, not positions, every other list is
+shared with the old lattice as it is.  Building, insertion, saving, loading
+and DOT export work on these alone; the cover pairs are made on each read of
+``covers``, the ``FormalConcept`` values on the first access to ``concepts``,
+and the lookups (``top``, ``bottom``, ``concept_with_intent``, ``index_of``
+and the covers of one concept) make only the values they return, each found
+by bisecting the order on the key.
 
 The loader parses the stored concepts into masks and runs the same walk,
 stopped before it closes an extent the file does not hold; the file is
@@ -28,8 +29,7 @@ accepted when the walk gives back the stored concepts, in order, and the
 stored covers.  So a load closes only stored extents, and a short file of a
 context with a huge lattice is refused at once.
 The walk and the derivation operators scan a mask's bits inline, the
-lowest set bit at a time; the sort key is one int per mask; an insertion
-copies the position map and rewrites it from the first position that moved.
+lowest set bit at a time; the sort key is one int per mask.
 The oracles recompute concepts and covers by brute force and share no code.
 """
 
@@ -96,15 +96,15 @@ class ConceptLattice:
 
     Concepts are kept in canonical order (intent size, then lexicographic
     intent), so the first concept is the top and the last is the bottom.
-    The stored state is the intent masks in that order, their positions,
-    each intent's extent mask and parent intents (in canonical order), and
-    the mask key of that order; ``covers`` is made from them on each read,
-    ``concepts`` once, when first read, and the lookups make only the values
-    they return.  Instances are immutable, and so are the parent lists,
-    which lattices grown by insertion share; insertion returns a new lattice.
+    The stored state is the intent masks in that order, each intent's extent
+    mask and parent intents (in canonical order), and the mask key of that
+    order; ``covers`` is made from them on each read, ``concepts`` once, when
+    first read, and the lookups make only the values they return.  Instances
+    are immutable, and so are the parent lists, which lattices grown by
+    insertion share; insertion returns a new lattice.
     """
 
-    __slots__ = ("context", "_intents", "_extent", "_pos", "_parents", "_key", "_concepts")
+    __slots__ = ("context", "_intents", "_extent", "_parents", "_key", "_concepts")
 
     def __init__(
         self,
@@ -130,28 +130,23 @@ class ConceptLattice:
             raise LatticeError("the concepts are not those of the context in canonical order")
         if sorted(tuple(pair) for pair in covers) != list(ref._pairs()):
             raise LatticeError("the covers are not those of the concepts")
-        self._fill(context, intents, ref._pos, dict(zip(intents, extents)), ref._parents, ref._key)
+        _fill_slots(self, context, intents, dict(zip(intents, extents)), ref._parents, ref._key, None)
 
     @classmethod
-    def _from_masks(cls, ctx, intents, pos, extent, parents, key) -> "ConceptLattice":
-        """A lattice from its intent masks in canonical order, the position of
-        each, two maps keyed by intent: to its extent mask, and to its parent
-        intents in canonical order, and the ``_mask_sort_key`` of ``ctx``
-        that orders them.  The intents are passed on their own because the
-        map's key order need not be theirs: an insertion rewrites the
-        positions of a copied map from the first one that moved."""
+    def _from_masks(cls, ctx, intents, extent, parents, key) -> "ConceptLattice":
+        """A lattice from its intent masks in canonical order, two maps keyed
+        by intent (to its extent mask, and to its parent intents in canonical
+        order), whose key order need not be the intents', and the
+        ``_mask_sort_key`` of ``ctx`` that orders them."""
         lat = object.__new__(cls)
-        lat._fill(ctx, intents, pos, extent, parents, key)
+        _fill_slots(lat, ctx, tuple(intents), extent, parents, key, None)
         return lat
-
-    def _fill(self, context, intents, pos, extent, parents, key) -> None:
-        # concept values are made on first use
-        _fill_slots(self, context, tuple(intents), extent, pos, parents, key, None)
 
     def _pairs(self) -> Iterable[tuple[int, int]]:
         """The (child, parent) position pairs in sorted order."""
-        pos, parents = self._pos, self._parents
-        return ((i, pos[p]) for i, b in enumerate(self._intents) for p in parents[b])
+        intents, parents = self._intents, self._parents
+        pos = dict(zip(intents, range(len(intents))))
+        return ((i, pos[p]) for i, b in enumerate(intents) for p in parents[b])
 
     @property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -207,34 +202,38 @@ class ConceptLattice:
     def bottom(self) -> FormalConcept:
         return self._value(-1)
 
+    def _index(self, b: int) -> int:
+        """The position of intent ``b``, which must be in the lattice."""
+        return bisect.bisect_left(self._intents, self._key(b), key=self._key)
+
     def index_of(self, concept: FormalConcept) -> int:
         ctx = self.context
         try:
             b = ctx._attr_mask(concept.intent)
-            found = b in self._pos and ctx._obj_mask(concept.extent) == self._extent[b]
+            found = b in self._extent and ctx._obj_mask(concept.extent) == self._extent[b]
         except ContextError:
             found = False
         if not found:
             raise LatticeError(f"concept not in lattice: {concept}")
-        return self._pos[b]
+        return self._index(b)
 
     def concept_with_intent(self, intent: Iterable[Attribute]) -> FormalConcept | None:
         try:
-            idx = self._pos.get(self.context._attr_mask(intent))
+            b = self.context._attr_mask(intent)
         except ContextError:
             return None
-        return None if idx is None else self._value(idx)
+        return self._value(self._index(b)) if b in self._extent else None
 
     def upper_covers(self, concept: FormalConcept) -> list[FormalConcept]:
         """Immediate parents in the Hasse diagram, in canonical order."""
         ps = self._parents[self._intents[self.index_of(concept)]]
-        return [self._value(self._pos[p]) for p in ps]
+        return [self._value(self._index(p)) for p in ps]
 
     def lower_covers(self, concept: FormalConcept) -> list[FormalConcept]:
         """Immediate children in the Hasse diagram, in canonical order."""
-        idx = self.index_of(concept)
+        b = self._intents[self.index_of(concept)]
         # children are visited in order, so the list comes out sorted
-        return [self._value(c) for c, p in self._pairs() if p == idx]
+        return [self._value(i) for i, c in enumerate(self._intents) if b in self._parents[c]]
 
     def height(self) -> int:
         """Length in edges of the longest bottom-to-top chain."""
@@ -311,7 +310,6 @@ def _complete(ctx: FormalContext, stored: set[int] | None = None) -> ConceptLatt
     return ConceptLattice._from_masks(
         ctx,
         order,
-        pos,
         dict(zip(intents, extents)),
         {b: sorted(ps, key=pos.__getitem__) for b, ps in zip(intents, parents)},
         key,
@@ -347,10 +345,7 @@ def insert_object(
     old bottom's parents outside x.  Only masks are computed, and only the
     generators are looked at outside the up-set.
 
-    Each new intent is placed by bisecting the order on its int key.  The
-    position map is the old lattice's, copied and rewritten in one update
-    from the first position that moved on; the positions before it are
-    kept as they are.
+    Each new intent is placed by bisecting the order on its int key.
     """
     ctx = lat.context.add_object(obj, attrs, allow_reserved=allow_reserved)
     x = ctx._rows[-1]
@@ -368,17 +363,13 @@ def insert_object(
     # new attributes are appended, so old intents keep their masks; lists are
     # shared with the old lattice, so a changed one is replaced, never edited
     order, extent, parents = list(lat._intents), dict(lat._extent), dict(lat._parents)
-    # the copied map is rewritten from the first position that moved, the
-    # lowest insertion; a popped bottom's is rewritten too, since x, new
-    # then, is inserted at or before it
-    pos, first = dict(lat._pos), len(order)
     bottom = order[-1]
     # an old concept with an empty extent can only be the bottom, whose intent
     # (the old M) is not closed once the object brings new attributes
     closed = bool(extent[bottom]) or full == old_full
     if not closed:
         order.pop()
-        del extent[bottom], parents[bottom], pos[bottom]
+        del extent[bottom], parents[bottom]
     for b in up._intents:
         c = grown[b]
         parents[c] = [grown[p] for p in up._parents[b]]
@@ -387,7 +378,6 @@ def insert_object(
             continue
         i = bisect.bisect(order, key(c), key=key)
         order.insert(i, c)
-        first = min(first, i)
         extent[c] = ctx._extent_mask_of_intent_mask(c)
         if c & ~old_full:
             continue
@@ -408,8 +398,7 @@ def insert_object(
         # only the new object has the new attributes, and it lacks one of M
         extent[full] = 0
         parents[full] = sorted(below + [x], key=key)
-    pos.update(zip(order[first:], range(first, len(order))))
-    return ConceptLattice._from_masks(ctx, order, pos, extent, parents, key)
+    return ConceptLattice._from_masks(ctx, order, extent, parents, key)
 
 
 def enumerate_concepts_oracle(ctx: FormalContext) -> set[FormalConcept]:
@@ -488,10 +477,11 @@ def export_dot(lat: ConceptLattice, reduced_labels: bool = False) -> str:
         own_objects: list[list[str]] = [[] for _ in lat._intents]
         own_attrs: list[list[Attribute]] = [[] for _ in lat._intents]
         # an object's row and the closure of an attribute's column are intents
+        pos = dict(zip(lat._intents, range(len(lat._intents))))
         for g, row in zip(ctx.objects, ctx._rows):
-            own_objects[lat._pos[row]].append(g)
+            own_objects[pos[row]].append(g)
         for a, col in zip(ctx.attributes, ctx._cols):
-            own_attrs[lat._pos[ctx._attr_closure(col)]].append(a)
+            own_attrs[pos[ctx._attr_closure(col)]].append(a)
     lines = ["digraph concept_lattice {", "  rankdir=BT;", "  node [shape=box];"]
     for i, b in enumerate(lat._intents):
         if reduced_labels:

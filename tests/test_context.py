@@ -150,6 +150,10 @@ class TestAddObject:
         with pytest.raises(ContextError, match="non-empty"):
             table1.add_object("", [attrs_by_term["NS"]])
 
+    def test_lone_surrogate_id(self, table1, attrs_by_term):
+        with pytest.raises(ContextError, match="lone surrogate"):
+            table1.add_object("S\udc80", [attrs_by_term["NS"]])
+
     def test_id_checks_come_in_the_constructor_order(self):
         ctx = FormalContext(["Query"], [Attribute("m")], [[1]], allow_reserved_ids=True)
         with pytest.raises(ContextError, match="reserved"):
@@ -191,6 +195,8 @@ class TestFromRows:
             ([""], ["a"], [1], "non-empty"),
             (["Query"], ["a"], [1], "reserved"),
             (["g", "h"], ["a"], [1], "row count"),
+            (["g\ud800"], ["a"], [1], "lone surrogate"),
+            (["\udcff"], ["a"], [1], "lone surrogate"),
         ],
     )
     def test_keeps_the_id_and_row_count_checks(self, objects, attributes, rows, message):
@@ -205,6 +211,14 @@ class TestFromRows:
     def test_public_constructor_refuses_a_row_of_another_length(self, row):
         with pytest.raises(ContextError, match="column count does not match attribute count"):
             FormalContext(["g", "h"], [Attribute("a"), Attribute("b")], [[0, 1], row])
+
+
+@pytest.mark.parametrize(
+    "term, prefix", [("a\ud800", None), ("\udcff", "NCBI"), ("a", "\udc80"), ("a", "N\udfff")]
+)
+def test_an_attribute_refuses_a_lone_surrogate(term, prefix):
+    with pytest.raises(ContextError, match="lone surrogate"):
+        Attribute(term, prefix)
 
 
 def test_slots_cannot_be_assigned():

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from fcaregistry import build_context, build_lattice, lattice_to_json, load_records
+from fcaregistry import build_context, build_lattice, lattice_to_json, load_records, parse_records
 from conftest import FIXTURES, run_python
 from test_lattice import contranominal_doc, lattice_doc
 
@@ -78,3 +78,26 @@ def test_each_tampered_lattice_file_is_refused_with_one_error_line(workdir):
     runs = run_cli([(["stats", "--lattice", name], None) for name in TAMPERED], workdir)
     for name, (code, out, err) in zip(TAMPERED, runs):
         assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, (name, err)
+
+
+def test_a_lone_surrogate_is_refused_with_one_error_line(tmp_path):
+    """An object id or a term holding a lone surrogate, written as a JSON escape in a record file or
+    a lattice file: ``build``, ``stats``, ``query`` (table format) and ``export-dot`` exit 1 with one
+    error line, where printing the id or term would otherwise stop on an encoding error."""
+    records = {"records": [{"id": "S", "subjects": ["a", "b"]}, {"id": "T", "subjects": ["a"]}]}
+    text = lattice_to_json(build_lattice(build_context(parse_records(json.dumps(records)))))
+    bad = {"id": ('"S"', '"S\\ud800"'), "term": ('"b"', '"b\\udc80"')}
+    jobs = []
+    for name, (good, lone) in bad.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(records).replace(good, lone), encoding="utf-8")
+        (tmp_path / f"{name}.lat").write_text(text.replace(good, lone), encoding="utf-8")
+        jobs += [
+            (["build", "--records", f"{name}.json", "--out", f"{name}.built.lat"], None),
+            (["stats", "--lattice", f"{name}.lat"], None),
+            (["query", "--lattice", f"{name}.lat", "--terms", "a"], None),
+            (["export-dot", "--lattice", f"{name}.lat"], None),
+        ]
+    for (argv, _), (code, out, err) in zip(jobs, run_cli(jobs, tmp_path)):
+        assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "holds a lone surrogate" in err, (argv, err)
+    assert not list(tmp_path.glob("*.built.lat"))

@@ -263,6 +263,20 @@ class TestBuildContextMatchesCellLists:
         with pytest.raises(ContextError, match="'Query' is reserved"):
             build_context(records)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"id": "S\ud800", "subjects": ["a"]}, r"object id 'S\\ud800' holds a lone surrogate"),
+            ({"id": "S", "subjects": ["a\udc80"]}, r"attribute term 'a\\udc80' holds a lone surrogate"),
+            ({"id": "S", "subjects": ["free:\udfff"]}, r"attribute term '\\udfff' holds a lone surrogate"),
+        ],
+        ids=["id", "term", "prefixed-term"],
+    )
+    def test_a_lone_surrogate_from_a_record_file_is_refused(self, doc, message):
+        records = parse_records(json.dumps({"records": [doc, {"id": "T", "subjects": ["a"]}]}))
+        with pytest.raises(ContextError, match=message):
+            build_context(records)
+
 
 class TestRoundTrip:
     def test_write_then_parse(self, corpus):
