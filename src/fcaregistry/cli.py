@@ -10,8 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .context import CATEGORIES, Attribute, context_from_csv
-from .errors import FcaRegistryError
+from .context import CATEGORIES, Attribute, context_from_csv, split_term
+from .errors import ContextError, FcaRegistryError
 from .lattice import ConceptLattice, build_lattice, export_dot, lattice_from_json, lattice_to_json
 from .ontology import _resolvable, load_ontology
 from .registry import build_context, load_records
@@ -52,10 +52,13 @@ def _resolve_terms(ctx, names: list[str]) -> list[Attribute]:
         if matches:
             terms.append(matches[0])
         else:
-            prefix, sep, term = name.partition(":")
-            if sep and not term:
+            prefix, term = split_term(name)
+            if not term:
                 raise UsageError(f"no term after the prefix in {name!r}")
-            terms.append(Attribute(term=term, prefix=prefix) if sep else Attribute(term=name))
+            try:
+                terms.append(Attribute(term=term, prefix=prefix))
+            except ContextError as exc:  # such as a name that is not valid UTF-8
+                raise UsageError(str(exc)) from exc
     return terms
 
 

@@ -48,6 +48,17 @@ def _fill_slots(obj, *values) -> None:
         _set_field(obj, name, value)
 
 
+class _Immutable:
+    """Base of the slotted classes set once by ``_fill_slots``: refuses assignment and deletion."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
 class _Record:
     """Base of the package's record types: values made once and never changed.
 
@@ -137,6 +148,14 @@ class Attribute(_Record):
         return f"{self.prefix}:{self.term}" if self.prefix else self.term
 
 
+def split_term(raw: str) -> tuple[str | None, str]:
+    """Split ``prefix:term`` at its first ``:``; a bare term has no prefix.  The one name reader."""
+    prefix, sep, term = raw.partition(":")
+    if not sep:
+        return None, raw
+    return prefix, term
+
+
 def _bits(mask: int):
     """Positions of the set bits of a mask, in increasing order."""
     while mask:
@@ -172,7 +191,7 @@ def _ordered_attrs(attrs: Iterable[Attribute]) -> list[Attribute]:
     return out
 
 
-class FormalContext:
+class FormalContext(_Immutable):
     """An immutable (objects x attributes) boolean incidence table.
 
     Every slot is set once, when the context is made; the canonical order
@@ -224,9 +243,6 @@ class FormalContext:
             for j in _bits(mask):
                 cols[j] |= 1 << i
         _fill_slots(self, objects, attributes, tuple(rows), tuple(cols), obj_index, attr_index)
-
-    def __setattr__(self, name, value):  # immutable after construction
-        raise AttributeError("FormalContext is immutable")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormalContext):
@@ -460,17 +476,14 @@ def _format_header_cell(attr: Attribute) -> str:
     """``prefix:term@category``: ``@`` ends the name and the first ``:`` the prefix."""
     if _unwritable_attribute(attr):
         raise ContextError(f"cannot write attribute {str(attr)!r} to CSV: it would read back otherwise")
-    name = f"{attr.prefix}:{attr.term}" if attr.prefix else attr.term
-    return f"{name}@{attr.category}"
+    return f"{attr}@{attr.category}"
 
 
 def _parse_header_cell(cell: str) -> Attribute:
     name, _, category = cell.partition("@")
     category = category or "Subject"
-    prefix, sep, term = name.partition(":")
-    if not sep:
-        prefix, term = "", name
-    attr = Attribute(term=term, prefix=prefix or None, category=category)
+    prefix, term = split_term(name)
+    attr = Attribute(term=term, prefix=prefix, category=category)
     if _unwritable_attribute(attr):
         raise ContextError(f"header cell {cell!r} names an attribute the writer cannot write back")
     return attr

@@ -40,7 +40,7 @@ import json
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Iterable, Sequence
 
-from .context import Attribute, FormalContext, _bits, _fill_slots, _Record, _set_field
+from .context import Attribute, FormalContext, _bits, _fill_slots, _Immutable, _Record, _set_field
 from .errors import ContextError, LatticeError
 
 #: Attribute-count guard for the naive oracle (exponential in the worst case).
@@ -91,7 +91,7 @@ def _concept(ctx: FormalContext, intent: int, extent: int) -> FormalConcept:
     )
 
 
-class ConceptLattice:
+class ConceptLattice(_Immutable):
     """All formal concepts of a context, ordered by extent inclusion.
 
     Concepts are kept in canonical order (intent size, then lexicographic
@@ -161,9 +161,6 @@ class ConceptLattice:
             values = tuple(_concept(ctx, b, extent[b]) for b in self._intents)
             _set_field(self, "_concepts", values)
         return self._concepts
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConceptLattice is immutable")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConceptLattice):

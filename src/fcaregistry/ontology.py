@@ -27,7 +27,7 @@ import json
 from collections import deque
 from typing import TYPE_CHECKING, NoReturn, Sequence
 
-from .context import Attribute, FormalContext, _fill_slots, _Record
+from .context import Attribute, FormalContext, _fill_slots, _Immutable, _Record
 from .errors import OntologyError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -113,7 +113,7 @@ class RefinementReport(_Record):
     skipped_terms: frozenset[str] = frozenset()
 
 
-class Ontology:
+class Ontology(_Immutable):
     """An immutable rooted DAG of terms under a specialization order."""
 
     __slots__ = ("prefix", "root", "terms", "_parents", "_children", "_alias_of", "_resolve")
@@ -194,9 +194,6 @@ class Ontology:
                     raise OntologyError(f"duplicate term or alias: {alias!r}")
                 spelled.add(alias)
         _fill_slots(self, prefix, root, frozenset(popped), parents, kids, aliases, resolve)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ontology is immutable")
 
     def __repr__(self) -> str:
         return f"Ontology(prefix={self.prefix!r}, {len(self.terms)} terms)"

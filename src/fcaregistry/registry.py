@@ -3,7 +3,10 @@
 Records follow a simplified structured schema: free-text identification and
 availability maps, plus controlled-vocabulary term lists for the Subject,
 Organism and Quality categories.  Terms may be prefixed ("NCBI:Human") to
-name the ontology they come from.
+name the ontology they come from; ``split_term`` reads such a name.  The
+format is stated once: ``_TERM_LISTS`` and ``_SECTIONS`` give each term list
+and section its category, and parsing, writing, binarization and validation
+read them.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import json
 import re
 from pathlib import Path
 
-from .context import Attribute, FormalContext, _Record
+from .context import CATEGORIES, Attribute, FormalContext, _Record, split_term
 from .errors import RegistryError
 from .ontology import Ontology
 
@@ -20,6 +23,12 @@ from .ontology import Ontology
 FREE_PREFIX = "free"
 
 _DATE_SHAPE = re.compile(r"^\d{4}(-\d{2}(-\d{2}(T[0-9:.+\-Z]+)?)?)?$")
+
+#: A record's term lists, in record order, with the category of their terms.
+_TERM_LISTS = (("subjects", "Subject"), ("organisms", "Organism"), ("quality", "Quality"))
+
+#: A record's free-text sections, with the category of the attributes their field rules make.
+_SECTIONS = {"identification": "Identification", "availability": "Availability"}
 
 
 class OntologyRef(_Record):
@@ -68,34 +77,23 @@ class MetadataRecord(_Record):
 
     def terms_by_category(self) -> list[tuple[str, str]]:
         """(category, raw term) pairs in record order."""
-        out = []
-        out.extend(("Subject", t) for t in self.subjects)
-        out.extend(("Organism", t) for t in self.organisms)
-        out.extend(("Quality", t) for t in self.quality)
-        return out
-
-
-def split_term(raw: str) -> tuple[str | None, str]:
-    """Split 'prefix:term' into its parts; bare terms have no prefix."""
-    prefix, sep, term = raw.partition(":")
-    if not sep:
-        return None, raw
-    return prefix, term
+        return [(category, t) for key, category in _TERM_LISTS for t in getattr(self, key)]
 
 
 class FieldRule(_Record):
     """Binarize one identification/availability field by exact value match."""
 
-    section: str  # "identification" or "availability"
+    section: str  # a key of ``_SECTIONS``
     fieldname: str
     equals: str
     attribute_term: str
 
     def category(self) -> str:
-        return "Identification" if self.section == "identification" else "Availability"
+        return _SECTIONS[self.section]
 
 
 class BinarizationConfig(_Record):
+    # those of ``_TERM_LISTS``, as a literal: a frozenset's repr order depends on how it is built
     categories_included: frozenset[str] = frozenset({"Subject", "Organism", "Quality"})
     field_rules: tuple[FieldRule, ...] = ()
 
@@ -133,22 +131,19 @@ def _record_from_doc(doc: dict) -> MetadataRecord:
     for ref in refs_doc:
         if not isinstance(ref, dict) or not isinstance(ref.get("prefix"), str):
             raise RegistryError(f"record {rid!r}: an 'ontologies_used' entry lacks a string 'prefix'")
-        fields = {key: ref.get(key, "") for key in ("name", "version", "location")}
+        fields = {key: ref.get(key, "") for key in OntologyRef._fields[1:]}
         for key, value in fields.items():
             if not isinstance(value, str):
                 raise RegistryError(
                     f"record {rid!r}: an 'ontologies_used' {key!r} must be a string, got {value!r}"
                 )
         refs.append(OntologyRef(prefix=ref["prefix"], **fields))
-    record = MetadataRecord(
-        id=rid,
-        identification=_string_map(doc, "identification", rid),
-        subjects=_term_list(doc, "subjects", rid),
-        organisms=_term_list(doc, "organisms", rid),
-        quality=_term_list(doc, "quality", rid),
-        availability=_string_map(doc, "availability", rid),
-        ontologies_used=refs,
-    )
+    # the sections and term lists, checked in record order
+    values = [
+        _string_map(doc, key, rid) if key in _SECTIONS else _term_list(doc, key, rid)
+        for key in MetadataRecord._fields[1:-1]
+    ]
+    record = MetadataRecord(rid, *values, refs)
     declared = record.declared_prefixes()
     for category, raw in record.terms_by_category():
         if not isinstance(raw, str):
@@ -211,27 +206,16 @@ def write_records(records: list[MetadataRecord]) -> str:
     """Emit a corpus document; parse_records round-trips it exactly."""
     doc = {
         "records": [
-            {
-                "id": r.id,
-                "identification": r.identification,
-                "subjects": r.subjects,
-                "organisms": r.organisms,
-                "quality": r.quality,
-                "availability": r.availability,
-                "ontologies_used": [
-                    {
-                        "prefix": ref.prefix,
-                        "name": ref.name,
-                        "version": ref.version,
-                        "location": ref.location,
-                    }
-                    for ref in r.ontologies_used
-                ],
-            }
+            {**_fields_doc(r), "ontologies_used": [_fields_doc(ref) for ref in r.ontologies_used]}
             for r in records
         ]
     }
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def _fields_doc(record: _Record) -> dict:
+    """Each field of a record under its name."""
+    return dict(zip(record._fields, record._values(record)))
 
 
 def build_context(
@@ -248,6 +232,12 @@ def build_context(
     cfg = cfg or BinarizationConfig()
     if not cfg.categories_included:
         raise RegistryError("at least one category must be included")
+    unknown = set(cfg.categories_included) - set(CATEGORIES)
+    if unknown:
+        raise RegistryError("unknown category: " + ", ".join(sorted(map(repr, unknown))))
+    for rule in cfg.field_rules:
+        if rule.section not in _SECTIONS:
+            raise RegistryError(f"unknown field rule section: {rule.section!r}")
     attrs: list[Attribute] = []
     attr_pos: dict[tuple[str, str], int] = {}
 
@@ -268,8 +258,7 @@ def build_context(
             if category in cfg.categories_included:
                 row |= bit(*split_term(raw), category)
         for rule in cfg.field_rules:
-            section = r.identification if rule.section == "identification" else r.availability
-            if section.get(rule.fieldname) == rule.equals:
+            if getattr(r, rule.section).get(rule.fieldname) == rule.equals:
                 row |= bit(None, rule.attribute_term, rule.category())
         if row:
             ids.append(r.id)
@@ -290,13 +279,9 @@ def validate_record(record: MetadataRecord, onts: list[Ontology]) -> list[Findin
             findings.append(
                 Finding("warning", f"{category} term {raw!r} not found in ontology {prefix!r}")
             )
-    for category, values in (
-        ("subjects", record.subjects),
-        ("organisms", record.organisms),
-        ("quality", record.quality),
-    ):
-        if not values:
-            findings.append(Finding("info", f"record {record.id!r} has no {category} terms"))
+    for key, _ in _TERM_LISTS:
+        if not getattr(record, key):
+            findings.append(Finding("info", f"record {record.id!r} has no {key} terms"))
     for name, value in sorted(record.identification.items()):
         if "date" in name.lower() and not _DATE_SHAPE.match(value):
             findings.append(

@@ -166,6 +166,15 @@ class TestQuery:
         assert out == ""
         assert err == f"usage error: no term after the prefix in {name!r}\n"
 
+    @pytest.mark.parametrize("terms", ["NS,\udc80x", "\udcff:Hu,NS", "NCBI:H\udc80"])
+    def test_a_name_that_is_not_utf8_is_usage_error(self, lattice_file, capsys, terms):
+        # Python decodes command-line bytes that are not UTF-8 to lone surrogates
+        assert main(["query", "--lattice", lattice_file, "--terms", terms]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: attribute ") and err.endswith(" holds a lone surrogate\n")
+        assert err.count("\n") == 1
+
     def test_refine_without_ontology_usage_error(self, lattice_file):
         rc = main(["query", "--lattice", lattice_file, "--terms", "Ch", "--refine", "generalize"])
         assert rc == 2
@@ -283,6 +292,12 @@ class TestClassify:
         out = tmp_path / "x"
         assert main(["classify", "--lattice", lattice_file, "--attribute", "NS:", "--out", str(out)]) == 2
         assert capsys.readouterr() == ("", "usage error: no term after the prefix in 'NS:'\n")
+        assert not out.exists()
+
+    def test_a_name_that_is_not_utf8_is_usage_error(self, lattice_file, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["classify", "--lattice", lattice_file, "--attribute", "\udc80x", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "usage error: attribute term '\\udc80x' holds a lone surrogate\n")
         assert not out.exists()
 
     def test_a_view_from_a_lattice_is_the_view_from_its_context(self, lattice_file, tmp_path):

@@ -227,6 +227,8 @@ def test_slots_cannot_be_assigned():
     for name in [*FormalContext.__slots__, "extra"]:
         with pytest.raises(AttributeError, match="FormalContext is immutable"):
             setattr(ctx, name, None)
+        with pytest.raises(AttributeError, match="FormalContext is immutable"):
+            delattr(ctx, name)
     assert (ctx.objects, ctx.attributes, ctx._rows, ctx._cols) == before
 
 

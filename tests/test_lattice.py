@@ -390,6 +390,8 @@ class TestConstructor:
         for name in [*ConceptLattice.__slots__, "extra"]:
             with pytest.raises(AttributeError, match="ConceptLattice is immutable"):
                 setattr(lat, name, None)
+            with pytest.raises(AttributeError, match="ConceptLattice is immutable"):
+                delattr(lat, name)
         assert lattice_to_json(lat) == before
 
     def test_covers_in_any_order(self, table1_lattice):

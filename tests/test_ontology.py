@@ -215,6 +215,8 @@ class TestLoadOntology:
         for name in [*Ontology.__slots__, "extra"]:
             with pytest.raises(AttributeError, match="Ontology is immutable"):
                 setattr(ont, name, None)
+            with pytest.raises(AttributeError, match="Ontology is immutable"):
+                delattr(ont, name)
         assert (ont.prefix, ont.root, ont.terms, ont.resolve("x")) == ("T", "r", {"r", "a"}, "a")
 
     def test_single_term(self):

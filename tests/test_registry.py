@@ -154,6 +154,27 @@ class TestBuildContext:
         with pytest.raises(RegistryError):
             build_context(corpus, BinarizationConfig(categories_included=frozenset()))
 
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            (BinarizationConfig(frozenset({"Subject", "Organsim"})), "unknown category: 'Organsim'"),
+            (BinarizationConfig(frozenset({"subject"})), "unknown category: 'subject'"),
+            (
+                BinarizationConfig(field_rules=(FieldRule("identifcation", "freq", "monthly", "m"),)),
+                "unknown field rule section: 'identifcation'",
+            ),
+            (
+                BinarizationConfig(field_rules=(FieldRule("Availability", "access", "public", "p"),)),
+                "unknown field rule section: 'Availability'",
+            ),
+        ],
+    )
+    def test_a_misspelled_config_is_refused(self, cfg, message):
+        # refused before any record is read, so an empty corpus is refused too
+        for records in ([], [MetadataRecord(id="S", subjects=["s"])]):
+            with pytest.raises(RegistryError, match=f"^{message}$"):
+                build_context(records, cfg)
+
     def test_field_rules(self, corpus):
         cfg = BinarizationConfig(
             field_rules=(
@@ -340,7 +361,7 @@ def random_record(rng, i):
         if rng.random() < 0.8:
             doc[key] = rng.sample(terms, rng.randint(0, 3))
     if rng.random() < 0.6:
-        doc["identification"] = {"title": f"source {i}", "date_modified": "2005-01-15"}
+        doc["identification"] = {"title": f"source {i} \u00e9", "date_modified": "2005-01-15"}
     if rng.random() < 0.4:
         doc["availability"] = {"access": "public"}
     prefixes = [p for p in ("NCBI", "MESH", "a") if rng.random() < 0.5]
@@ -357,6 +378,34 @@ def random_record(rng, i):
 
 #: Values ``random_record`` writes into the fields of an ``ontologies_used`` entry.
 REF_VALUES = ("", "2.1", "../organisms.ont", 5, [1], None, {"a": 1}, True)
+
+
+def hand_written_records(records):
+    """``write_records`` as it was written before it read the record's fields:
+    each key spelled out, for a check that the bytes stay the same."""
+    doc = {
+        "records": [
+            {
+                "id": r.id,
+                "identification": r.identification,
+                "subjects": r.subjects,
+                "organisms": r.organisms,
+                "quality": r.quality,
+                "availability": r.availability,
+                "ontologies_used": [
+                    {
+                        "prefix": ref.prefix,
+                        "name": ref.name,
+                        "version": ref.version,
+                        "location": ref.location,
+                    }
+                    for ref in r.ontologies_used
+                ],
+            }
+            for r in records
+        ]
+    }
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
 class TestRecordFuzz:
@@ -380,8 +429,10 @@ class TestRecordFuzz:
                 message = str(exc)
                 outcomes["entry field refused"] += "'ontologies_used'" in message and "must be a string" in message
             else:
-                # what is accepted writes back to the same records
-                assert parse_records(write_records(parsed)) == parsed, text
+                # what is accepted writes back to the same records, in the same bytes
+                written = write_records(parsed)
+                assert written == hand_written_records(parsed), text
+                assert parse_records(written) == parsed, text
                 refs = [ref for r in parsed for ref in r.ontologies_used]
                 assert all(isinstance(v, str) for ref in refs for v in vars(ref).values()), text
                 outcomes["accepted"] += 1
