@@ -6,23 +6,25 @@ full names (e.g. "Vertebrates") can match abbreviated context attributes
 (e.g. "Ve").  A refinement maps each term to the context attribute that
 carries it once (``_carriers``), and adds and drops terms by set operations.
 
-Loading makes each container once and keeps it.  One pass over the edges
-gives a children list to each term that has children and a parents list to
-each term that has a parent; every leaf shares one empty tuple as its
-children, and the root has it as its parents.  One Kahn pass from the root
-then pops every term exactly when the graph is acyclic and reaches every
-term from the root.  It counts down only the terms with several parents: a
-term with one parent is popped with it.  Repeated edges are looked for only
-among those terms, and the alias map is made by one update, whose size and
-key set show a fault.  The slower diagnostics run only when one of these
-checks fails.  They name the first fault in a fixed order, and a cycle by
-the first one a depth-first search meets from the smallest term left
-behind, following edges in file order, so the message does not depend on
-``PYTHONHASHSEED``.
+Loading runs with the cyclic collector paused, makes each container once
+and keeps it.  One pass over the edges gives a children list to each term
+that has children, a parents list to each term that has a parent (the
+root's is an empty tuple), and a count to each term with several parents;
+a leaf has no children entry.  One Kahn pass from the root then pops every
+term exactly when the graph is acyclic and reaches every term from the
+root.  It counts down only the terms with several parents: a term with one
+parent is popped with it.  Repeated edges are looked for only among those
+terms.  The name map holds only the aliases, since a term resolves to
+itself; its size and key set show an alias fault.  The slower diagnostics
+run only when one of these checks fails.  They name the first fault in a
+fixed order, and a cycle by the first one a depth-first search meets from
+the smallest term left behind, following edges in file order, so the
+message does not depend on ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import deque
 from typing import TYPE_CHECKING, NoReturn, Sequence
@@ -39,14 +41,15 @@ UNLIMITED = None
 
 def _distances(start: str, step: dict[str, Sequence[str]], hops: int | None) -> dict[str, int]:
     """Breadth-first distance from ``start`` (0) of each term ``step`` reaches
-    within ``hops`` steps; ``step`` maps a term to its next terms."""
+    within ``hops`` steps; ``step`` maps a term to its next terms, and a
+    term it does not hold has none."""
     dist = {start: 0}
     queue = deque([start])
     while queue:
         node = queue.popleft()
         if hops is not None and dist[node] >= hops:
             continue
-        for nxt in step[node]:
+        for nxt in step.get(node, ()):
             if nxt not in dist:
                 dist[nxt] = dist[node] + 1
                 queue.append(nxt)
@@ -128,24 +131,27 @@ class Ontology(_Immutable):
         """Validate and store a rooted DAG given as (parent, child) edges.
 
         Only a term with children holds a children list, and only a term
-        with a parent a parents list; the lists are kept as built.  Every
-        leaf's children are one shared empty tuple, and so are the root's
-        parents.  One Kahn pass (Kahn, 1962) from the root pops every
-        term exactly when the graph is acyclic and every term is reachable
-        from the root, so a valid ontology is checked in linear time.  The
+        with a parent a parents list; the lists are kept as built, and the
+        root's parents are an empty tuple.  One Kahn pass (Kahn, 1962) from
+        the root pops every term exactly when the graph is acyclic and every
+        term is reachable from the root, so a valid ontology is checked in
+        linear time.  The
         pass counts down only the terms with several parents, and only
         their parent lists can repeat an edge.  Only when the pass leaves
         terms behind, or an edge repeats, does ``_diagnose`` name the
         fault; the errors come in this order: a duplicate edge, a cycle
         (with a witness that does not depend on hashing), terms unreachable
-        from the root.  The alias errors come last: the name map is the
-        terms plus one update from the aliases, and only when it comes out
-        short, or an alias names an unknown term, are the aliases read one
-        by one, in order, to name the first fault.
+        from the root.  The alias errors come last: the name map is made from
+        the aliases alone, and only when it comes out short, holds a term,
+        or an alias names an unknown term, are the aliases read one by one,
+        in order, to name the first fault.
         """
         aliases = dict(aliases or {})
         children: dict[str, list[str]] = {}
         parents: dict[str, list[str]] = {}
+        # a term with one parent is popped when that parent is, so only the
+        # terms with several parents count down, from their number of parents
+        pending: dict[str, int] = {}
         for parent, child in edges:
             below = children.get(parent)
             if below is None:
@@ -157,9 +163,7 @@ class Ontology(_Immutable):
                 parents[child] = [parent]
             else:
                 above.append(parent)
-        # a term with one parent is popped when that parent is, so only the
-        # terms with several parents count down
-        pending = {t: len(ps) for t, ps in parents.items() if len(ps) > 1}
+                pending[child] = len(above)
         popped = [] if root in parents else [root]
         for node in popped:  # the list grows while it is read
             for child in children.get(node, ()):
@@ -180,27 +184,25 @@ class Ontology(_Immutable):
         ):
             _diagnose(root, edges, {**dict.fromkeys((root, *parents), ()), **children}, popped)
         parents[root] = ()
-        kids = dict.fromkeys(popped, ())  # every leaf shares the one empty tuple
-        kids.update(children)
-        resolve = dict(zip(popped, popped))
-        resolve.update(zip(aliases.values(), aliases.keys()))
-        # the map is short when an alias spells a term or another alias
-        if len(resolve) < len(popped) + len(aliases) or not aliases.keys() <= parents.keys():
+        terms = frozenset(popped)
+        resolve = dict(zip(aliases.values(), aliases.keys()))
+        # an alias that spells another makes the map short, one that spells a term meets the terms
+        if len(resolve) < len(aliases) or not aliases.keys() <= terms or not terms.isdisjoint(resolve):
             spelled = set(popped)
             for name, alias in aliases.items():
-                if name not in parents:
+                if name not in terms:
                     raise OntologyError(f"alias for unknown term: {name!r}")
                 if alias in spelled:
                     raise OntologyError(f"duplicate term or alias: {alias!r}")
                 spelled.add(alias)
-        _fill_slots(self, prefix, root, frozenset(popped), parents, kids, aliases, resolve)
+        _fill_slots(self, prefix, root, terms, parents, children, aliases, resolve)
 
     def __repr__(self) -> str:
         return f"Ontology(prefix={self.prefix!r}, {len(self.terms)} terms)"
 
     def resolve(self, text: str) -> str | None:
         """Canonical term name for a name or alias; None if not in the ontology."""
-        return self._resolve.get(text)
+        return text if text in self.terms else self._resolve.get(text)
 
     def alias(self, term: str) -> str | None:
         return self._alias_of.get(term)
@@ -211,7 +213,7 @@ class Ontology(_Immutable):
         return (term, alias) if alias else (term,)
 
     def is_leaf(self, term: str) -> bool:
-        return not self._children[self._require(term)]
+        return self._require(term) not in self._children
 
     def is_root(self, term: str) -> bool:
         return self._require(term) == self.root
@@ -250,35 +252,42 @@ class Ontology(_Immutable):
 
 
 def load_ontology(text: str) -> Ontology:
-    """Parse and validate the JSON ontology document format."""
+    """Parse and validate the JSON ontology document format, with the cyclic
+    collector paused: the parsed data hold no cycles for it to collect."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise OntologyError(f"malformed ontology document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise OntologyError("ontology document must be a JSON object")
-    for key in ("prefix", "root"):
-        if key not in doc:
-            raise OntologyError(f"ontology document missing field: {key!r}")
-        if not isinstance(doc[key], str):
-            raise OntologyError(f"ontology field {key!r} must be a string")
-    if not doc["root"]:
-        raise OntologyError("ontology field 'root' must be a non-empty string")
-    edges = doc.get("edges", [])
-    if not isinstance(edges, list):
-        raise OntologyError("ontology field 'edges' must be a list")
-    for pair in edges:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise OntologyError(f"bad edge entry: {pair!r}")
-        parent, child = pair
-        if not (isinstance(parent, str) and parent and isinstance(child, str) and child):
-            raise OntologyError(f"bad edge entry: {pair!r}")
-    aliases = doc.get("aliases")
-    if aliases is not None and (
-        not isinstance(aliases, dict) or not all(isinstance(a, str) and a for a in aliases.values())
-    ):
-        raise OntologyError("ontology field 'aliases' must be an object of strings, each non-empty")
-    return Ontology(doc["prefix"], doc["root"], edges, aliases)
+        try:
+            doc = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise OntologyError(f"malformed ontology document: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise OntologyError("ontology document must be a JSON object")
+        for key in ("prefix", "root"):
+            if key not in doc:
+                raise OntologyError(f"ontology document missing field: {key!r}")
+            if not isinstance(doc[key], str):
+                raise OntologyError(f"ontology field {key!r} must be a string")
+        if not doc["root"]:
+            raise OntologyError("ontology field 'root' must be a non-empty string")
+        edges = doc.get("edges", [])
+        if not isinstance(edges, list):
+            raise OntologyError("ontology field 'edges' must be a list")
+        for pair in edges:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise OntologyError(f"bad edge entry: {pair!r}")
+            parent, child = pair
+            if not (isinstance(parent, str) and parent and isinstance(child, str) and child):
+                raise OntologyError(f"bad edge entry: {pair!r}")
+        aliases = doc.get("aliases")
+        if aliases is not None and (
+            not isinstance(aliases, dict) or not all(isinstance(a, str) and a for a in aliases.values())
+        ):
+            raise OntologyError("ontology field 'aliases' must be an object of strings, each non-empty")
+        return Ontology(doc["prefix"], doc["root"], edges, aliases)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- query refinement --------------------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import collections
+import gc
 import graphlib
 import json
 import random
@@ -103,6 +104,10 @@ def corrupted_dag(rng):
             aliases[name] = alias
     rng.shuffle(edges)
     return terms[0], edges, aliases, faults
+
+
+#: Every term and alias ``corrupted_dag`` can spell, and names it never does.
+SPELLINGS = {f"{c}{i}" for c in "tas" for i in range(15)} | {"z", "zz", "above", "", "T"}
 
 
 def assert_is_cycle(witness, edges):
@@ -377,11 +382,16 @@ class TestLoadOntology:
                 assert not isinstance(expected, OntologyError), (edges, aliases, expected)
                 kind = "valid"
                 terms, parents, children, resolve = expected
-                assert (ont.terms, ont._resolve) == (terms, resolve)
-                # the lists are kept as built, so compare them as tuples
-                assert ont._parents.keys() == terms and ont._children.keys() == terms
+                assert ont.terms == terms
+                # every name and alias, and each spelling the generator can draw
+                for name in resolve.keys() | SPELLINGS:
+                    assert ont.resolve(name) == resolve.get(name), name
+                # the lists are kept as built, so compare them as tuples; only
+                # a term with children holds a children list
+                assert ont._parents.keys() == terms and ont._children.keys() <= terms
+                assert all(ont._children.values())
                 assert {t: tuple(ont._parents[t]) for t in ont.terms} == parents
-                assert {t: tuple(ont._children[t]) for t in ont.terms} == children
+                assert {t: tuple(ont._children.get(t, ())) for t in ont.terms} == children
                 for t in terms:
                     assert ont.ancestors(t) == reference_walk(parents, t)
                     assert ont.descendants(t) == reference_walk(children, t)
@@ -416,6 +426,164 @@ class TestOntologyFuzz:
             outcomes.update(kinds)
         assert set(outcomes) >= {"junk", "delete", *TEXT_EDITS}, outcomes
         assert min(outcomes[k] for k in outcomes if k != "none") >= 20, outcomes
+
+
+def full_size_dag(rng):
+    """A rooted DAG of the size the constructor is tuned for, as (root,
+    edges, aliases): a 5-way tree of depth 6 (19,531 terms), 400 extra edges
+    each from a level to the next, and an alias on a third of the terms."""
+    levels = [["T00000"]]
+    edges = []
+    for _ in range(6):
+        level = []
+        for parent in levels[-1]:
+            for _ in range(5):
+                child = f"T{sum(map(len, levels)) + len(level):05d}"
+                edges.append((parent, child))
+                level.append(child)
+        levels.append(level)
+    extra = set()
+    while len(extra) < 400:
+        depth = rng.randrange(2, len(levels))
+        i = rng.randrange(len(levels[depth]))
+        parent = rng.choice(levels[depth - 1])
+        if parent != levels[depth - 1][i // 5]:  # not the tree edge
+            extra.add((parent, levels[depth][i]))
+    edges += sorted(extra)
+    rng.shuffle(edges)
+    terms = [t for level in levels for t in level]
+    aliases = {t: f"a{i}" for i, t in enumerate(terms) if rng.random() < 1 / 3}
+    return terms[0], edges, aliases
+
+
+class TestAtFullSize:
+    """The constructor on a ~20,000-term ontology, against the reference."""
+
+    @pytest.fixture(scope="class")
+    def dag(self):
+        return full_size_dag(random.Random(2801))
+
+    @staticmethod
+    def message(root, edges, aliases, reference=False):
+        text = json.dumps({"prefix": "T", "root": root, "edges": [list(e) for e in edges], "aliases": aliases})
+        try:
+            if reference:
+                graphlib_validate(root, edges, aliases)
+            else:
+                load_ontology(text)
+        except OntologyError as exc:
+            return str(exc)
+        return None
+
+    def test_a_valid_ontology_matches_the_reference(self, dag):
+        root, edges, aliases = dag
+        terms, parents, children, resolve = graphlib_validate(root, edges, aliases)
+        assert len(terms) == 19_531 and len(edges) == 19_930 and sum(len(ps) > 1 for ps in parents.values()) > 300
+        assert 6_000 < len(aliases) < 7_000
+        ont = load_ontology(json.dumps({"prefix": "T", "root": root, "edges": edges, "aliases": aliases}))
+        assert ont.terms == terms
+        assert {t: tuple(ont._parents[t]) for t in terms} == parents
+        assert {t: tuple(ont._children.get(t, ())) for t in terms} == children
+        assert {name: ont.resolve(name) for name in resolve} == resolve
+        assert ont.resolve("a") is None and ont.resolve("T19531") is None
+        assert {ont.root, *ont.descendants(ont.root)} == terms
+
+    def test_each_fault_gives_the_reference_message(self, dag):
+        root, edges, aliases = dag
+        rng = random.Random(5)
+        parents = collections.defaultdict(list)
+        for parent, child in edges:
+            parents[child].append(parent)
+        # a repeated edge into a term with several parents
+        child = rng.choice(sorted(t for t, ps in parents.items() if len(ps) > 1))
+        repeated = list(edges)
+        repeated.insert(rng.randrange(len(edges)), (parents[child][0], child))
+        # a back edge from a leaf up its line of one-parent ancestors, whose
+        # top is reached by one path only: the cycle it closes is the one
+        def line(t):
+            chain = [t]
+            while len(parents[chain[-1]]) == 1:
+                chain.append(parents[chain[-1]][0])
+            return chain
+
+        lines = sorted(map(line, sorted(parents.keys() - {p for p, _ in edges})), key=len)
+        leaf_line = rng.choice([chain for chain in lines if len(chain) == len(lines[-1])])
+        back = [*edges, (leaf_line[0], leaf_line[-1])]
+        stranded = [*edges[:100], ("stray", rng.choice(sorted(parents))), *edges[100:]]
+        spelled = dict(aliases)
+        spelled[rng.choice(sorted(aliases))] = rng.choice(sorted(parents))
+        kinds = []
+        for faulty, faulty_aliases in ((repeated, aliases), (back, aliases), (stranded, aliases), (edges, spelled)):
+            got = self.message(root, faulty, faulty_aliases)
+            expected = self.message(root, faulty, faulty_aliases, reference=True)
+            assert got is not None and expected is not None
+            kind = expected.split(":")[0]
+            assert got.split(":")[0] == kind
+            kinds.append(kind)
+            if kind == "cycle detected through":
+                # the one cycle, whichever term each witness starts from
+                witnesses = [ast.literal_eval(m.split(": ", 1)[1]) for m in (got, expected)]
+                for witness in witnesses:
+                    assert_is_cycle(witness, back)
+                cycle = {*zip(leaf_line[1:], leaf_line), (leaf_line[0], leaf_line[-1])}
+                assert [set(zip(w, w[1:])) for w in witnesses] == [cycle, cycle]
+            else:
+                assert got == expected
+        assert kinds == [
+            "duplicate edge",
+            "cycle detected through",
+            "terms unreachable from root",
+            "duplicate term or alias",
+        ]
+
+
+class TestCollectorPause:
+    TEXTS = {
+        "accepted": (FIXTURES / "organisms.ont").read_text(encoding="utf-8"),
+        "unreadable JSON": '{"prefix": "T", "root": ',
+        "bad edge entry": doc(edges=[["r", "a", "b"]]),
+        "cycle": doc(edges=[["r", "a"], ["a", "b"], ["b", "a"]]),
+        "alias for an unknown term": doc(edges=[["r", "a"]], aliases={"zz": "z"}),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_load_puts_the_collector_back(self, enabled):
+        was = gc.isenabled()
+        outcomes = []
+        try:
+            gc.enable() if enabled else gc.disable()
+            for kind, text in self.TEXTS.items():
+                try:
+                    load_ontology(text)
+                    outcomes.append("accepted")
+                except OntologyError as exc:
+                    outcomes.append(str(exc).split(":")[0])
+                assert gc.isenabled() is enabled, kind
+        finally:
+            gc.enable() if was else gc.disable()
+        assert outcomes == [
+            "accepted",
+            "malformed ontology document",
+            "bad edge entry",
+            "cycle detected through",
+            "alias for unknown term",
+        ]
+
+    def test_the_collector_is_paused_while_the_ontology_is_built(self, monkeypatch):
+        seen = []
+
+        def build(*args):
+            seen.append(gc.isenabled())
+            return Ontology(*args)
+
+        monkeypatch.setattr("fcaregistry.ontology.Ontology", build)
+        was = gc.isenabled()
+        try:
+            gc.enable()
+            load_ontology(self.TEXTS["accepted"])
+            assert seen == [False] and gc.isenabled()
+        finally:
+            gc.enable() if was else gc.disable()
 
 
 class TestTraversal:
@@ -487,9 +655,10 @@ class TestTermDistance:
                 i, j = sorted(rng.sample(range(len(terms)), 2))
                 edges.add((terms[i], terms[j]))
             ont = Ontology("T", terms[0], sorted(edges))
+            children = {t: ont._children.get(t, ()) for t in terms}
             for a in terms:
                 for b in terms:
-                    down, up = shortest_path(ont._children, a, b), shortest_path(ont._parents, a, b)
+                    down, up = shortest_path(children, a, b), shortest_path(ont._parents, a, b)
                     assert ont.term_distance(a, b) == (down if down is not None else up)
 
 
