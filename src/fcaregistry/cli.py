@@ -10,12 +10,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .context import CATEGORIES, Attribute, context_from_csv, split_term
+from .context import CATEGORIES, Attribute, Query, context_from_csv, split_term
 from .errors import ContextError, FcaRegistryError
 from .lattice import ConceptLattice, build_lattice, export_dot, lattice_from_json, lattice_to_json
 from .ontology import _resolvable, load_ontology
 from .registry import build_context, load_records
-from .retrieval import Query, result_set_to_json, result_set_to_table, search, search_refined
+from .retrieval import result_set_to_json, result_set_to_table, search, search_refined
 
 
 class UsageError(Exception):
@@ -62,11 +62,16 @@ def _resolve_terms(ctx, names: list[str]) -> list[Attribute]:
     return terms
 
 
+def _count(n: int, noun: str) -> str:
+    """``n`` and the noun, plural unless ``n`` is 1."""
+    return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
+
+
 def _counts_line(lat: ConceptLattice) -> str:
     ctx = lat.context
     return (
-        f"{len(ctx.objects)} objects, {len(ctx.attributes)} attributes, "
-        f"{len(lat._intents)} concepts"
+        f"{_count(len(ctx.objects), 'object')}, {_count(len(ctx.attributes), 'attribute')}, "
+        f"{_count(len(lat._intents), 'concept')}"
     )
 
 
@@ -164,11 +169,10 @@ def _cmd_stats(args) -> int:
     cells = len(ctx.objects) * len(ctx.attributes)
     ones = sum(row.bit_count() for row in ctx._rows)
     density = ones / cells if cells else 0.0
-    n = len(lat._intents)
-    noun = "concept" if n == 1 else "concepts"
     print(
-        f"{n} {noun}, height {lat.height()}, {len(ctx.objects)} objects, "
-        f"{len(ctx.attributes)} attributes, density {density:.3f}"
+        f"{_count(len(lat._intents), 'concept')}, height {lat.height()}, "
+        f"{_count(len(ctx.objects), 'object')}, {_count(len(ctx.attributes), 'attribute')}, "
+        f"density {density:.3f}"
     )
     return 0
 

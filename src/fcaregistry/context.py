@@ -148,6 +148,13 @@ class Attribute(_Record):
         return f"{self.prefix}:{self.term}" if self.prefix else self.term
 
 
+class Query(_Record):
+    """A named attribute set to search for."""
+
+    terms: frozenset[Attribute]
+    label: str = RESERVED_OBJECT_ID
+
+
 def split_term(raw: str) -> tuple[str | None, str]:
     """Split ``prefix:term`` at its first ``:``; a bare term has no prefix.  The one name reader."""
     prefix, sep, term = raw.partition(":")

@@ -17,11 +17,11 @@ parent lists for the intents inside the row, bisects each new intent into
 the order and rewires only the generators, each the old concept closing a
 new intent; since parents are intents, not positions, every other list is
 shared with the old lattice as it is.  Building, insertion, saving, loading
-and DOT export work on these alone; the cover pairs are made on each read of
-``covers``, the ``FormalConcept`` values on the first access to ``concepts``,
-and the lookups (``top``, ``bottom``, ``concept_with_intent``, ``index_of``
-and the covers of one concept) make only the values they return, each found
-by bisecting the order on the key.
+and DOT export work on these alone, each set once; the cover pairs are made
+on each read of ``covers``, the ``FormalConcept`` values on each read of
+``concepts``, and the lookups (``top``, ``bottom``, ``concept_with_intent``,
+``index_of`` and the covers of one concept) make only the values they
+return, each found by bisecting the order on the key.
 
 The loader parses the stored concepts into masks and runs the same walk,
 stopped before it closes an extent the file does not hold; the file is
@@ -40,7 +40,7 @@ import json
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Iterable, Sequence
 
-from .context import Attribute, FormalContext, _bits, _fill_slots, _Immutable, _Record, _set_field
+from .context import Attribute, FormalContext, _bits, _fill_slots, _Immutable, _Record
 from .errors import ContextError, LatticeError
 
 #: Attribute-count guard for the naive oracle (exponential in the worst case).
@@ -98,13 +98,13 @@ class ConceptLattice(_Immutable):
     intent), so the first concept is the top and the last is the bottom.
     The stored state is the intent masks in that order, each intent's extent
     mask and parent intents (in canonical order), and the mask key of that
-    order; ``covers`` is made from them on each read, ``concepts`` once, when
-    first read, and the lookups make only the values they return.  Instances
+    order, each set once; ``covers`` and ``concepts`` are made from them on
+    each read, and the lookups make only the values they return.  Instances
     are immutable, and so are the parent lists, which lattices grown by
     insertion share; insertion returns a new lattice.
     """
 
-    __slots__ = ("context", "_intents", "_extent", "_parents", "_key", "_concepts")
+    __slots__ = ("context", "_intents", "_extent", "_parents", "_key")
 
     def __init__(
         self,
@@ -130,7 +130,7 @@ class ConceptLattice(_Immutable):
             raise LatticeError("the concepts are not those of the context in canonical order")
         if sorted(tuple(pair) for pair in covers) != list(ref._pairs()):
             raise LatticeError("the covers are not those of the concepts")
-        _fill_slots(self, context, intents, dict(zip(intents, extents)), ref._parents, ref._key, None)
+        _fill_slots(self, context, intents, dict(zip(intents, extents)), ref._parents, ref._key)
 
     @classmethod
     def _from_masks(cls, ctx, intents, extent, parents, key) -> "ConceptLattice":
@@ -139,7 +139,7 @@ class ConceptLattice(_Immutable):
         order), whose key order need not be the intents', and the
         ``_mask_sort_key`` of ``ctx`` that orders them."""
         lat = object.__new__(cls)
-        _fill_slots(lat, ctx, tuple(intents), extent, parents, key, None)
+        _fill_slots(lat, ctx, tuple(intents), extent, parents, key)
         return lat
 
     def _pairs(self) -> Iterable[tuple[int, int]]:
@@ -155,12 +155,9 @@ class ConceptLattice(_Immutable):
 
     @property
     def concepts(self) -> tuple[FormalConcept, ...]:
-        """The concepts in canonical order, made from the masks on first access."""
-        if self._concepts is None:
-            ctx, extent = self.context, self._extent
-            values = tuple(_concept(ctx, b, extent[b]) for b in self._intents)
-            _set_field(self, "_concepts", values)
-        return self._concepts
+        """The concepts in canonical order, made from the masks on each read."""
+        ctx, extent = self.context, self._extent
+        return tuple(_concept(ctx, b, extent[b]) for b in self._intents)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConceptLattice):
@@ -182,12 +179,11 @@ class ConceptLattice(_Immutable):
 
     def cover_concepts(self) -> set[tuple[FormalConcept, FormalConcept]]:
         """The cover relation as concept pairs (order-insensitive form)."""
-        return {(self.concepts[c], self.concepts[p]) for c, p in self._pairs()}
+        concepts = self.concepts
+        return {(concepts[c], concepts[p]) for c, p in self._pairs()}
 
     def _value(self, i: int) -> FormalConcept:
-        """The concept at position i, made on its own unless all are made."""
-        if self._concepts is not None:
-            return self._concepts[i]
+        """The concept at position i, made on its own."""
         b = self._intents[i]
         return _concept(self.context, b, self._extent[b])
 

@@ -6,20 +6,21 @@ full names (e.g. "Vertebrates") can match abbreviated context attributes
 (e.g. "Ve").  A refinement maps each term to the context attribute that
 carries it once (``_carriers``), and adds and drops terms by set operations.
 
-Loading runs with the cyclic collector paused, makes each container once
-and keeps it.  One pass over the edges gives a children list to each term
-that has children, a parents list to each term that has a parent (the
-root's is an empty tuple), and a count to each term with several parents;
-a leaf has no children entry.  One Kahn pass from the root then pops every
-term exactly when the graph is acyclic and reaches every term from the
-root.  It counts down only the terms with several parents: a term with one
-parent is popped with it.  Repeated edges are looked for only among those
-terms.  The name map holds only the aliases, since a term resolves to
+Loading runs with the cyclic collector paused, makes each container once and
+keeps it.  The constructor checks the shapes of the edges and aliases first,
+in a pass of their own.  One pass over the edges then gives a children list
+to each term that has children, a parents list to each term that has a
+parent (the root's is an empty tuple), and a count to each term with several
+parents; a leaf has no children entry.  One Kahn pass from the root then
+pops every term exactly when the graph is acyclic and reaches every term
+from the root.  It counts down only the terms with several parents: a term
+with one parent is popped with it.  Repeated edges are looked for only among
+those terms.  The name map holds only the aliases, since a term resolves to
 itself; its size and key set show an alias fault.  The slower diagnostics
 run only when one of these checks fails.  They name the first fault in a
 fixed order, and a cycle by the first one a depth-first search meets from
-the smallest term left behind, following edges in file order, so the
-message does not depend on ``PYTHONHASHSEED``.
+the smallest term left behind, following edges in file order, so the message
+does not depend on ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -27,13 +28,10 @@ from __future__ import annotations
 import gc
 import json
 from collections import deque
-from typing import TYPE_CHECKING, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
-from .context import Attribute, FormalContext, _fill_slots, _Immutable, _Record
+from .context import Attribute, FormalContext, Query, _fill_slots, _Immutable, _Record
 from .errors import OntologyError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .retrieval import Query
 
 #: Sentinel for unbounded traversal depth.
 UNLIMITED = None
@@ -130,6 +128,9 @@ class Ontology(_Immutable):
     ):
         """Validate and store a rooted DAG given as (parent, child) edges.
 
+        A first pass of its own checks the shapes, with ``load_ontology``'s
+        messages: a list or tuple of edges, each a list or tuple of two
+        non-empty strings, and aliases, if any, a dict of non-empty strings.
         Only a term with children holds a children list, and only a term
         with a parent a parents list; the lists are kept as built, and the
         root's parents are an empty tuple.  One Kahn pass (Kahn, 1962) from
@@ -146,6 +147,18 @@ class Ontology(_Immutable):
         or an alias names an unknown term, are the aliases read one by one,
         in order, to name the first fault.
         """
+        if not isinstance(edges, (list, tuple)):
+            raise OntologyError("ontology field 'edges' must be a list")
+        for pair in edges:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise OntologyError(f"bad edge entry: {pair!r}")
+            parent, child = pair
+            if not (isinstance(parent, str) and parent and isinstance(child, str) and child):
+                raise OntologyError(f"bad edge entry: {pair!r}")
+        if aliases is not None and (
+            not isinstance(aliases, dict) or not all(isinstance(a, str) and a for a in aliases.values())
+        ):
+            raise OntologyError("ontology field 'aliases' must be an object of strings, each non-empty")
         aliases = dict(aliases or {})
         children: dict[str, list[str]] = {}
         parents: dict[str, list[str]] = {}
@@ -270,21 +283,7 @@ def load_ontology(text: str) -> Ontology:
                 raise OntologyError(f"ontology field {key!r} must be a string")
         if not doc["root"]:
             raise OntologyError("ontology field 'root' must be a non-empty string")
-        edges = doc.get("edges", [])
-        if not isinstance(edges, list):
-            raise OntologyError("ontology field 'edges' must be a list")
-        for pair in edges:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise OntologyError(f"bad edge entry: {pair!r}")
-            parent, child = pair
-            if not (isinstance(parent, str) and parent and isinstance(child, str) and child):
-                raise OntologyError(f"bad edge entry: {pair!r}")
-        aliases = doc.get("aliases")
-        if aliases is not None and (
-            not isinstance(aliases, dict) or not all(isinstance(a, str) and a for a in aliases.values())
-        ):
-            raise OntologyError("ontology field 'aliases' must be an object of strings, each non-empty")
-        return Ontology(doc["prefix"], doc["root"], edges, aliases)
+        return Ontology(doc["prefix"], doc["root"], doc.get("edges", []), doc.get("aliases"))
     finally:
         if enabled:
             gc.enable()
@@ -313,14 +312,12 @@ def _carriers(ont: Ontology, ctx: FormalContext) -> dict[str, Attribute]:
 
 
 def _refine(
-    q: "Query",
+    q: Query,
     ont: Ontology,
     ctx: FormalContext,
     hops: int | None,
     mode: str,
-) -> tuple["Query", RefinementReport]:
-    from .retrieval import Query
-
+) -> tuple[Query, RefinementReport]:
     if hops is not None and hops < 0:
         raise OntologyError(f"hop bound must be non-negative, got {hops}")
     carriers = _carriers(ont, ctx)
@@ -358,21 +355,21 @@ def _refine(
 
 
 def refine_generalize(
-    q: "Query", ont: Ontology, ctx: FormalContext, hops: int | None = UNLIMITED
-) -> tuple["Query", RefinementReport]:
+    q: Query, ont: Ontology, ctx: FormalContext, hops: int | None = UNLIMITED
+) -> tuple[Query, RefinementReport]:
     """Add in-context ancestors of each query term (within the hop bound)."""
     return _refine(q, ont, ctx, hops, "generalize")
 
 
 def refine_specialize(
-    q: "Query", ont: Ontology, ctx: FormalContext, hops: int | None = UNLIMITED
-) -> tuple["Query", RefinementReport]:
+    q: Query, ont: Ontology, ctx: FormalContext, hops: int | None = UNLIMITED
+) -> tuple[Query, RefinementReport]:
     """Add in-context descendants of each query term (within the hop bound)."""
     return _refine(q, ont, ctx, hops, "specialize")
 
 
 def refine_both(
-    q: "Query", ont: Ontology, ctx: FormalContext, hops: int | None = UNLIMITED
-) -> tuple["Query", RefinementReport]:
+    q: Query, ont: Ontology, ctx: FormalContext, hops: int | None = UNLIMITED
+) -> tuple[Query, RefinementReport]:
     """Add both ancestors and descendants, as a single combined refinement."""
     return _refine(q, ont, ctx, hops, "both")

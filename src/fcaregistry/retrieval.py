@@ -34,7 +34,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Callable, Iterable
 
-from .context import Attribute, _bits, _Record
+from .context import Attribute, Query, _bits, _Record
 from .errors import LatticeError, QueryError
 from .lattice import ConceptLattice, FormalConcept, _json_list, build_lattice, insert_object
 from .ontology import (
@@ -46,13 +46,6 @@ from .ontology import (
     refine_generalize,
     refine_specialize,
 )
-
-
-class Query(_Record):
-    """A named attribute set to search for."""
-
-    terms: frozenset[Attribute]
-    label: str = "Query"
 
 
 class RankedResult(_Record):

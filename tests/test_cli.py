@@ -339,6 +339,28 @@ class TestExportAndStats:
         assert main(["stats", "--lattice", str(tmp_path / "missing")]) == 1
 
 
+class TestCountNouns:
+    @pytest.mark.parametrize(
+        "csv, counts, height",
+        [
+            (",a,b\n", "0 objects, 2 attributes, 1 concept", 0),
+            (",a,b\nS1,1,0\n", "1 object, 2 attributes, 2 concepts", 1),
+            (",a\nS1,1\n", "1 object, 1 attribute, 1 concept", 0),
+            (",a,b\nS1,1,0\nS2,0,1\n", "2 objects, 2 attributes, 4 concepts", 2),
+        ],
+    )
+    def test_a_count_of_one_takes_the_singular(self, tmp_path, capsys, csv, counts, height):
+        ctx, lat = tmp_path / "c.csv", str(tmp_path / "c.lat")
+        ctx.write_text(csv, encoding="utf-8")
+        assert main(["build", "--context", str(ctx), "--out", lat]) == 0
+        assert capsys.readouterr().out == counts + "\n"
+        assert main(["classify", "--context", str(ctx), "--category", "Subject", "--out", lat]) == 0
+        assert capsys.readouterr().out == counts + "\n"
+        assert main(["stats", "--lattice", lat]) == 0
+        objects, attributes, concepts = counts.split(", ")
+        assert capsys.readouterr().out.startswith(f"{concepts}, height {height}, {objects}, {attributes}, density ")
+
+
 class TestNonUtf8Input:
     """A lone 0xff byte in any input file, or a missing record file, is one error line naming it."""
 

@@ -658,6 +658,15 @@ class TestPersistence:
             assert lattice_from_json(json.dumps(doc)).context._rows == (1 << j, 31)
 
 
+def slot_values(lat):
+    return [getattr(lat, name) for name in lat.__slots__]
+
+
+def assert_slots_unchanged(lat, before):
+    """Every slot still holds the object it was made with: reads set nothing."""
+    assert all(now is then for now, then in zip(slot_values(lat), before, strict=True))
+
+
 class TestMasksOnly:
     def test_no_concept_values_are_made(self, monkeypatch, tmp_path, capsys, table1, organisms):
         """Build, insert, save, load, search and the CLI run on masks alone."""
@@ -702,6 +711,7 @@ class TestMasksOnly:
 
         reference = build_lattice(table1).concepts
         lat = build_lattice(table1)
+        slots = slot_values(lat)
         monkeypatch.setattr("fcaregistry.lattice.FormalConcept", counting)
         by_term = {a.term: a for a in table1.attributes}
         concept = lat.concept_with_intent({by_term["NS"], by_term["PS"]})
@@ -718,10 +728,11 @@ class TestMasksOnly:
         del made[:]
         assert (lat.top, lat.bottom) == (reference[0], reference[-1]) and len(made) == 2
         assert lat.concept_with_intent({Attribute("Zz")}) is None and len(made) == 2
-        assert lat._concepts is None
+        assert_slots_unchanged(lat, slots)
 
     def test_index_of_compares_the_whole_concept(self, table1):
         lat = build_lattice(table1)
+        slots = slot_values(lat)
         top = lat.top
         assert lat.index_of(top) == 0
         for extent in (top.extent - {min(top.extent)}, top.extent | {"stranger"}):
@@ -729,7 +740,30 @@ class TestMasksOnly:
                 lat.index_of(FormalConcept(extent=frozenset(extent), intent=top.intent))
         with pytest.raises(LatticeError, match="concept not in lattice"):
             lat.index_of(FormalConcept(extent=frozenset(), intent=frozenset({Attribute("Zz")})))
-        assert lat._concepts is None
+        assert_slots_unchanged(lat, slots)
+
+    def test_each_read_of_concepts_makes_the_values(self, monkeypatch, table1):
+        """``concepts`` is made on each read, as ``covers`` is: nothing is kept."""
+        made = []
+
+        def counting(*args, **kwargs):
+            made.append(FormalConcept(*args, **kwargs))
+            return made[-1]
+
+        lat = build_lattice(table1)
+        slots = slot_values(lat)
+        monkeypatch.setattr("fcaregistry.lattice.FormalConcept", counting)
+        first, second = lat.concepts, lat.concepts
+        n = len(lat._intents)
+        assert len(made) == 2 * n
+        assert first == second and first is not second
+        assert not any(a is b for a, b in zip(first, second))
+        assert_slots_unchanged(lat, slots)
+        del made[:]
+        assert len(lat.cover_concepts()) == len(lat.covers) and len(made) == n
+
+    def test_a_lattice_is_its_masks(self):
+        assert ConceptLattice.__slots__ == ("context", "_intents", "_extent", "_parents", "_key")
 
 
 def cover_case_context(rng):

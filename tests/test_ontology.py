@@ -340,6 +340,40 @@ class TestLoadOntology:
         with pytest.raises(OntologyError, match=r"^duplicate edge: 'a' -> 'c'$"):
             Ontology("T", "r", [("r", "a"), ("r", "b"), ("a", "c"), ("b", "c"), ("a", "c")])
 
+    BAD_ALIASES = "ontology field 'aliases' must be an object of strings, each non-empty"
+
+    @pytest.mark.parametrize(
+        "edges, aliases, message",
+        [
+            ("ra", None, "ontology field 'edges' must be a list"),
+            ({("r", "a")}, None, "ontology field 'edges' must be a list"),
+            (["ra"], None, "bad edge entry: 'ra'"),
+            ([{"r": 1, "a": 2}], None, "bad edge entry: {'r': 1, 'a': 2}"),
+            ([["r", "a", "b"]], None, "bad edge entry: ['r', 'a', 'b']"),
+            ([["r", ["x"]]], None, "bad edge entry: ['r', ['x']]"),
+            ([("r", "")], None, "bad edge entry: ('r', '')"),
+            ([("r", "a")], {"a": ["z"]}, BAD_ALIASES),
+            ([("r", "a")], {"a": ""}, BAD_ALIASES),
+            ([("r", "a")], [("a", "z")], BAD_ALIASES),
+            # the shapes come first: a bad entry after a cycle, a bad alias after a duplicate edge
+            ([("r", "a"), ("a", "a"), ("a", 5)], None, "bad edge entry: ('a', 5)"),
+            ([("r", "a"), ("r", "a")], {"a": 5}, BAD_ALIASES),
+        ],
+    )
+    def test_the_constructor_refuses_what_the_loader_refuses(self, edges, aliases, message):
+        with pytest.raises(OntologyError) as raised:
+            Ontology("p", "r", edges, aliases)
+        assert str(raised.value) == message
+        if isinstance(edges, (list, tuple)) and (aliases is None or isinstance(aliases, dict)):
+            with pytest.raises(OntologyError) as loaded:
+                load_ontology(json.dumps({"prefix": "p", "root": "r", "edges": edges, "aliases": aliases}))
+            assert str(loaded.value) == message.replace("('r', '')", "['r', '']").replace("('a', 5)", "['a', 5]")
+
+    def test_the_constructor_takes_lists_or_tuples(self):
+        for edges in ([("r", "a"), ("a", "b")], (["r", "a"], ["a", "b"]), (("r", "a"), ("a", "b"))):
+            ont = Ontology("p", "r", edges, {"b": "B"})
+            assert ont.terms == {"r", "a", "b"} and ont.descendants("r") == ["a", "b"] and ont.resolve("B") == "b"
+
     def test_diagnostics_visit_each_term_once(self):
         # 2**60 paths from s0 to s60 through a ladder of stranded diamonds
         edges = [("r", "a")]

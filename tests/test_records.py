@@ -408,3 +408,58 @@ def test_every_module_imports_only_the_standard_library():
             for name in imported:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "fcaregistry", (path.name, name)
+
+
+#: The package's modules in import order: each imports only those before it.
+LAYERS = ("errors", "context", "lattice", "ontology", "registry", "retrieval", "cli")
+
+
+def package_imports(tree: ast.AST):
+    """The package modules an AST imports, at any depth, under ``TYPE_CHECKING`` too."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:  # ``from . import x``
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            for name in names:
+                if name.startswith("fcaregistry."):
+                    yield name.split(".")[1]
+
+
+def test_every_module_imports_only_the_layers_below_it():
+    package = SRC / "fcaregistry"
+    assert {p.stem for p in package.glob("*.py")} == {"__init__", *LAYERS}
+    for i, name in enumerate(LAYERS):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        for imported in package_imports(tree):
+            assert imported in LAYERS[:i], (name, imported)
+
+
+def test_only_the_context_module_sets_fields():
+    """``_set_field`` passes the guard that makes records and slotted objects
+    immutable.  No module but ``context.py`` (``_Record``, ``_fill_slots``)
+    names it, so every slot is set once, when its object is made."""
+    for path in sorted((SRC / "fcaregistry").glob("*.py")):
+        if path.name == "context.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            assert "_set_field" not in names, (path.name, node.lineno)
+
+
+def test_query_lives_beside_attribute():
+    from fcaregistry import context, retrieval
+
+    assert fcaregistry.Query is retrieval.Query is context.Query
+    assert context.Query.label == context.RESERVED_OBJECT_ID
+    assert context.Query.__module__ == "fcaregistry.context"
