@@ -41,20 +41,26 @@ def _load_context(path: str):
 
 
 def _resolve_terms(ctx, names: list[str]) -> list[Attribute]:
-    """Map bare CLI names to context attributes, ignoring prefix when unambiguous."""
+    """Map CLI names to context attributes.  A name that spells an attribute
+    names it; any other name matches the attributes with that term, ignoring
+    their prefix, and must match at most one."""
     terms = []
     for name in names:
-        matches = [a for a in ctx.attributes if a.term == name or str(a) == name]
+        prefix, term = split_term(name)
+        exact = ctx._attr_index.get((prefix or "", term))
+        if exact is not None:
+            matches = [ctx.attributes[exact]]
+        else:
+            matches = [a for a in ctx.attributes if a.term == name or str(a) == name]
         if len(matches) > 1:
             raise UsageError(
                 f"ambiguous term {name!r}; candidates: " + ", ".join(str(a) for a in matches)
             )
         if matches:
             terms.append(matches[0])
+        elif not term:
+            raise UsageError(f"no term after the prefix in {name!r}")
         else:
-            prefix, term = split_term(name)
-            if not term:
-                raise UsageError(f"no term after the prefix in {name!r}")
             try:
                 terms.append(Attribute(term=term, prefix=prefix))
             except ContextError as exc:  # such as a name that is not valid UTF-8

@@ -182,22 +182,6 @@ def _check_object_id(obj: str, taken, allow_reserved: bool) -> None:
         raise ContextError(f"duplicate object id: {obj!r}")
 
 
-def _ordered_attrs(attrs: Iterable[Attribute]) -> list[Attribute]:
-    """Deduplicate attributes, keeping a deterministic order.
-
-    Sequences keep their given order; unordered collections are sorted by key.
-    """
-    if isinstance(attrs, (set, frozenset)):
-        attrs = sorted(attrs, key=lambda a: a.key)
-    out: list[Attribute] = []
-    seen: set[tuple[str, str]] = set()
-    for a in attrs:
-        if a.key not in seen:
-            seen.add(a.key)
-            out.append(a)
-    return out
-
-
 class FormalContext(_Immutable):
     """An immutable (objects x attributes) boolean incidence table.
 
@@ -436,14 +420,18 @@ class FormalContext(_Immutable):
     ) -> "FormalContext":
         """Return a context extended by one row; new attributes are appended to M.
 
-        Old rows, columns and attribute bits are kept as they are: the new row
-        is one more mask, and its object bit is ORed into its columns.
+        New attributes come in the given order, a set's sorted by key, and a
+        repeated one as it first occurs.  Old rows, columns and attribute
+        bits are kept as they are: the new row is one more mask, and its
+        object bit is ORed into its columns.
         """
         _check_object_id(obj, self._obj_index, allow_reserved)
+        if isinstance(attrs, (set, frozenset)):
+            attrs = sorted(attrs, key=lambda a: a.key)
         attributes = list(self.attributes)
         attr_index = dict(self._attr_index)
         row = 0
-        for a in _ordered_attrs(attrs):
+        for a in attrs:  # a repeat finds the bit its first occurrence took
             j = attr_index.get(a.key)
             if j is None:
                 j = attr_index[a.key] = len(attributes)

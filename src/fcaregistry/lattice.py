@@ -19,9 +19,10 @@ new intent; since parents are intents, not positions, every other list is
 shared with the old lattice as it is.  Building, insertion, saving, loading
 and DOT export work on these alone, each set once; the cover pairs are made
 on each read of ``covers``, the ``FormalConcept`` values on each read of
-``concepts``, and the lookups (``top``, ``bottom``, ``concept_with_intent``,
-``index_of`` and the covers of one concept) make only the values they
-return, each found by bisecting the order on the key.
+``concepts``, and the lookups (``top``, ``bottom``, ``concept_with_intent``
+and the covers of one concept) make only the values they return, from the
+masks.  Only ``index_of``, which returns a position, bisects the order on
+the key.
 
 The loader parses the stored concepts into masks and runs the same walk,
 stopped before it closes an extent the file does not hold; the file is
@@ -114,8 +115,9 @@ class ConceptLattice(_Immutable):
     ):
         """A lattice from concept values; ``insert_object`` can grow it.
 
-        The intents, in this order, and the covers, in any order, must be
-        those of ``build_lattice(context)``; otherwise ``LatticeError``.
+        The intents, in this order, and the covers, in any order and each a
+        list or tuple of two ints, must be those of
+        ``build_lattice(context)``; otherwise ``LatticeError``.
         The extents are kept as given.  The check is the loader's walk,
         stopped before it closes an extent that no given intent has.
         """
@@ -128,7 +130,12 @@ class ConceptLattice(_Immutable):
         ref = _complete(context, {context._extent_mask_of_intent_mask(b) for b in intents})
         if ref is None or intents != ref._intents:
             raise LatticeError("the concepts are not those of the context in canonical order")
-        if sorted(tuple(pair) for pair in covers) != list(ref._pairs()):
+        # pairs of ints by type: True and 1.0 equal 1, and a str does not sort with an int
+        pairs = [
+            tuple(p) if isinstance(p, (tuple, list)) and list(map(type, p)) == [int, int] else None
+            for p in covers
+        ]
+        if None in pairs or sorted(pairs) != list(ref._pairs()):
             raise LatticeError("the covers are not those of the concepts")
         _fill_slots(self, context, intents, dict(zip(intents, extents)), ref._parents, ref._key)
 
@@ -182,24 +189,20 @@ class ConceptLattice(_Immutable):
         concepts = self.concepts
         return {(concepts[c], concepts[p]) for c, p in self._pairs()}
 
-    def _value(self, i: int) -> FormalConcept:
-        """The concept at position i, made on its own."""
-        b = self._intents[i]
+    def _value(self, b: int) -> FormalConcept:
+        """The concept of intent mask ``b``, made on its own."""
         return _concept(self.context, b, self._extent[b])
 
     @property
     def top(self) -> FormalConcept:
-        return self._value(0)
+        return self._value(self._intents[0])
 
     @property
     def bottom(self) -> FormalConcept:
-        return self._value(-1)
+        return self._value(self._intents[-1])
 
-    def _index(self, b: int) -> int:
-        """The position of intent ``b``, which must be in the lattice."""
-        return bisect.bisect_left(self._intents, self._key(b), key=self._key)
-
-    def index_of(self, concept: FormalConcept) -> int:
+    def _mask_of(self, concept: FormalConcept) -> int:
+        """The intent mask of a concept of the lattice; ``LatticeError`` for any other value."""
         ctx = self.context
         try:
             b = ctx._attr_mask(concept.intent)
@@ -208,25 +211,28 @@ class ConceptLattice(_Immutable):
             found = False
         if not found:
             raise LatticeError(f"concept not in lattice: {concept}")
-        return self._index(b)
+        return b
+
+    def index_of(self, concept: FormalConcept) -> int:
+        """The position of a concept, the one lookup that bisects the order on the key."""
+        return bisect.bisect_left(self._intents, self._key(self._mask_of(concept)), key=self._key)
 
     def concept_with_intent(self, intent: Iterable[Attribute]) -> FormalConcept | None:
         try:
             b = self.context._attr_mask(intent)
         except ContextError:
             return None
-        return self._value(self._index(b)) if b in self._extent else None
+        return self._value(b) if b in self._extent else None
 
     def upper_covers(self, concept: FormalConcept) -> list[FormalConcept]:
         """Immediate parents in the Hasse diagram, in canonical order."""
-        ps = self._parents[self._intents[self.index_of(concept)]]
-        return [self._value(self._index(p)) for p in ps]
+        return [self._value(p) for p in self._parents[self._mask_of(concept)]]
 
     def lower_covers(self, concept: FormalConcept) -> list[FormalConcept]:
         """Immediate children in the Hasse diagram, in canonical order."""
-        b = self._intents[self.index_of(concept)]
+        b = self._mask_of(concept)
         # children are visited in order, so the list comes out sorted
-        return [self._value(i) for i, c in enumerate(self._intents) if b in self._parents[c]]
+        return [self._value(c) for c in self._intents if b in self._parents[c]]
 
     def height(self) -> int:
         """Length in edges of the longest bottom-to-top chain."""

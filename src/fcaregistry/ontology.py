@@ -6,21 +6,22 @@ full names (e.g. "Vertebrates") can match abbreviated context attributes
 (e.g. "Ve").  A refinement maps each term to the context attribute that
 carries it once (``_carriers``), and adds and drops terms by set operations.
 
-Loading runs with the cyclic collector paused, makes each container once and
-keeps it.  The constructor checks the shapes of the edges and aliases first,
-in a pass of their own.  One pass over the edges then gives a children list
-to each term that has children, a parents list to each term that has a
-parent (the root's is an empty tuple), and a count to each term with several
-parents; a leaf has no children entry.  One Kahn pass from the root then
+The ``Ontology`` constructor holds the whole contract; ``load_ontology``
+only parses the document, with the cyclic collector paused, and names a
+missing field.  Each container is made once and kept.  One pass over the
+edges checks each edge's shape and gives a children list to each term that
+has children, a parents list to each term that has a parent (the root's is
+an empty tuple), and a count to each term with several parents; a leaf has
+no children entry.  The same pass records the first repeated edge, which
+only a term with several parents can hold.  One Kahn pass from the root then
 pops every term exactly when the graph is acyclic and reaches every term
 from the root.  It counts down only the terms with several parents: a term
-with one parent is popped with it.  Repeated edges are looked for only among
-those terms.  The name map holds only the aliases, since a term resolves to
-itself; its size and key set show an alias fault.  The slower diagnostics
-run only when one of these checks fails.  They name the first fault in a
-fixed order, and a cycle by the first one a depth-first search meets from
-the smallest term left behind, following edges in file order, so the message
-does not depend on ``PYTHONHASHSEED``.
+with one parent is popped with it.  The name map holds only the aliases,
+since a term resolves to itself; its size and key set show an alias fault.
+The slower diagnostics run only when one of these checks fails.  They name
+the first fault in a fixed order, and a cycle by the first one a depth-first
+search meets from the smallest term left behind, following edges in file
+order, so the message does not depend on ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -85,16 +86,9 @@ def _first_cycle(children: dict[str, Sequence[str]], starts: list[str]) -> list[
     return None
 
 
-def _diagnose(
-    root: str, edges: Sequence[Sequence[str]], children: dict[str, Sequence[str]], popped: list[str]
-) -> NoReturn:
+def _diagnose(root: str, children: dict[str, Sequence[str]], popped: list[str]) -> NoReturn:
     """Raise the first fault of a graph whose Kahn pass from the root left
-    terms behind or whose edge list repeats an edge."""
-    seen = set()
-    for parent, child in edges:
-        if (parent, child) in seen:
-            raise OntologyError(f"duplicate edge: {parent!r} -> {child!r}")
-        seen.add((parent, child))
+    terms behind."""
     # every cycle lies among the terms the pass left behind
     cycle = _first_cycle(children, sorted(children.keys() - set(popped)))
     if cycle is not None:
@@ -128,44 +122,45 @@ class Ontology(_Immutable):
     ):
         """Validate and store a rooted DAG given as (parent, child) edges.
 
-        A first pass of its own checks the shapes, with ``load_ontology``'s
-        messages: a list or tuple of edges, each a list or tuple of two
-        non-empty strings, and aliases, if any, a dict of non-empty strings.
-        Only a term with children holds a children list, and only a term
-        with a parent a parents list; the lists are kept as built, and the
-        root's parents are an empty tuple.  One Kahn pass (Kahn, 1962) from
-        the root pops every term exactly when the graph is acyclic and every
+        This is the whole ontology contract, checked with ``load_ontology``'s
+        messages and in its order: ``prefix`` a string, ``root`` a non-empty
+        string, a list or tuple of edges, each a list or tuple of two
+        non-empty strings, then aliases, if any, a dict of non-empty strings.
+        One pass over the edges checks each edge's shape, files it, and
+        records the first edge whose child already lists its parent: the
+        first repeated edge, refused once the shapes are checked.  Only a
+        term with children holds a children list, and only a term with a
+        parent a parents list; the lists are kept as built, and the root's
+        parents are an empty tuple.  One Kahn pass (Kahn, 1962) from the
+        root pops every term exactly when the graph is acyclic and every
         term is reachable from the root, so a valid ontology is checked in
-        linear time.  The
-        pass counts down only the terms with several parents, and only
-        their parent lists can repeat an edge.  Only when the pass leaves
-        terms behind, or an edge repeats, does ``_diagnose`` name the
-        fault; the errors come in this order: a duplicate edge, a cycle
-        (with a witness that does not depend on hashing), terms unreachable
-        from the root.  The alias errors come last: the name map is made from
-        the aliases alone, and only when it comes out short, holds a term,
-        or an alias names an unknown term, are the aliases read one by one,
-        in order, to name the first fault.
+        linear time.  The pass counts down only the terms with several
+        parents.  Only when the pass leaves terms behind does ``_diagnose``
+        name the fault: a cycle (with a witness that does not depend on
+        hashing) before terms unreachable from the root.  The alias errors
+        come last: the name map is made from the aliases alone, and only
+        when it comes out short, holds a term, or an alias names an unknown
+        term, are the aliases read one by one, in order, to name the first
+        fault.
         """
+        if not isinstance(prefix, str):
+            raise OntologyError("ontology field 'prefix' must be a string")
+        if not isinstance(root, str):
+            raise OntologyError("ontology field 'root' must be a string")
+        if not root:
+            raise OntologyError("ontology field 'root' must be a non-empty string")
         if not isinstance(edges, (list, tuple)):
             raise OntologyError("ontology field 'edges' must be a list")
-        for pair in edges:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise OntologyError(f"bad edge entry: {pair!r}")
-            parent, child = pair
-            if not (isinstance(parent, str) and parent and isinstance(child, str) and child):
-                raise OntologyError(f"bad edge entry: {pair!r}")
-        if aliases is not None and (
-            not isinstance(aliases, dict) or not all(isinstance(a, str) and a for a in aliases.values())
-        ):
-            raise OntologyError("ontology field 'aliases' must be an object of strings, each non-empty")
-        aliases = dict(aliases or {})
         children: dict[str, list[str]] = {}
         parents: dict[str, list[str]] = {}
         # a term with one parent is popped when that parent is, so only the
         # terms with several parents count down, from their number of parents
         pending: dict[str, int] = {}
-        for parent, child in edges:
+        repeated = None
+        for pair in edges:
+            parent, child = pair if isinstance(pair, (list, tuple)) and len(pair) == 2 else ("", "")
+            if not (isinstance(parent, str) and parent and isinstance(child, str) and child):
+                raise OntologyError(f"bad edge entry: {pair!r}")
             below = children.get(parent)
             if below is None:
                 children[parent] = [child]
@@ -175,8 +170,18 @@ class Ontology(_Immutable):
             if above is None:
                 parents[child] = [parent]
             else:
+                # a term with one parent has no room for a repeated edge
+                if repeated is None and parent in above:
+                    repeated = (parent, child)
                 above.append(parent)
                 pending[child] = len(above)
+        if aliases is not None and (
+            not isinstance(aliases, dict) or not all(isinstance(a, str) and a for a in aliases.values())
+        ):
+            raise OntologyError("ontology field 'aliases' must be an object of strings, each non-empty")
+        if repeated is not None:
+            raise OntologyError(f"duplicate edge: {repeated[0]!r} -> {repeated[1]!r}")
+        aliases = dict(aliases or {})
         popped = [] if root in parents else [root]
         for node in popped:  # the list grows while it is read
             for child in children.get(node, ()):
@@ -189,13 +194,9 @@ class Ontology(_Immutable):
         # Each term is popped at most once, and only the root and terms with
         # parents are, so the pass pops every term exactly when it pops one
         # more than there are parent lists: a term that is only ever a
-        # parent is never popped, and so neither is any child of it.  A
-        # repeated edge lists its parent twice among its child's parents,
-        # and a term with one parent has no room for that.
-        if len(popped) <= len(parents) or any(
-            len(set(ps)) < len(ps) for ps in map(parents.__getitem__, pending)
-        ):
-            _diagnose(root, edges, {**dict.fromkeys((root, *parents), ()), **children}, popped)
+        # parent is never popped, and so neither is any child of it.
+        if len(popped) <= len(parents):
+            _diagnose(root, {**dict.fromkeys((root, *parents), ()), **children}, popped)
         parents[root] = ()
         terms = frozenset(popped)
         resolve = dict(zip(aliases.values(), aliases.keys()))
@@ -265,8 +266,9 @@ class Ontology(_Immutable):
 
 
 def load_ontology(text: str) -> Ontology:
-    """Parse and validate the JSON ontology document format, with the cyclic
-    collector paused: the parsed data hold no cycles for it to collect."""
+    """Parse the JSON ontology document format, with the cyclic collector
+    paused (the parsed data hold no cycles for it to collect), and build it
+    with the ``Ontology`` constructor, which checks every field's value."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -279,10 +281,6 @@ def load_ontology(text: str) -> Ontology:
         for key in ("prefix", "root"):
             if key not in doc:
                 raise OntologyError(f"ontology document missing field: {key!r}")
-            if not isinstance(doc[key], str):
-                raise OntologyError(f"ontology field {key!r} must be a string")
-        if not doc["root"]:
-            raise OntologyError("ontology field 'root' must be a non-empty string")
         return Ontology(doc["prefix"], doc["root"], doc.get("edges", []), doc.get("aliases"))
     finally:
         if enabled:
@@ -318,6 +316,9 @@ def _refine(
     hops: int | None,
     mode: str,
 ) -> tuple[Query, RefinementReport]:
+    # by type: a bool is an int, and 1.5 or "2" would fail later
+    if hops is not None and type(hops) is not int:
+        raise OntologyError(f"hop bound must be an int or None, got {hops!r}")
     if hops is not None and hops < 0:
         raise OntologyError(f"hop bound must be non-negative, got {hops}")
     carriers = _carriers(ont, ctx)

@@ -156,6 +156,23 @@ class TestQuery:
         assert main(["query", "--lattice", str(lat), "--terms", "x"]) == 2
         assert capsys.readouterr() == ("", "usage error: ambiguous term 'x'; candidates: a:x, b:x\n")
 
+    def test_a_name_that_spells_an_attribute_names_it(self, tmp_path, capsys):
+        # "Hu" is the bare attribute, though "NCBI:Hu" has the same term
+        context, lat = tmp_path / "hu.csv", tmp_path / "hu.lat"
+        context.write_text(",Hu,NCBI:Hu,NS\nS1,1,0,1\nS2,0,1,0\nS3,0,0,1\n", encoding="utf-8")
+        assert main(["build", "--context", str(context), "--out", str(lat)]) == 0
+        capsys.readouterr()
+        views = {"Hu": ("S1", "1 object, 2 attributes, 1 concept"), "NCBI:Hu": ("S2", "1 object, 1 attribute, 1 concept")}
+        for name, (source, line) in views.items():
+            assert main(["query", "--lattice", str(lat), "--terms", name, "--format", "machine"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert [(r["source"], r["rank"]) for r in doc["results"]] == [(source, 0)], name
+            for flag, path in (("--lattice", lat), ("--context", context)):
+                out = tmp_path / f"{source}.lat"
+                assert main(["classify", flag, str(path), "--attribute", name, "--out", str(out)]) == 0
+                assert capsys.readouterr() == (line + "\n", "")
+                assert json.loads(out.read_text(encoding="utf-8"))["context"]["objects"] == [source], name
+
     def test_empty_terms_usage_error(self, lattice_file):
         assert main(["query", "--lattice", lattice_file, "--terms", ""]) == 2
 

@@ -176,6 +176,18 @@ class TestAddObject:
             assert grown == built
             assert grown._cols == built._cols
 
+    def test_a_repeated_attribute_counts_once(self, table1, attrs_by_term):
+        ns = attrs_by_term["NS"]
+        other = next(c for c in CATEGORIES if c != ns.category)
+        zz, yy = Attribute("Zz"), Attribute("Yy", category=other)
+        # each repeat with another category: the first occurrence is the one kept
+        row = [zz, ns, yy, Attribute("Zz", category=other), Attribute(ns.term, ns.prefix, other)]
+        grown = table1.add_object("S9", row)
+        assert grown == table1.add_object("S9", [zz, ns, yy])
+        assert grown.attributes == (*table1.attributes, zz, yy)
+        assert [a.category for a in grown.attributes] == [*(a.category for a in table1.attributes), "Subject", other]
+        assert terms(grown.intent_of("S9")) == ["NS", "Yy", "Zz"]
+
 
 class TestFromRows:
     def test_equals_the_context_built_from_cells(self):

@@ -414,9 +414,14 @@ class TestConstructor:
                 cs[:1] + [FormalConcept(frozenset(), frozenset({Attribute("ghost")}))] + cs[2:],
                 cv,
             ),
+            lambda cs, cv: (cs, cv[1:] + [5]),
+            lambda cs, cv: (cs, [(*cv[0], 0)] + cv[1:]),
+            lambda cs, cv: (cs, [(str(cv[0][0]), cv[0][1])] + cv[1:]),
+            # the top is position 0, so (c, False) equals a cover (c, 0)
+            lambda cs, cv: (cs, [(c, False if p == 0 else p) for c, p in cv]),
         ],
         ids=["empty", "reversed", "swapped", "no-bottom", "bottom-twice", "dropped-cover",
-             "extra-cover", "unknown-attribute"],
+             "extra-cover", "unknown-attribute", "not-a-pair", "triple", "string-member", "bool-member"],
     )
     def test_rejects_what_is_not_the_lattice(self, table1_lattice, edit):
         concepts, covers = edit(list(table1_lattice.concepts), list(table1_lattice.covers))
@@ -761,6 +766,24 @@ class TestMasksOnly:
         assert_slots_unchanged(lat, slots)
         del made[:]
         assert len(lat.cover_concepts()) == len(lat.covers) and len(made) == n
+
+    def test_only_index_of_bisects(self, table1):
+        """The lookups read masks; only ``index_of`` finds a position, by the key."""
+        built = build_lattice(table1)
+        calls = []
+
+        def key(b):
+            calls.append(b)
+            return built._key(b)
+
+        lat = ConceptLattice._from_masks(table1, built._intents, built._extent, built._parents, key)
+        by_term = {a.term: a for a in table1.attributes}
+        concept = lat.concept_with_intent({by_term["NS"], by_term["PS"]})
+        assert lat.upper_covers(concept) == built.upper_covers(concept) != []
+        assert lat.lower_covers(concept) == built.lower_covers(concept) != []
+        assert (lat.top, lat.bottom, concept) == (built.top, built.bottom, built.concepts[built.index_of(concept)])
+        assert calls == []
+        assert lat.index_of(concept) == built.index_of(concept) and calls
 
     def test_a_lattice_is_its_masks(self):
         assert ConceptLattice.__slots__ == ("context", "_intents", "_extent", "_parents", "_key")

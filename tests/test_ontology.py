@@ -4,6 +4,7 @@ import gc
 import graphlib
 import json
 import random
+import re
 from collections import deque
 
 import pytest
@@ -20,6 +21,7 @@ from fcaregistry import (
     refine_both,
     refine_generalize,
     refine_specialize,
+    search_refined,
 )
 from fcaregistry.ontology import _carriers, _first_cycle
 from conftest import FIXTURES, TEXT_EDITS, edit_document, mutate_text, run_python
@@ -361,18 +363,66 @@ class TestLoadOntology:
         ],
     )
     def test_the_constructor_refuses_what_the_loader_refuses(self, edges, aliases, message):
+        self.assert_refused_alike("p", "r", edges, aliases, message)
+
+    @pytest.mark.parametrize(
+        "prefix, root, edges, message",
+        [
+            (5, "r", [("r", "a")], "ontology field 'prefix' must be a string"),
+            (None, None, [], "ontology field 'prefix' must be a string"),
+            ("p", ["r"], [("r", "a")], "ontology field 'root' must be a string"),
+            ("p", None, "ra", "ontology field 'root' must be a string"),
+            ("p", "", [("r", "a")], "ontology field 'root' must be a non-empty string"),
+            ("p", "", [("r", "a"), ("r", "a")], "ontology field 'root' must be a non-empty string"),
+        ],
+    )
+    def test_the_constructor_refuses_the_prefix_and_root_the_loader_refuses(self, prefix, root, edges, message):
+        # the prefix and the root come before the edges, the prefix first
+        self.assert_refused_alike(prefix, root, edges, None, message)
+
+    @staticmethod
+    def assert_refused_alike(prefix, root, edges, aliases, message):
+        """The constructor refuses with ``message``, and so does the loader
+        wherever JSON can carry the fields."""
         with pytest.raises(OntologyError) as raised:
-            Ontology("p", "r", edges, aliases)
+            Ontology(prefix, root, edges, aliases)
         assert str(raised.value) == message
         if isinstance(edges, (list, tuple)) and (aliases is None or isinstance(aliases, dict)):
             with pytest.raises(OntologyError) as loaded:
-                load_ontology(json.dumps({"prefix": "p", "root": "r", "edges": edges, "aliases": aliases}))
+                load_ontology(json.dumps({"prefix": prefix, "root": root, "edges": edges, "aliases": aliases}))
             assert str(loaded.value) == message.replace("('r', '')", "['r', '']").replace("('a', 5)", "['a', 5]")
 
     def test_the_constructor_takes_lists_or_tuples(self):
         for edges in ([("r", "a"), ("a", "b")], (["r", "a"], ["a", "b"]), (("r", "a"), ("a", "b"))):
             ont = Ontology("p", "r", edges, {"b": "B"})
             assert ont.terms == {"r", "a", "b"} and ont.descendants("r") == ["a", "b"] and ont.resolve("B") == "b"
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([("r", "a"), ("a", "b"), ("r", "b")], None),
+            ([("r", "a"), ("a", "b"), ("r", "a")], "duplicate edge: 'r' -> 'a'"),
+            # the first repeat in file order is the one named
+            ([("r", "a"), ("a", "b"), ("r", "a"), ("a", "b")], "duplicate edge: 'r' -> 'a'"),
+            ([("r", "a"), ("a", "b"), ("b", "a")], "cycle detected through: ['a', 'b', 'a']"),
+            ([("r", "a"), ("x", "b"), ("a", "b")], "terms unreachable from root: ['x']"),
+        ],
+    )
+    def test_the_edges_are_read_once(self, edges, message):
+        reads = []
+
+        class CountedList(list):
+            def __iter__(self):
+                reads.append(1)
+                return super().__iter__()
+
+        try:
+            ont = Ontology("p", "r", CountedList(edges))
+        except OntologyError as exc:
+            assert str(exc) == message
+        else:
+            assert message is None and ont.descendants("r") == ["a", "b"]
+        assert len(reads) == 1
 
     def test_diagnostics_visit_each_term_once(self):
         # 2**60 paths from s0 to s60 through a ladder of stranded diamonds
@@ -746,6 +796,16 @@ class TestRefinement:
         for fn in (refine_generalize, refine_specialize, refine_both):
             with pytest.raises(OntologyError, match="hop"):
                 fn(q("Eu"), organisms, table1, hops=-1)
+
+    @pytest.mark.parametrize("hops", [1.5, 2.0, "2", True, False])
+    def test_a_hop_bound_that_is_not_an_int_is_refused(self, organisms, table1, table1_lattice, hops):
+        message = f"^hop bound must be an int or None, got {re.escape(repr(hops))}$"
+        for fn in (refine_generalize, refine_specialize, refine_both):
+            with pytest.raises(OntologyError, match=message):
+                fn(q("Eu"), organisms, table1, hops=hops)
+        # not only at the refiners: a search would write a float or a bool as the bound
+        with pytest.raises(OntologyError, match=message):
+            search_refined(table1_lattice, q("Eu"), organisms, "specialize", hops)
 
     def test_unknown_terms_pass_through(self, organisms, table1):
         refined, report = refine_generalize(q("Banana"), organisms, table1)
