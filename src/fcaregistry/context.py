@@ -37,7 +37,10 @@ _set_field = object.__setattr__
 
 
 def _check_text(text: str, what: str) -> None:
-    """Refuse text UTF-8 cannot encode: a lone surrogate, such as the JSON escape ``"\\ud800"``."""
+    """Refuse a non-string, and text UTF-8 cannot encode: a lone surrogate,
+    such as the JSON escape ``"\\ud800"``."""
+    if type(text) is not str:
+        raise ContextError(f"{what} must be a string, got {text!r}")
     if not text.isascii() and any("\ud800" <= ch <= "\udfff" for ch in text):
         raise ContextError(f"{what} {text!r} holds a lone surrogate")
 
@@ -204,6 +207,10 @@ class FormalContext(_Immutable):
         for row in incidence:
             if len(row) != len(attributes):
                 raise ContextError("incidence column count does not match attribute count")
+            for v in row:
+                # "1", 1.0 and True would pass for a bit, so a cell must be an int by type
+                if type(v) is not int or v not in (0, 1):
+                    raise ContextError(f"incidence cells must be 0 or 1, got {v!r}")
             rows.append(sum(1 << j for j, v in enumerate(row) if v))
         self._fill_rows(objects, attributes, rows, allow_reserved_ids)
 

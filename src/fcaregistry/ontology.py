@@ -198,7 +198,7 @@ class Ontology(_Immutable):
         if len(popped) <= len(parents):
             _diagnose(root, {**dict.fromkeys((root, *parents), ()), **children}, popped)
         parents[root] = ()
-        terms = frozenset(popped)
+        terms = parents.keys()
         resolve = dict(zip(aliases.values(), aliases.keys()))
         # an alias that spells another makes the map short, one that spells a term meets the terms
         if len(resolve) < len(aliases) or not aliases.keys() <= terms or not terms.isdisjoint(resolve):

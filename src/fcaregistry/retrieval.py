@@ -16,9 +16,10 @@ literal insertion, which merges the same up-set into the lattice
 (``insert_object``), and stays as the reference.
 
 The answer is assembled per group of sources with one restricted row:
-their results share one ``shared`` and one ``via_intent`` set, the sources
-are listed by the bits of the group's mask, and the results are sorted as
-plain tuples with no key function.
+their results share one ``shared`` and one ``via_intent`` set, a
+``tie_break`` key is computed once per group from its ``shared`` set, the
+sources are listed by the bits of the group's mask, and the results are
+sorted as plain tuples with no key function.
 
 ``result_set_to_json`` emits the bytes of ``json.dumps(doc, sort_keys=True,
 indent=1)`` for the answer document, from a writer for that fixed schema
@@ -97,7 +98,7 @@ def search(
     lat: ConceptLattice,
     q: Query,
     *,
-    tie_break: Callable[[RankedResult], object] | None = None,
+    tie_break: Callable[[frozenset[Attribute]], object] | None = None,
 ) -> ResultSet:
     """All sources sharing at least one in-context query term, ranked by distance.
 
@@ -105,10 +106,12 @@ def search(
     step up.  The breadth-first walk visits each up-set concept once, at its
     cover distance from the query concept; a concept with an empty intent
     never contributes.  Results are ordered by rank, then by more shared
-    terms, then by ``tie_break`` if given, then by source id; ``tie_break``
-    is called once per result, on the result returned.  Each result is
-    sorted as a plain tuple ending in its source id and the result; the ids
-    are distinct, so no comparison reaches a result.
+    terms, then by ``tie_break`` if given, then by source id.  The sources
+    of one group share one ``shared`` set, and distinct groups have distinct
+    sets; ``tie_break`` is called once per group, on that set.  Without it
+    the key is ``None`` for every result, so ties pass to the source id.
+    Each result is sorted as a plain tuple ending in its source id and the
+    result; the ids are distinct, so no comparison reaches a result.
     """
     _check_query(lat, q)
     sub, groups = lat.context._query_context(q.terms, q.label)
@@ -126,15 +129,12 @@ def search(
         for k in _bits(fresh):
             shared = frozenset(sub._attrs_from_mask(sub._rows[k]))
             more = -len(shared)
+            key = None if tie_break is None else tie_break(shared)
             m = groups[k]
             while m:
                 low = m & -m
                 source = objects[low.bit_length() - 1]
-                r = RankedResult(source, rank, shared, via)
-                if tie_break is None:
-                    collected.append((rank, more, source, r))
-                else:
-                    collected.append((rank, more, tie_break(r), source, r))
+                collected.append((rank, more, key, source, RankedResult(source, rank, shared, via)))
                 m ^= low
     collected.sort()
     return ResultSet(query=q, results=tuple([t[-1] for t in collected]))
@@ -163,21 +163,13 @@ def search_refined(
     refined, report = refiners[mode](q, ont, lat.context, hops)
     original = {_resolvable(ont, a) for a in q.terms} - {None}
 
-    # the key depends on the shared set alone, and search hands out one
-    # object per distinct set
-    distances: dict[frozenset[Attribute], float] = {}
-
-    def distance_key(result: RankedResult) -> float:
-        shared = result.shared
-        best = distances.get(shared)
-        if best is None:
-            best = math.inf
-            for node in {_resolvable(ont, a) for a in shared} - {None}:
-                for term in original:
-                    d = ont.term_distance(term, node)
-                    if d is not None:
-                        best = min(best, d)
-            distances[shared] = best
+    def distance_key(shared: frozenset[Attribute]) -> float:
+        best = math.inf
+        for node in {_resolvable(ont, a) for a in shared} - {None}:
+            for term in original:
+                d = ont.term_distance(term, node)
+                if d is not None:
+                    best = min(best, d)
         return best
 
     rs = search(lat, refined, tie_break=distance_key)

@@ -224,6 +224,25 @@ class TestFromRows:
         with pytest.raises(ContextError, match="column count does not match attribute count"):
             FormalContext(["g", "h"], [Attribute("a"), Attribute("b")], [[0, 1], row])
 
+    @pytest.mark.parametrize("cell", ["0", "1", None, 2, -1, True, False, 1.0, 0.0])
+    def test_public_constructor_refuses_a_cell_that_is_not_0_or_1(self, cell):
+        with pytest.raises(ContextError, match=r"incidence cells must be 0 or 1, got "):
+            FormalContext(["g", "h"], [Attribute("a"), Attribute("b")], [[0, 1], [1, cell]])
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Attribute(term=5), "attribute term must be a string, got 5"),
+        (lambda: Attribute("x", prefix=5), "attribute prefix must be a string, got 5"),
+        (lambda: FormalContext([5], [], [[]]), "object id must be a string, got 5"),
+    ],
+    ids=["term", "prefix", "object id"],
+)
+def test_a_name_that_is_not_a_string_is_a_context_error(make, message):
+    with pytest.raises(ContextError, match=message):
+        make()
+
 
 @pytest.mark.parametrize(
     "term, prefix", [("a\ud800", None), ("\udcff", "NCBI"), ("a", "\udc80"), ("a", "N\udfff")]

@@ -127,15 +127,15 @@ def random_ontology(rng, ctx):
 
 
 def reference_distance(ont, original):
-    """The tie-break of search_refined, recomputed for every result."""
+    """The tie-break of search_refined, recomputed from a group's shared set."""
 
     def in_ontology(a):
         return a.prefix in (None, ont.prefix) and ont.resolve(a.term) is not None
 
-    def key(r):
+    def key(shared):
         distances = [
             ont.term_distance(t.term, s.term)
-            for s in r.shared
+            for s in shared
             for t in original
             if in_ontology(s) and in_ontology(t)
         ]
@@ -283,10 +283,10 @@ class TestSearch:
             seen["top_intent"] += bool(lat.top.intent)
         assert min(seen.values()) >= 20, seen
 
-    def test_tie_break_is_called_once_on_each_result_it_orders(self):
-        def key(r):
-            # sources are g0, g1, ...; a key shared by every third keeps ties for the id to break
-            return int(r.source[1:]) % 3
+    def test_tie_break_is_called_once_on_each_group_it_orders(self):
+        def key(shared):
+            # orders sets of one size apart from the ids of their sources
+            return sorted((a.key for a in shared), reverse=True)
 
         rng = random.Random(61)
         unknown = [Attribute(term=f"u{j}") for j in range(3)]
@@ -298,20 +298,18 @@ class TestSearch:
             terms |= set(rng.sample(unknown, rng.randint(0 if terms else 1, 2)))
             query = Query(terms=frozenset(terms))
             calls = []
-            rs = search(lat, query, tie_break=lambda r: calls.append(r) or key(r))
-            assert len(calls) == len(rs.results)
-            called = {r.source: r for r in calls}
-            assert all(called[r.source] is r for r in rs.results)
+            rs = search(lat, query, tie_break=lambda shared: calls.append(shared) or key(shared))
+            # each group's sources share one set, and distinct groups have distinct sets
+            assert sorted(map(id, calls)) == sorted({id(r.shared) for r in rs.results})
+            assert len(set(calls)) == len(calls)
             expected = sorted(
-                reference_search(lat, query).results, key=lambda r: (r.rank, -len(r.shared), key(r), r.source)
+                reference_search(lat, query).results,
+                key=lambda r: (r.rank, -len(r.shared), key(r.shared), r.source),
             )
             assert rs.results == tuple(expected)
             seen["no results"] += not rs.results
             seen["the key reorders"] += rs.results != search(lat, query).results
-            seen["the id breaks a tie of the key"] += any(
-                (a.rank, len(a.shared), key(a)) == (b.rank, len(b.shared), key(b))
-                for a, b in zip(rs.results, rs.results[1:])
-            )
+            seen["a group of several sources"] += len(calls) < len(rs.results)
         assert min(seen.values()) >= 20, seen
 
     def test_up_set_is_the_grown_lattice_above_the_query(self):
@@ -514,6 +512,43 @@ class TestSearchRefined:
                 query = Query(terms=frozenset({Attribute("AO")}), label=label)
                 with pytest.raises(QueryError, match="label"):
                     search_refined(table1_lattice, query, organisms, "specialize", hops)
+
+    def test_term_distance_is_called_at_most_once_per_group_term_and_node(self, monkeypatch):
+        calls = collections.Counter()
+        term_distance = Ontology.term_distance
+
+        def counted(ont, a, b):
+            calls[a, b] += 1
+            return term_distance(ont, a, b)
+
+        monkeypatch.setattr(Ontology, "term_distance", counted)
+        rng = random.Random(83)
+        unknown = [Attribute(term=f"u{j}") for j in range(3)]
+        seen = collections.Counter()
+        for i in range(300):
+            ctx = edge_case_context(rng) if i % 2 else make_random_context(rng)
+            lat = build_lattice(ctx)
+            terms = set(rng.sample(ctx.attributes, rng.randint(0, len(ctx.attributes))))
+            terms |= set(rng.sample(unknown, rng.randint(0 if terms else 1, 2)))
+            ont = random_ontology(rng, ctx)
+
+            def nodes(attrs):
+                return {ont.resolve(a.term) for a in attrs if a.prefix in (None, ont.prefix)} - {None}
+
+            calls.clear()
+            mode = rng.choice(("generalize", "specialize", "both"))
+            rs = search_refined(lat, Query(terms=frozenset(terms)), ont, mode)
+
+            def pairs(shared_sets):
+                return collections.Counter((t, n) for s in shared_sets for n in nodes(s) for t in nodes(terms))
+
+            # distinct groups have distinct shared sets
+            per_group = pairs({r.shared for r in rs.results})
+            per_result = pairs([r.shared for r in rs.results])
+            assert calls <= per_group, (calls, per_group)
+            seen["calls"] += bool(calls)
+            seen["a call per result would be seen"] += per_result != per_group
+        assert min(seen.values()) >= 20, seen
 
     def test_generalize_soundness(self, table1_lattice, organisms, table1):
         rs = search_refined(table1_lattice, q(Attribute("Ch")), organisms, "generalize")
