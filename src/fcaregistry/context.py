@@ -118,6 +118,9 @@ class Attribute(_Record):
     Identity is the (prefix, term) pair; the category is descriptive and is
     excluded from equality so that bare query terms match context attributes.
     An empty prefix is no prefix, so equal attributes are those with equal keys.
+    A prefix holds no ``:``, and neither does a bare term, so every name
+    (``str``) reads back through ``split_term`` as its attribute; a prefixed
+    term may hold ``:``.
     """
 
     term: str
@@ -129,6 +132,9 @@ class Attribute(_Record):
             raise ContextError("attribute term must be non-empty")
         _check_text(term, "attribute term")
         _check_text(prefix or "", "attribute prefix")
+        if ":" in (prefix or term):
+            name = f"{prefix}:{term}" if prefix else term
+            raise ContextError(f"attribute name {name!r} reads back as another attribute")
         if category not in CATEGORIES:
             raise ContextError(f"unknown attribute category: {category!r}")
         _set_field(self, "term", term)
@@ -471,7 +477,7 @@ def _unwritable(text: str, forbidden: str) -> bool:
 
 def _unwritable_attribute(attr: Attribute) -> bool:
     """Whether a header cell cannot hold the attribute's name."""
-    return _unwritable(attr.prefix or "", "@:") or _unwritable(attr.term, "@" if attr.prefix else "@:")
+    return _unwritable(attr.prefix or "", "@") or _unwritable(attr.term, "@")
 
 
 def _format_header_cell(attr: Attribute) -> str:

@@ -12,6 +12,7 @@ read them.
 from __future__ import annotations
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -186,20 +187,35 @@ def _unique(records: list[MetadataRecord]) -> list[MetadataRecord]:
     return records
 
 
-def _read_records(path: Path) -> list[MetadataRecord]:
+def _read_records(path: str) -> list[MetadataRecord]:
+    """The records of one file, read as text mode reads UTF-8: one binary
+    read and one decode, then ``\\r\\n`` and ``\\r`` become ``\\n``.  Translating
+    after the decode keeps the byte offset a decode error names."""
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, "rb", buffering=0) as f:
+            text = f.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise RegistryError(f"cannot read record file {str(path)!r}: {exc}") from exc
-    return parse_records(text)
+        raise RegistryError(f"cannot read record file {path!r}: {exc}") from exc
+    return parse_records(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def load_records(path: str | Path) -> list[MetadataRecord]:
-    """Load a corpus from one document file or a directory of per-source files."""
+    """Load a corpus from one document file or a directory of per-source files.
+
+    A directory's files are those whose names end in ``.json`` (case
+    matters; dotfiles count), read in name order.  A directory that cannot
+    be listed raises ``RegistryError``.
+    """
     path = Path(path)
-    if path.is_dir():
-        return _unique([r for entry in sorted(path.glob("*.json")) for r in _read_records(entry)])
-    return _read_records(path)
+    if not path.is_dir():
+        return _read_records(str(path))
+    try:
+        names = sorted([name for name in os.listdir(path) if name.endswith(".json")])
+    except OSError as exc:
+        raise RegistryError(f"cannot read record directory {str(path)!r}: {exc}") from exc
+    # each file's path as ``str(path / name)`` spells it, with no "./" when ``path`` is "."
+    folder = "" if str(path) == "." else os.path.join(path, "")
+    return _unique([r for name in names for r in _read_records(folder + name)])
 
 
 def write_records(records: list[MetadataRecord]) -> str:
@@ -238,6 +254,8 @@ def build_context(
     for rule in cfg.field_rules:
         if rule.section not in _SECTIONS:
             raise RegistryError(f"unknown field rule section: {rule.section!r}")
+        if ":" in rule.attribute_term:  # a bare term, which ``split_term`` would read as prefixed
+            raise RegistryError(f"field rule attribute term holds ':': {rule.attribute_term!r}")
     attrs: list[Attribute] = []
     attr_pos: dict[tuple[str, str], int] = {}
 

@@ -24,7 +24,7 @@ def run_python(*args, hashseed=None, timeout=60, cwd=None):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
     if hashseed is not None:
         env["PYTHONHASHSEED"] = hashseed
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout, cwd=cwd)
+    return subprocess.run([sys.executable, *args], capture_output=True, encoding="utf-8", env=env, timeout=timeout, cwd=cwd)
 
 
 @pytest.fixture(scope="session")

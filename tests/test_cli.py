@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+from fcaregistry import registry
 from fcaregistry.cli import main
 from conftest import FIXTURES, run_python
 
@@ -32,19 +33,35 @@ class TestBuild:
         assert main(["build", "--records", CORPUS, "--out", str(out)]) == 0
         assert capsys.readouterr().out.strip() == "8 objects, 8 attributes, 12 concepts"
 
+    def test_a_record_directory_that_cannot_be_listed_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        corpus = str(tmp_path / "corpus")
+        shutil.copytree(CORPUS, corpus)
+
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        # the tests run as root, whom a mode bit does not stop
+        monkeypatch.setattr(registry.os, "listdir", refuse)
+        out = tmp_path / "l.json"
+        assert main(["build", "--records", corpus, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read record directory {corpus!r}: [Errno 13] Permission denied: {corpus!r}\n"
+        assert not out.exists()
+
     def test_both_inputs_is_usage_error(self, tmp_path, capsys):
         rc = main(["build", "--context", TABLE1, "--records", CORPUS, "--out", str(tmp_path / "x")])
         assert rc == 2
 
     def test_bad_input_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
-        bad.write_text("id,m1\nS1,1\n")
+        bad.write_text("id,m1\nS1,1\n", encoding="utf-8")
         rc = main(["build", "--context", str(bad), "--out", str(tmp_path / "x")])
         assert rc == 1
 
     def test_malformed_record_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"id": "S1", "subjects": "NS"}))
+        bad.write_text(json.dumps({"id": "S1", "subjects": "NS"}), encoding="utf-8")
         rc = main(["build", "--records", str(bad), "--out", str(tmp_path / "x")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
@@ -348,7 +365,7 @@ class TestExportAndStats:
         from fcaregistry import FormalContext, build_lattice, lattice_to_json
 
         f = tmp_path / "empty.lat"
-        f.write_text(lattice_to_json(build_lattice(FormalContext([], [], []))))
+        f.write_text(lattice_to_json(build_lattice(FormalContext([], [], []))), encoding="utf-8")
         assert main(["stats", "--lattice", str(f)]) == 0
         assert capsys.readouterr().out.startswith("1 concept, height 0")
 

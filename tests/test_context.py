@@ -431,15 +431,15 @@ class TestCsv:
             context_from_csv("id,m1\nS1,1\n")
 
     @pytest.mark.parametrize(
-        "attr",
-        [Attribute("x@y"), Attribute("x", "p@q"), Attribute("a:b"), Attribute("b", "a:c"),
-         Attribute(" pad "), Attribute("pad", " p"), Attribute("a\rb")],
+        "term, prefix",
+        [("x@y", None), ("x", "p@q"), ("a:b", None), ("b", "a:c"), (" pad ", None), ("pad", " p"), ("a\rb", None)],
         ids=["at-in-term", "at-in-prefix", "colon-in-bare-term", "colon-in-prefix",
              "padded-term", "padded-prefix", "carriage-return"],
     )
-    def test_writer_refuses_a_name_that_would_read_back_otherwise(self, attr):
-        with pytest.raises(ContextError, match="cannot write attribute"):
-            context_to_csv(FormalContext(["S1"], [attr], [[1]]))
+    def test_writer_refuses_a_name_that_would_read_back_otherwise(self, term, prefix):
+        # a name with a ":" that split_term would misread is not an attribute at all
+        with pytest.raises(ContextError, match="cannot write attribute|reads back as another attribute"):
+            context_to_csv(FormalContext(["S1"], [Attribute(term, prefix)], [[1]]))
 
     def test_writer_refuses_a_padded_object_id(self):
         with pytest.raises(ContextError, match="cannot write object id"):
@@ -453,7 +453,7 @@ class TestCsv:
              "padded-prefix", "padded-term", "padded-term-before-category", "colon-in-bare-term"],
     )
     def test_reader_refuses_what_the_writer_refuses(self, text):
-        with pytest.raises(ContextError, match="carriage return|cannot write back"):
+        with pytest.raises(ContextError, match="carriage return|cannot write back|reads back as another"):
             context_from_csv(text)
 
     def test_oversized_field_is_refused(self):
@@ -507,7 +507,7 @@ class TestCsv:
 
         def refused(ctx):
             return any(
-                unwritable(a.prefix or "", "@:") or unwritable(a.term, "@" if a.prefix else "@:")
+                unwritable(a.prefix or "", "@") or unwritable(a.term, "@")
                 for a in ctx.attributes
             ) or any(unwritable(g, "") for g in ctx.objects)
 
@@ -518,13 +518,11 @@ class TestCsv:
 
         written = rejected = 0
         while written < 300 or rejected < 300:
-            attrs = [
-                Attribute(spelling(), rng.choice((None, spelling())), rng.choice(CATEGORIES))
-                for _ in range(rng.randint(0, 3))
-            ]
+            names = [(spelling(), rng.choice((None, spelling()))) for _ in range(rng.randint(0, 3))]
             objects = [spelling() for _ in range(rng.randint(0, 3))]
-            rows = [[rng.randint(0, 1) for _ in attrs] for _ in objects]
+            rows = [[rng.randint(0, 1) for _ in names] for _ in objects]
             try:
+                attrs = [Attribute(term, prefix, rng.choice(CATEGORIES)) for term, prefix in names]
                 ctx = FormalContext(objects, attrs, rows)
             except ContextError:
                 continue
@@ -547,9 +545,9 @@ def quoted_csv(rng):
         return "".join(rng.choice('ab,"\n: ') for _ in range(rng.randint(1, 4))).strip() or "a"
 
     while True:
-        attrs = [Attribute(spelling(), rng.choice((None, spelling())), rng.choice(CATEGORIES)) for _ in range(3)]
-        objects = [spelling() for _ in range(3)]
         try:
+            attrs = [Attribute(spelling(), rng.choice((None, spelling())), rng.choice(CATEGORIES)) for _ in range(3)]
+            objects = [spelling() for _ in range(3)]
             return context_to_csv(FormalContext(objects, attrs, [[rng.randint(0, 1) for _ in attrs] for _ in objects]))
         except ContextError:
             continue

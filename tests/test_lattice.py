@@ -10,6 +10,7 @@ from fcaregistry import (
     CATEGORIES,
     Attribute,
     ConceptLattice,
+    ContextError,
     FcaRegistryError,
     FormalConcept,
     FormalContext,
@@ -28,8 +29,8 @@ from fcaregistry import (
     search_refined,
 )
 from fcaregistry import lattice
-from fcaregistry.cli import main
-from fcaregistry.context import _bits
+from fcaregistry.cli import _resolve_terms, main
+from fcaregistry.context import _bits, split_term
 from conftest import FIXTURES, edge_case_context, make_random_context
 
 TABLE1_INTENTS = [
@@ -92,6 +93,17 @@ MALFORMED = {
     "duplicated-concept": (
         lambda doc: doc["concepts"].insert(4, dict(doc["concepts"][4])),
         "stored concepts",
+    ),
+    # two attributes that would print the same name
+    "prefix-with-colon": (
+        lambda doc: (doc["context"]["attributes"][0].update(prefix="a:b", term="x"),
+                     doc["context"]["attributes"][1].update(prefix="a", term="b:x")),
+        "attribute name 'a:b:x' reads back as another attribute",
+    ),
+    "bare-term-with-colon": (
+        lambda doc: (doc["context"]["attributes"][0].update(prefix=None, term="a:b"),
+                     doc["context"]["attributes"][1].update(prefix="a", term="b")),
+        "attribute name 'a:b' reads back as another attribute",
     ),
 }
 
@@ -661,6 +673,41 @@ class TestPersistence:
             doc = json.loads(lattice_to_json(build_lattice(ctx)))
             assert doc["context"]["incidence"] == ["0" * j + "1" + "0" * (4 - j), "11111"]
             assert lattice_from_json(json.dumps(doc)).context._rows == (1 << j, 31)
+
+
+def test_every_attribute_name_reads_back_as_its_attribute():
+    """A (prefix, term) pair is an attribute exactly when ``split_term`` reads
+    its name back as that pair, and then the name names it in a lattice file
+    and on the command line; a lattice file that holds any other pair is refused."""
+    rng = random.Random(211)
+
+    def text():
+        return "".join(rng.choice(":@ a\xe9\u4e2d") for _ in range(rng.randint(1, 4)))
+
+    seen = collections.Counter()
+    while min(seen["attribute"], seen["refused bare term"], seen["refused prefix"]) < 100:
+        prefix, term = rng.choice((None, "", text())), text()
+        name = f"{prefix}:{term}" if prefix else term
+        category = rng.choice(CATEGORIES)
+        if split_term(name) != (prefix or None, term):
+            seen["refused prefix" if prefix else "refused bare term"] += 1
+            with pytest.raises(ContextError, match="reads back as another attribute"):
+                Attribute(term, prefix, category)
+            doc = json.loads(lattice_to_json(build_lattice(FormalContext(["S1"], [Attribute("m")], [[1]]))))
+            doc["context"]["attributes"][0].update(prefix=prefix, term=term)
+            with pytest.raises(LatticeError, match="^malformed lattice file: attribute name .* reads back as another"):
+                lattice_from_json(json.dumps(doc))
+            continue
+        seen["attribute"] += 1
+        a = Attribute(term, prefix, category)
+        assert str(a) == name and split_term(name) == (a.prefix, a.term)
+        # beside the same term under another prefix, and bare where it can be
+        decoys = [Attribute(term, "p")] + ([Attribute(term)] if ":" not in term else [])
+        others = [b for b in decoys if b != a]
+        ctx = FormalContext(["S1", "S2"], [a, *others], [[1] + [0] * len(others), [0] + [1] * len(others)])
+        again = lattice_from_json(lattice_to_json(build_lattice(ctx))).context
+        assert again == ctx and again.attributes[0].category == category
+        assert _resolve_terms(again, [name]) == [a]
 
 
 def slot_values(lat):

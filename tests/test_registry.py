@@ -1,6 +1,7 @@
 import collections
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from fcaregistry import (
     validate_record,
     write_records,
 )
+from fcaregistry import registry
 from fcaregistry.registry import split_term
 from conftest import FIXTURES, TEXT_EDITS, edit_document, mutate_text
 
@@ -121,6 +123,106 @@ class TestLoadRecords:
         with pytest.raises(RegistryError, match="bad.json"):
             load_records(tmp_path)
 
+    def test_a_directory_that_cannot_be_listed_is_an_error(self, tmp_path, monkeypatch):
+        (tmp_path / "a.json").write_text('{"id": "S1", "subjects": ["NS"]}', encoding="utf-8")
+
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        # the tests run as root, whom a mode bit does not stop
+        monkeypatch.setattr(registry.os, "listdir", refuse)
+        message = f"cannot read record directory {str(tmp_path)!r}: [Errno 13] Permission denied: {str(tmp_path)!r}"
+        with pytest.raises(RegistryError) as info:
+            load_records(tmp_path)
+        assert str(info.value) == message
+
+
+def pathlib_load_records(path):
+    """What ``load_records`` returns or raises, as it read a corpus through
+    pathlib: a directory's ``sorted(Path.glob("*.json"))``, each file by
+    ``read_text``."""
+
+    def read(file):
+        try:
+            text = file.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise RegistryError(f"cannot read record file {str(file)!r}: {exc}") from exc
+        return parse_records(text)
+
+    path = Path(path)
+    try:
+        if path.is_dir():
+            return registry._unique([r for entry in sorted(path.glob("*.json")) for r in read(entry)])
+        return read(path)
+    except RegistryError as exc:
+        return str(exc)
+
+
+def outcome(path):
+    try:
+        return load_records(path)
+    except RegistryError as exc:
+        return str(exc)
+
+
+def record_doc(rid, newline="\n"):
+    doc = json.dumps({"id": rid, "subjects": ["NS", "NCBI:Hu"], "ontologies_used": [{"prefix": "NCBI"}]}, indent=1)
+    return doc.replace("\n", newline)
+
+
+class TestLoadRecordsAsPathlibRead:
+    """A corpus reads as the pathlib glob and ``read_text`` read it: the same
+    records in the same order, or the same error and message."""
+
+    def test_a_directory_loads_its_json_names_in_name_order(self, tmp_path):
+        # written out of name order, so a listing left unsorted shows
+        for name, rid in (("b.json", "B"), ("\xe9.json", "E"), ("a.json", "A"), (".h.json", "H"),
+                          (".json", "J"), ("C.JSON", "C"), ("n.txt", "N")):
+            (tmp_path / name).write_text(record_doc(rid), encoding="utf-8")
+        records = load_records(tmp_path)
+        assert [r.id for r in records] == ["H", "J", "A", "B", "E"]
+        assert records == pathlib_load_records(tmp_path)
+        (tmp_path / "d.json").mkdir()
+        message = outcome(tmp_path)
+        assert message.startswith(f"cannot read record file {str(tmp_path / 'd.json')!r}: [Errno 21]")
+        assert message == pathlib_load_records(tmp_path)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ends_give_the_records_of_lf_line_ends(self, tmp_path, newline):
+        (tmp_path / "lf.json").write_bytes(record_doc("S1").encode())
+        (tmp_path / "dir").mkdir()
+        for name in ("S1", "S2"):
+            (tmp_path / "dir" / f"{name}.json").write_bytes(record_doc(name, newline).encode())
+        records = load_records(tmp_path / "dir")
+        assert records == pathlib_load_records(tmp_path / "dir")
+        assert records[:1] == load_records(tmp_path / "dir" / "S1.json") == load_records(tmp_path / "lf.json")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            (b'\n  "quality": [1,]\n}', "malformed record document: Expecting value: line "),
+            (b'\n  "quality": ["\xff"]\n}', "cannot read record file "),
+            (b"\n\xe2\x82", "cannot read record file "),
+        ],
+        ids=["malformed-json", "not-utf8", "cut-utf8"],
+    )
+    def test_an_error_after_line_ends_names_the_same_place(self, tmp_path, newline, tail, message):
+        lines = b'{\n "id": "S1",\n "subjects": ["NS"],' + tail
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(lines.replace(b"\n", newline.encode()))
+        assert outcome(bad).startswith(message)
+        assert outcome(bad) == pathlib_load_records(bad)
+        assert outcome(tmp_path) == pathlib_load_records(tmp_path)
+
+    def test_the_working_directory_names_a_file_without_a_dot(self, tmp_path, monkeypatch):
+        (tmp_path / "good.json").write_text(record_doc("S1"), encoding="utf-8")
+        (tmp_path / "bad.json").write_bytes(b'{"id": "S\xff2"}')
+        monkeypatch.chdir(tmp_path)
+        for path in (".", "", Path(".")):
+            assert outcome(path).startswith("cannot read record file 'bad.json': ")
+            assert outcome(path) == pathlib_load_records(path)
+
 
 class TestBuildContext:
     def test_reproduces_table1_up_to_ordering(self, corpus, table1):
@@ -167,6 +269,11 @@ class TestBuildContext:
                 BinarizationConfig(field_rules=(FieldRule("Availability", "access", "public", "p"),)),
                 "unknown field rule section: 'Availability'",
             ),
+            # a bare term that would print as the record term NCBI:Hu
+            (
+                BinarizationConfig(field_rules=(FieldRule("identification", "freq", "monthly", "NCBI:Hu"),)),
+                "field rule attribute term holds ':': 'NCBI:Hu'",
+            ),
         ],
     )
     def test_a_misspelled_config_is_refused(self, cfg, message):
@@ -178,11 +285,11 @@ class TestBuildContext:
     def test_field_rules(self, corpus):
         cfg = BinarizationConfig(
             field_rules=(
-                FieldRule("identification", "update_frequency", "monthly", "updated:monthly"),
+                FieldRule("identification", "update_frequency", "monthly", "updated-monthly"),
             )
         )
         ctx = build_context(corpus, cfg)
-        rule_attrs = [a for a in ctx.attributes if a.term == "updated:monthly"]
+        rule_attrs = [a for a in ctx.attributes if a.term == "updated-monthly"]
         assert len(rule_attrs) == 1
         assert rule_attrs[0].category == "Identification"
         assert ctx.derive_attributes(rule_attrs) == set(ctx.objects)

@@ -69,8 +69,9 @@ def json_dumps_oracle(rs):
 # a line separator, lone surrogates and an astral character
 AWKWARD = ["a", "Z", "0", " ", ":", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f",
            "\xe9", "\xdf", "\u4e2d", "\u2028", "\ud800", "\udfff", "\U0001f600"]
-#: ``Attribute`` refuses a lone surrogate, so terms and prefixes are drawn without them
-TERM_CHARS = [c for c in AWKWARD if not "\ud800" <= c <= "\udfff"]
+#: ``Attribute`` refuses a lone surrogate, and a ":" in a prefix or a bare
+#: term, so terms and prefixes are drawn without them
+TERM_CHARS = [c for c in AWKWARD if not "\ud800" <= c <= "\udfff" and c != ":"]
 
 
 def awkward_text(rng, chars=AWKWARD):
