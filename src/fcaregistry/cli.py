@@ -14,22 +14,12 @@ from .context import CATEGORIES, Attribute, Query, context_from_csv, split_term
 from .errors import ContextError, FcaRegistryError
 from .lattice import ConceptLattice, build_lattice, export_dot, lattice_from_json, lattice_to_json
 from .ontology import _resolvable, load_ontology
-from .registry import build_context, load_records
+from .registry import _read_text, build_context, load_records
 from .retrieval import result_set_to_json, result_set_to_table, search, search_refined
 
 
 class UsageError(Exception):
     pass
-
-
-def _read_text(path: str, what: str) -> str:
-    """The UTF-8 text of an input file; ``FcaRegistryError`` if it cannot be read."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FcaRegistryError(f"cannot read {what} file: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise FcaRegistryError(f"cannot read {what} file {path!r}: {exc}") from exc
 
 
 def _load_lattice(path: str) -> ConceptLattice:
@@ -51,7 +41,7 @@ def _resolve_terms(ctx, names: list[str]) -> list[Attribute]:
         if exact is not None:
             matches = [ctx.attributes[exact]]
         else:
-            matches = [a for a in ctx.attributes if a.term == name or str(a) == name]
+            matches = [a for a in ctx.attributes if a.term == name]
         if len(matches) > 1:
             raise UsageError(
                 f"ambiguous term {name!r}; candidates: " + ", ".join(str(a) for a in matches)
@@ -73,12 +63,15 @@ def _count(n: int, noun: str) -> str:
     return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
 
 
-def _counts_line(lat: ConceptLattice) -> str:
-    ctx = lat.context
-    return (
+def _save_lattice(ctx, out: str) -> int:
+    """Build the lattice of ``ctx``, write it to ``out`` and print its counts."""
+    lat = build_lattice(ctx)
+    Path(out).write_text(lattice_to_json(lat), encoding="utf-8")
+    print(
         f"{_count(len(ctx.objects), 'object')}, {_count(len(ctx.attributes), 'attribute')}, "
         f"{_count(len(lat._intents), 'concept')}"
     )
+    return 0
 
 
 def _cmd_build(args) -> int:
@@ -88,10 +81,7 @@ def _cmd_build(args) -> int:
         ctx = build_context(load_records(args.records))
     else:
         ctx = _load_context(args.context)
-    lat = build_lattice(ctx)
-    Path(args.out).write_text(lattice_to_json(lat), encoding="utf-8")
-    print(_counts_line(lat))
-    return 0
+    return _save_lattice(ctx, args.out)
 
 
 def _auto_mode(ont, terms: list[Attribute]) -> str:
@@ -157,10 +147,7 @@ def _cmd_classify(args) -> int:
         if not ctx.has_attribute(attr):
             raise FcaRegistryError(f"unknown attribute: {args.attribute!r}")
         projected = ctx.select_by_attribute(attr)
-    lat = build_lattice(projected)
-    Path(args.out).write_text(lattice_to_json(lat), encoding="utf-8")
-    print(_counts_line(lat))
-    return 0
+    return _save_lattice(projected, args.out)
 
 
 def _cmd_export_dot(args) -> int:
@@ -233,10 +220,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except FcaRegistryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FcaRegistryError, OSError) as exc:  # OSError: an ``--out`` that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,4 +22,9 @@ class OntologyError(FcaRegistryError):
 
 
 class RegistryError(FcaRegistryError):
-    """Malformed metadata record corpus."""
+    """Malformed metadata record corpus, or an input file that cannot be read.
+
+    The one file reader, ``registry._read_text``, raises it for every file,
+    record, CSV context, lattice or ontology, as ``cannot read <what> file
+    '<path>': <reason>``.
+    """

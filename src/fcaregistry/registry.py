@@ -6,7 +6,8 @@ Organism and Quality categories.  Terms may be prefixed ("NCBI:Human") to
 name the ontology they come from; ``split_term`` reads such a name.  The
 format is stated once: ``_TERM_LISTS`` and ``_SECTIONS`` give each term list
 and section its category, and parsing, writing, binarization and validation
-read them.
+read them.  ``_read_text`` is the package's one file reader: record files
+here, and the CSV context, lattice and ontology files the command line reads.
 """
 
 from __future__ import annotations
@@ -187,16 +188,19 @@ def _unique(records: list[MetadataRecord]) -> list[MetadataRecord]:
     return records
 
 
-def _read_records(path: str) -> list[MetadataRecord]:
-    """The records of one file, read as text mode reads UTF-8: one binary
-    read and one decode, then ``\\r\\n`` and ``\\r`` become ``\\n``.  Translating
+def _read_text(path: str, what: str) -> str:
+    """The text of an input file as text mode reads UTF-8: one binary read
+    and one decode, then ``\\r\\n`` and ``\\r`` become ``\\n``.  Translating
     after the decode keeps the byte offset a decode error names."""
     try:
         with open(path, "rb", buffering=0) as f:
             text = f.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise RegistryError(f"cannot read record file {path!r}: {exc}") from exc
-    return parse_records(text.replace("\r\n", "\n").replace("\r", "\n"))
+        raise RegistryError(f"cannot read {what} file {path!r}: {exc}") from exc
+    # most files hold no "\r": one scan for them, not the two of the replaces
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def load_records(path: str | Path) -> list[MetadataRecord]:
@@ -208,14 +212,14 @@ def load_records(path: str | Path) -> list[MetadataRecord]:
     """
     path = Path(path)
     if not path.is_dir():
-        return _read_records(str(path))
+        return parse_records(_read_text(str(path), "record"))
     try:
         names = sorted([name for name in os.listdir(path) if name.endswith(".json")])
     except OSError as exc:
         raise RegistryError(f"cannot read record directory {str(path)!r}: {exc}") from exc
     # each file's path as ``str(path / name)`` spells it, with no "./" when ``path`` is "."
     folder = "" if str(path) == "." else os.path.join(path, "")
-    return _unique([r for name in names for r in _read_records(folder + name)])
+    return _unique([r for name in names for r in parse_records(_read_text(folder + name, "record"))])
 
 
 def write_records(records: list[MetadataRecord]) -> str:

@@ -1,10 +1,13 @@
+import collections
 import json
 import os
+import random
 import shutil
+from pathlib import Path
 
 import pytest
 
-from fcaregistry import registry
+from fcaregistry import CATEGORIES, registry
 from fcaregistry.cli import main
 from conftest import FIXTURES, run_python
 
@@ -451,3 +454,129 @@ class TestDeepOrLongInput:
         proc = run_python("-m", "fcaregistry.cli", *argv)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+class TestUnreadableInputFile:
+    """An input file that cannot be opened is one error line naming it, the same for every kind of file."""
+
+    # a directory of records is a corpus, and only ``--lattice`` takes an empty
+    # path to the reader (the other flags treat it as not given)
+    @pytest.mark.parametrize(
+        "what, kind",
+        [(what, kind) for what in ("lattice", "ontology", "context") for kind in ("missing", "directory")]
+        + [("record", "missing"), ("lattice", "empty")],
+    )
+    def test_exit_1_with_one_line_naming_the_file(self, lattice_file, tmp_path, capsys, what, kind):
+        bad = {"missing": str(tmp_path / "missing"), "directory": str(tmp_path), "empty": ""}[kind]
+        reason = "[Errno 21] Is a directory" if kind == "directory" else "[Errno 2] No such file or directory"
+        out = str(tmp_path / "out.lat")
+        argv = {
+            "lattice": ["stats", "--lattice", bad],
+            "ontology": ["query", "--lattice", lattice_file, "--terms", "Ch", "--refine", "generalize",
+                         "--ontology", bad],
+            "context": ["build", "--context", bad, "--out", out],
+            "record": ["build", "--records", bad, "--out", out],
+        }[what]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: cannot read {what} file {bad!r}: {reason}: {bad!r}\n")
+
+
+class TestMainFuzz:
+    """Seeded random command lines: every call ends in exit 0, 1 or 2 with no
+    other exception, writes only its fresh ``--out``, and leaves its inputs as
+    they were."""
+
+    TERMS = (
+        "NS", "PS", "AO", "An", "Ve", "Hu", "Mo", "MR", "Ch", "Eu", "Human", "Any Organism",
+        "NCBI:Hu", "NCBI:Ch", "free:NS", ":NS", "NS:", "a:b", "a:b:c", "x@y", "Hu@Organism",
+        " Hu ", "a b", "Mäuse", "é", "人", "\udcff", "",
+    )
+
+    def test_every_call_exits_0_1_or_2(self, tmp_path, capsys):
+        rng = random.Random(331)
+        lats = [str(tmp_path / "t1.lat"), str(tmp_path / "c8.lat")]
+        assert main(["build", "--context", TABLE1, "--out", lats[0]]) == 0
+        assert main(["build", "--records", CORPUS, "--out", lats[1]]) == 0
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "out").mkdir()
+        good = {"lattice": lats, "context": [TABLE1], "records": [CORPUS, f"{CORPUS}/S1.json"], "ontology": [ONT]}
+        bad = [str(tmp_path / "missing"), str(tmp_path / "dir"), ""]
+        for paths in good.values():
+            for source in [p for p in paths if os.path.isfile(p)]:
+                data = Path(source).read_bytes()
+                name = os.path.basename(source)
+                for edit, copy in (("crlf", data.replace(b"\n", b"\r\n")), ("cr", data.replace(b"\n", b"\r")),
+                                   ("0xff", data[: len(data) // 2] + b"\xff" + data[len(data) // 2 :])):
+                    (tmp_path / f"{edit}-{name}").write_bytes(copy)
+                    # a line-end copy reads as its source does
+                    (bad if edit == "0xff" else paths).append(str(tmp_path / f"{edit}-{name}"))
+        inputs = [p for paths in good.values() for p in paths] + bad
+        before = {p: Path(p).read_bytes() for p in inputs if os.path.isfile(p)}
+
+        def path(kind):
+            return rng.choice(good[kind]) if rng.random() < 0.75 else rng.choice(inputs)
+
+        def terms():
+            names = rng.sample(self.TERMS, rng.randint(1, 3))
+            return rng.choice((",", ", ", ",,")).join(names) + rng.choice(("", "", ","))
+
+        def one_of(*options):
+            """Flags for one option, drawn one time in ten as both or neither."""
+            r = rng.random()
+            picked = list(options) if r < 0.05 else [] if r < 0.1 else [rng.choice(options)]
+            return [arg for opt in picked for arg in opt]
+
+        by_code, succeeded = collections.Counter(), set()
+        for i in range(400):
+            out = tmp_path / ("out" if rng.random() < 0.95 else "no-dir") / f"{i}.lat"
+            command = rng.choice(("build", "query", "query", "classify", "export-dot", "stats"))
+            argv = [command]
+            if command in ("build", "classify"):
+                source = ("--records", path("records")) if command == "build" else ("--lattice", path("lattice"))
+                argv += one_of(source, ("--context", path("context")))
+                if command == "classify":
+                    category = rng.choice(CATEGORIES + ("Organsim",))
+                    argv += one_of(("--category", category), ("--attribute", rng.choice(self.TERMS)))
+                if rng.random() < 0.97:
+                    argv += ["--out", str(out)]
+            else:
+                if rng.random() < 0.97:
+                    argv += ["--lattice", path("lattice")]
+            if command == "query":
+                if rng.random() < 0.97:
+                    argv += ["--terms", terms()]
+                refine = rng.random() < 0.5
+                if refine:
+                    argv += ["--refine", rng.choice(("generalize", "specialize", "both", "auto", "up"))]
+                if rng.random() < (0.9 if refine else 0.1):
+                    argv += ["--ontology", path("ontology")]
+                if rng.random() < 0.3:
+                    argv += ["--hops", rng.choice(("0", "1", "2", "-1", "x"))]
+                if rng.random() < 0.5:
+                    argv += ["--format", rng.choice(("table", "machine", "json"))]
+            if command == "export-dot" and rng.random() < 0.5:
+                argv.append("--reduced")
+            if rng.random() < 0.02:
+                argv.append("--verbose")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:
+                raise AssertionError(f"main({argv!r}) raised") from exc
+            stdout, stderr = capsys.readouterr()
+            assert code in (0, 1, 2), argv
+            if code == 0:
+                assert stderr == "", argv
+            elif code == 1:
+                assert stdout == "" and stderr.startswith("error: ") and stderr.count("\n") == 1, (argv, stderr)
+            else:
+                assert stdout == "" and stderr.startswith(("usage error: ", "usage: ")), (argv, stderr)
+            assert not os.path.exists(out) or (code == 0 and command in ("build", "classify")), argv
+            by_code[code] += 1
+            if code == 0:
+                succeeded.add("query --refine" if "--refine" in argv else command)
+        assert min(by_code[code] for code in (0, 1, 2)) >= 30, by_code
+        # each command, and a refined query, succeeds at least once
+        assert succeeded == {"build", "query", "query --refine", "classify", "export-dot", "stats"}
+        assert {p: Path(p).read_bytes() for p in before} == before

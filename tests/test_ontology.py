@@ -753,6 +753,19 @@ class TestRefinement:
         assert report.dropped_candidates == frozenset({"Eucaryotes", "Cellular Organisms"})
         assert report.mode == "generalize"
 
+    @pytest.mark.parametrize(
+        "terms, dropped",
+        [(("Eu",), {"Cellular Organisms"}), (("Hu", "Eu"), {"Cellular Organisms", "Eucaryotes"})],
+        ids=["own-walk", "another-terms-walk"],
+    )
+    def test_a_query_term_is_dropped_only_by_another_terms_walk(self, organisms, table1, terms, dropped):
+        # no attribute carries Eucaryotes: the walk from Eu leaves its own node
+        # out, and the walk from Hu reaches it
+        query = q(*terms)
+        refined, report = refine_generalize(query, organisms, table1)
+        assert report.dropped_candidates == frozenset(dropped)
+        assert (refined, report) == refine_oracle(query, organisms, table1, None, "generalize")
+
     def test_generalize_root_unchanged(self, organisms, table1, attrs_by_term):
         refined, report = refine_generalize(q(attrs_by_term["AO"]), organisms, table1)
         assert refined.terms == frozenset({attrs_by_term["AO"]})

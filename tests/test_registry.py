@@ -17,6 +17,7 @@ from fcaregistry import (
     RegistryError,
     build_context,
     build_lattice,
+    lattice_to_json,
     load_records,
     parse_records,
     validate_record,
@@ -201,7 +202,8 @@ class TestLoadRecordsAsPathlibRead:
     @pytest.mark.parametrize(
         "tail, message",
         [
-            (b'\n  "quality": [1,]\n}', "malformed record document: Expecting value: line "),
+            # None: the message ``json`` gives for the LF text, which differs between Python versions
+            (b'\n  "quality": [1,]\n}', None),
             (b'\n  "quality": ["\xff"]\n}', "cannot read record file "),
             (b"\n\xe2\x82", "cannot read record file "),
         ],
@@ -209,6 +211,10 @@ class TestLoadRecordsAsPathlibRead:
     )
     def test_an_error_after_line_ends_names_the_same_place(self, tmp_path, newline, tail, message):
         lines = b'{\n "id": "S1",\n "subjects": ["NS"],' + tail
+        if message is None:
+            with pytest.raises(json.JSONDecodeError) as info:
+                json.loads(lines)
+            message = f"malformed record document: {info.value}"
         bad = tmp_path / "bad.json"
         bad.write_bytes(lines.replace(b"\n", newline.encode()))
         assert outcome(bad).startswith(message)
@@ -222,6 +228,75 @@ class TestLoadRecordsAsPathlibRead:
         for path in (".", "", Path(".")):
             assert outcome(path).startswith("cannot read record file 'bad.json': ")
             assert outcome(path) == pathlib_load_records(path)
+
+
+def pathlib_read(path, what):
+    """What the reader returns or raises, as ``Path.read_text`` read a file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        return RegistryError(f"cannot read {what} file {str(path)!r}: {exc}")
+
+
+def read(path, what):
+    try:
+        return registry._read_text(str(path), what)
+    except RegistryError as exc:
+        return exc
+
+
+def same(got, expected):
+    """The same text, or an error of the same class and message."""
+    if isinstance(expected, Exception):
+        return type(got) is type(expected) and str(got) == str(expected)
+    return got == expected
+
+
+class TestReadTextAsPathlibRead:
+    """The one reader gives a CSV context, lattice or ontology file the text
+    ``Path.read_text`` gives it, or the same message at the same offset."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("edit", ["none", "bom", "0xff", "cut-utf8"])
+    @pytest.mark.parametrize("what", ["context", "lattice", "ontology"])
+    def test_each_line_end_and_byte_fault(self, tmp_path, table1_lattice, newline, edit, what):
+        text = {
+            "context": (FIXTURES / "table1.csv").read_text(encoding="utf-8"),
+            "lattice": lattice_to_json(table1_lattice),
+            "ontology": (FIXTURES / "organisms.ont").read_text(encoding="utf-8"),
+        }[what]
+        # a non-ASCII letter before the fault, so a character offset differs from the byte offset
+        lines = ("\xe9" + text).replace("\n", newline).encode()
+        middle = len(lines) // 2
+        faulty = {
+            "none": lines,
+            "bom": b"\xef\xbb\xbf" + lines,
+            "0xff": lines[:middle] + b"\xff" + lines[middle:],
+            "cut-utf8": lines[:middle] + b"\xe2\x82" + lines[middle:],
+        }[edit]
+        path = tmp_path / f"{what}-{edit}"
+        path.write_bytes(faulty)
+        got, expected = read(path, what), pathlib_read(path, what)
+        assert same(got, expected), (got, expected)
+        if edit in ("0xff", "cut-utf8"):
+            assert str(got).startswith(f"cannot read {what} file {str(path)!r}: 'utf-8' codec can't decode byte")
+            assert f"in position {middle}" in str(got)
+        else:
+            assert got == {"none": "", "bom": "\ufeff"}[edit] + "\xe9" + text
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_a_missing_path_or_a_directory(self, tmp_path, kind):
+        path = tmp_path / "missing" if kind == "missing" else tmp_path
+        for what in ("record", "context", "lattice", "ontology"):
+            got = read(path, what)
+            assert same(got, pathlib_read(path, what))
+            errno = "[Errno 2] No such file or directory" if kind == "missing" else "[Errno 21] Is a directory"
+            assert str(got) == f"cannot read {what} file {str(path)!r}: {errno}: {str(path)!r}"
+
+    def test_an_empty_path_names_no_file_where_pathlib_read_the_working_directory(self):
+        # Path("") is ".", a directory; open("") finds no file
+        assert str(read("", "lattice")) == "cannot read lattice file '': [Errno 2] No such file or directory: ''"
+        assert str(pathlib_read("", "lattice")) == "cannot read lattice file '': [Errno 21] Is a directory: '.'"
 
 
 class TestBuildContext:
