@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .context import CATEGORIES, Attribute, Query, context_from_csv, split_term
-from .errors import ContextError, FcaRegistryError
+from .errors import ContextError, FcaRegistryError, RegistryError
 from .lattice import ConceptLattice, build_lattice, export_dot, lattice_from_json, lattice_to_json
 from .ontology import _resolvable, load_ontology
 from .registry import _read_text, build_context, load_records
@@ -66,7 +66,10 @@ def _count(n: int, noun: str) -> str:
 def _save_lattice(ctx, out: str) -> int:
     """Build the lattice of ``ctx``, write it to ``out`` and print its counts."""
     lat = build_lattice(ctx)
-    Path(out).write_text(lattice_to_json(lat), encoding="utf-8")
+    try:
+        Path(out).write_text(lattice_to_json(lat), encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL
+        raise RegistryError(f"cannot write lattice file {out!r}: {exc}") from exc
     print(
         f"{_count(len(ctx.objects), 'object')}, {_count(len(ctx.attributes), 'attribute')}, "
         f"{_count(len(lat._intents), 'concept')}"
@@ -220,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (FcaRegistryError, OSError) as exc:  # OSError: an ``--out`` that cannot be written
+    except (FcaRegistryError, OSError) as exc:  # OSError: a write to stdout that fails
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

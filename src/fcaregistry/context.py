@@ -27,7 +27,7 @@ from .errors import ContextError
 #: The closed set of metadata categories.
 CATEGORIES = ("Identification", "Subject", "Organism", "Quality", "Availability")
 
-#: Object id reserved for virtual query insertion (see the retrieval module).
+#: The default query label, which no source may take; only ``retrieval.insert_query`` inserts it.
 RESERVED_OBJECT_ID = "Query"
 
 
@@ -385,17 +385,14 @@ class FormalContext(_Immutable):
         attrs = [self.attributes[j] for j in new_bit]
         return FormalContext._from_rows(objs, attrs, rows, allow_reserved_ids=True)
 
-    def _query_context(
-        self, terms: Iterable[Attribute], label: str
-    ) -> tuple["FormalContext", list[int]]:
-        """The context restricted to the terms, with an object ``label`` that has them all.
+    def _query_context(self, terms: Iterable[Attribute]) -> tuple["FormalContext", list[int]]:
+        """The context restricted to the terms, whose lattice is the up-set of
+        its bottom, the concept whose intent is every term.
 
-        Its lattice is the up-set of that object's concept in the grown
-        context, a query's or an inserted object's, with it at the bottom.
         The objects are one per distinct restricted row, named by its lowest
-        object, then ``label``.  The attributes are the context's own known
-        terms, in its order, then the unknown terms by key.  Returns the
-        context and each row's object mask, split out by the terms' columns.
+        object; the attributes are the context's own known terms, in its
+        order, then the unknown terms by key.  Returns the context and each
+        row's object mask, split out by the terms' columns.
         """
         known = 0
         unknown = []
@@ -417,9 +414,8 @@ class FormalContext(_Immutable):
                     split.append((p & col, row | 1 << k))
             parts = split
         attrs = [self.attributes[j] for j in _bits(known)] + sorted(unknown, key=lambda a: a.key)
-        objects = [self.objects[(p & -p).bit_length() - 1] for p, _ in parts] + [label]
-        rows = [row for _, row in parts] + [(1 << len(attrs)) - 1]
-        sub = FormalContext._from_rows(objects, attrs, rows, allow_reserved_ids=True)
+        objects = [self.objects[(p & -p).bit_length() - 1] for p, _ in parts]
+        sub = FormalContext._from_rows(objects, attrs, [row for _, row in parts], allow_reserved_ids=True)
         return sub, [p for p, _ in parts]
 
     # -- growth -----------------------------------------------------------

@@ -22,9 +22,9 @@ class OntologyError(FcaRegistryError):
 
 
 class RegistryError(FcaRegistryError):
-    """Malformed metadata record corpus, or an input file that cannot be read.
+    """Malformed metadata record corpus, or a file that cannot be read or written.
 
     The one file reader, ``registry._read_text``, raises it for every file,
     record, CSV context, lattice or ontology, as ``cannot read <what> file
-    '<path>': <reason>``.
+    '<path>': <reason>``, and the lattice writer as ``cannot write ...``.
     """

@@ -5,10 +5,11 @@ walk down from the top.  Each concept proposes, for every attribute outside
 its intent, the part of its extent that has it; every lower cover is among
 the proposals, and a proposal is one when all the attributes its intent adds
 proposed it (the dual of Lindig's count on the object side).
-``build_lattice`` is this walk from the top alone.  The up-set of a new
-object's concept, a query's or an inserted source's, is this walk over a small
-context (``FormalContext._query_context``), so one walk counts every cover and
-one mask key (``_mask_sort_key``) orders every lattice.  A lattice is its
+``build_lattice`` is this walk from the top alone.  The up-set of the concept
+of a query's terms or of an inserted row is the lattice of the context
+restricted to them (``FormalContext._query_context``), which has it at the
+bottom, so one walk counts every cover and one mask key orders every
+lattice (``_mask_sort_key``).  A lattice is its
 intent bit masks in canonical order, two maps keyed by intent (to its extent
 mask, and to its parent intents in canonical order) and the key it is sorted
 by, which an insertion with no new attribute reuses.  Insertion
@@ -330,14 +331,15 @@ def insert_object(
     """Insert one object; the result is ``build_lattice`` of the grown context.
 
     The intents inside the new row x, each with its upper covers, are the
-    up-set of the object's concept: the lattice of the context restricted
-    to x with the object added (``FormalContext._query_context``), as a
-    query's is; the old ones among them gain the object.  Outside x, only
-    generators change (after Godin, Missaoui & Alaoui, 1995): the generator
-    of a new intent c with no new attribute is the old concept closing it,
-    b0 = c'' in the old context.  It drops its parents inside x and gains
-    c.  Every other old concept keeps its parent list, which the new
-    lattice shares with the old one.
+    up-set of the object's concept: the lattice of the grown context
+    restricted to x (``FormalContext._query_context``), as a query's is,
+    whose k-th attribute is the k-th bit of x; the old ones among them gain
+    the object.  Outside x, only generators change (after Godin, Missaoui
+    & Alaoui, 1995): the generator of a new intent c with no new attribute
+    is the old concept closing it, b0 = c'' in the old context, read off
+    c's grown extent without the object.  It drops its parents inside x
+    and gains c.  Every other old concept keeps its parent list, which the
+    new lattice shares with the old one.
 
     When the object brings new attributes but not all of M, the new bottom
     M has x as a parent, and the old bottom if it is still closed, else the
@@ -351,11 +353,10 @@ def insert_object(
     g = 1 << (len(ctx.objects) - 1)
     full = ctx._full_attr_mask
     old_ctx, old_full = lat.context, lat.context._full_attr_mask
-    sub, _ = old_ctx._query_context(ctx._attrs_from_mask(x), obj)
-    up = _complete(sub)
+    up = _complete(ctx._query_context(ctx._attrs_from_mask(x))[0])
     # both contexts rank attributes by key, so the up-set's intents, mapped to
     # the grown bits, are the grown intents inside x in canonical order
-    bit = [1 << ctx._attr_index[a.key] for a in sub.attributes]
+    bit = [1 << j for j in _bits(x)]
     grown = {b: sum(bit[k] for k in _bits(b)) for b in up._intents}
     # without a new attribute the grown context ranks its attributes as the old one
     key = lat._key if full == old_full else _mask_sort_key(ctx)
@@ -387,7 +388,7 @@ def insert_object(
         # above c) and gains c.  Any other old b with b & x = c lies below b0:
         # its parent on the way up to b0 meets x at c, and a parent inside x
         # would lie above c, so its list is already right.
-        b0 = old_ctx._attr_closure(old_ctx._extent_mask_of_intent_mask(c))
+        b0 = old_ctx._attr_closure(extent[c] & ~g)
         ps = [p for p in parents[b0] if p & ~x]
         bisect.insort(ps, c, key=key)
         parents[b0] = ps

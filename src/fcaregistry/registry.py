@@ -195,7 +195,7 @@ def _read_text(path: str, what: str) -> str:
     try:
         with open(path, "rb", buffering=0) as f:
             text = f.read().decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a decode error, or a path holding a NUL
         raise RegistryError(f"cannot read {what} file {path!r}: {exc}") from exc
     # most files hold no "\r": one scan for them, not the two of the replaces
     if "\r" in text:

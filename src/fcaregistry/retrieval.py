@@ -7,9 +7,9 @@ of the first concept that contributed it.  They are computed from the
 query's up-set alone.  The concepts at and above the query concept are
 those of a small context (``FormalContext._query_context``), split out of
 the sources by the terms' columns: one object per distinct restricted row,
-standing for a mask of sources listed only when a rank reports them, plus
-the query, which carries every term, unknown ones included.
-``build_lattice`` of it is the up-set, with the query concept at the
+standing for a mask of sources listed only when a rank reports them, and
+one attribute per term, unknown ones included.  ``build_lattice`` of it is
+the up-set, with the query concept, whose intent is every term, at the
 bottom, so the walk follows the parent lists of an ordinary lattice; the
 searched lattice is neither copied nor regrown.  ``insert_query`` does the
 literal insertion, which merges the same up-set into the lattice
@@ -114,12 +114,11 @@ def search(
     result; the ids are distinct, so no comparison reaches a result.
     """
     _check_query(lat, q)
-    sub, groups = lat.context._query_context(q.terms, q.label)
+    sub, groups = lat.context._query_context(q.terms)
     up = build_lattice(sub)
     objects = lat.context.objects
     collected: list[tuple] = []
-    # the query is the last object and no source; each group is claimed once
-    claimed = 1 << len(groups)
+    claimed = 0  # each group is claimed once
     for b, rank in _distances(up._intents[-1], up._parents, None).items():
         fresh = up._extent[b] & ~claimed
         if not b or not fresh:

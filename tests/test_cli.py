@@ -77,6 +77,10 @@ class TestBuild:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert str(out) in captured.err
 
+    def test_out_holding_a_nul_is_one_error_line(self, capsys):
+        assert main(["build", "--context", TABLE1, "--out", "x\0y"]) == 1
+        assert capsys.readouterr() == ("", "error: cannot write lattice file 'x\\x00y': embedded null byte\n")
+
 
 class TestQuery:
     def test_golden_query(self, lattice_file, capsys):
@@ -464,11 +468,15 @@ class TestUnreadableInputFile:
     @pytest.mark.parametrize(
         "what, kind",
         [(what, kind) for what in ("lattice", "ontology", "context") for kind in ("missing", "directory")]
-        + [("record", "missing"), ("lattice", "empty")],
+        + [("record", "missing"), ("lattice", "empty")]
+        + [(what, "nul") for what in ("lattice", "ontology", "context", "record")],
     )
     def test_exit_1_with_one_line_naming_the_file(self, lattice_file, tmp_path, capsys, what, kind):
-        bad = {"missing": str(tmp_path / "missing"), "directory": str(tmp_path), "empty": ""}[kind]
-        reason = "[Errno 21] Is a directory" if kind == "directory" else "[Errno 2] No such file or directory"
+        bad = {"missing": str(tmp_path / "missing"), "directory": str(tmp_path), "empty": "", "nul": "x\0y"}[kind]
+        reason = {
+            "directory": f"[Errno 21] Is a directory: {bad!r}",
+            "nul": "embedded null byte",  # open refuses the path before any system call
+        }.get(kind, f"[Errno 2] No such file or directory: {bad!r}")
         out = str(tmp_path / "out.lat")
         argv = {
             "lattice": ["stats", "--lattice", bad],
@@ -478,7 +486,7 @@ class TestUnreadableInputFile:
             "record": ["build", "--records", bad, "--out", out],
         }[what]
         assert main(argv) == 1
-        assert capsys.readouterr() == ("", f"error: cannot read {what} file {bad!r}: {reason}: {bad!r}\n")
+        assert capsys.readouterr() == ("", f"error: cannot read {what} file {bad!r}: {reason}\n")
 
 
 class TestMainFuzz:
@@ -500,7 +508,7 @@ class TestMainFuzz:
         (tmp_path / "dir").mkdir()
         (tmp_path / "out").mkdir()
         good = {"lattice": lats, "context": [TABLE1], "records": [CORPUS, f"{CORPUS}/S1.json"], "ontology": [ONT]}
-        bad = [str(tmp_path / "missing"), str(tmp_path / "dir"), ""]
+        bad = [str(tmp_path / "missing"), str(tmp_path / "dir"), "", "x\0y"]
         for paths in good.values():
             for source in [p for p in paths if os.path.isfile(p)]:
                 data = Path(source).read_bytes()
@@ -528,7 +536,7 @@ class TestMainFuzz:
 
         by_code, succeeded = collections.Counter(), set()
         for i in range(400):
-            out = tmp_path / ("out" if rng.random() < 0.95 else "no-dir") / f"{i}.lat"
+            out = tmp_path / ("out" if rng.random() < 0.95 else rng.choice(("no-dir", "nul\0dir"))) / f"{i}.lat"
             command = rng.choice(("build", "query", "query", "classify", "export-dot", "stats"))
             argv = [command]
             if command in ("build", "classify"):

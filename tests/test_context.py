@@ -309,7 +309,7 @@ class TestProjectionsMatchCellLists:
                 same_context(ctx.select_by_attribute(a), cell_restrict(ctx, keep_obj, keep_attr))
 
 
-def row_scan_query_context(ctx, terms, label):
+def row_scan_query_context(ctx, terms):
     """The query context as a scan over every row builds it: rows grouped by
     their restriction to the known terms, each group named by its first
     object and listed as its ids, and the restricted bits renumbered."""
@@ -327,21 +327,21 @@ def row_scan_query_context(ctx, terms, label):
     bit_of = {j: 1 << k for k, j in enumerate(_bits(known))}
     rows = [sum(bit_of[j] for j in _bits(x)) for x in groups]
     attrs = [ctx.attributes[j] for j in bit_of] + sorted(unknown, key=lambda a: a.key)
-    objects = [members[0] for members in groups.values()] + [label]
-    sub = FormalContext._from_rows(objects, attrs, rows + [(1 << len(attrs)) - 1], allow_reserved_ids=True)
+    objects = [members[0] for members in groups.values()]
+    sub = FormalContext._from_rows(objects, attrs, rows, allow_reserved_ids=True)
     return sub, [set(members) for members in groups.values()]
 
 
 def query_context_view(sub, members):
     """What a query context says, whatever the order of its objects: its
-    attributes, each group's row (as attribute keys) and members by the
-    group's name, and the last object's name and row."""
+    attributes, and each group's row (as attribute keys) and members by the
+    group's name."""
     keys = lambda row: frozenset(a.key for a in sub._attrs_from_mask(row))
-    assert len(members) == len(sub.objects) - 1 and all(members)
+    assert len(members) == len(sub.objects) and all(members)
     groups = {g: (keys(row), frozenset(m)) for g, row, m in zip(sub.objects, sub._rows, members)}
     assert len(groups) == len(members)
     attributes = [(a.key, a.category) for a in sub.attributes]
-    return attributes, groups, sub.objects[-1], keys(sub._rows[-1])
+    return attributes, groups
 
 
 class TestQueryContext:
@@ -362,8 +362,8 @@ class TestQueryContext:
                 twin = rng.choice(known)
                 terms = (terms - {twin}) | {Attribute(twin.term, twin.prefix or "", "Quality")}
                 seen["twin"] += 1
-            sub, groups = ctx._query_context(terms, "Query")
-            want = query_context_view(*row_scan_query_context(ctx, terms, "Query"))
+            sub, groups = ctx._query_context(terms)
+            want = query_context_view(*row_scan_query_context(ctx, terms))
             assert query_context_view(sub, [ctx._objects_from_mask(p) for p in groups]) == want
             assert sum(groups) == ctx._full_obj_mask
             seen["no_objects"] += not ctx.objects
@@ -374,12 +374,12 @@ class TestQueryContext:
             seen["whole_row_known"] += bool(attrs) and len(known) == n_attr
         assert min(seen.values()) >= 20, seen
 
-    def test_an_empty_context_gives_only_the_label(self):
+    def test_an_empty_context_gives_no_object(self):
         for attrs in ([], [Attribute("a")]):
             ctx = FormalContext([], attrs, [])
-            sub, groups = ctx._query_context(set(attrs) | {Attribute("u")}, "Query")
-            assert (sub.objects, groups) == (("Query",), [])
-            assert sub._rows == ((1 << len(sub.attributes)) - 1,)
+            sub, groups = ctx._query_context(set(attrs) | {Attribute("u")})
+            assert (sub.objects, sub._rows, groups) == ((), (), [])
+            assert [a.key for a in sub.attributes] == [a.key for a in attrs] + [("", "u")]
 
 
 class TestGaloisProperties:

@@ -22,6 +22,7 @@ from fcaregistry import (
     enumerate_covers_oracle,
     export_dot,
     insert_object,
+    insert_query,
     lattice_from_json,
     lattice_to_json,
     load_records,
@@ -354,6 +355,33 @@ class TestInsertObject:
                 assert_rebuilt(grown, ctx.add_object("gx", row))
         assert min(seen.values()) >= 20 and len(seen) == 3, seen
 
+    def test_new_attributes_in_reverse_key_order(self, monkeypatch):
+        """New attributes given as a list in reverse key order are appended in
+        that order.  The up-set is read off the grown context restricted to
+        the row x, whose k-th attribute is then the k-th bit of x."""
+        restricted = []
+        query_context = FormalContext._query_context
+
+        def spy(ctx, terms):
+            sub, groups = query_context(ctx, terms)
+            restricted.append(sub)
+            return sub, groups
+
+        monkeypatch.setattr(FormalContext, "_query_context", spy)
+        rng = random.Random(59)
+        for lat in random_lattices(60, 60):
+            attrs = list(lat.context.attributes)
+            new = [Attribute(f"zz{k}") for k in range(rng.randint(2, 3))]
+            row = rng.sample(attrs, rng.randint(0, len(attrs))) + new[::-1]
+            grown = insert_object(lat, "gx", row)
+            assert_rebuilt(grown, lat.context.add_object("gx", row))
+            ctx = grown.context
+            assert [a.key for a in ctx.attributes[len(attrs):]] == [a.key for a in new[::-1]]
+            # one restriction per insert, and none by the rebuild
+            (sub,) = restricted
+            restricted.clear()
+            assert list(sub.attributes) == [ctx.attributes[j] for j in _bits(ctx._rows[-1])]
+
     def test_chains_of_inserts(self):
         rng = random.Random(47)
         for lat in random_lattices(48, 40):
@@ -607,6 +635,28 @@ class TestDot:
 
 
 class TestPersistence:
+    @pytest.mark.parametrize(
+        "terms, stats",
+        [
+            (("NS", "Hu", "MR"), "15 concepts, height 4, 9 objects, 8 attributes, density 0.333"),
+            (("Hu", "unknown"), "14 concepts, height 4, 9 objects, 9 attributes, density 0.284"),
+        ],
+        ids=["known-terms", "an-unknown-term"],
+    )
+    def test_a_query_grown_lattice_reads_back(self, table1_lattice, attrs_by_term, tmp_path, capsys, terms, stats):
+        """The loader takes the reserved id ``Query``, which ``build`` and CSV
+        refuse: ``insert_query``'s grown lattice holds it and reads back."""
+        query = Query(frozenset(attrs_by_term.get(t) or Attribute(t) for t in terms))
+        grown, _ = insert_query(table1_lattice, query)
+        assert grown.context.objects[-1] == query.label == "Query"
+        text = lattice_to_json(grown)
+        again = lattice_from_json(text)
+        assert again == grown and lattice_to_json(again) == text
+        path = tmp_path / "grown.lat"
+        path.write_text(text, encoding="utf-8")
+        assert main(["stats", "--lattice", str(path)]) == 0
+        assert capsys.readouterr() == (stats + "\n", "")
+
     def test_round_trip_value_identical(self, table1_lattice):
         text = lattice_to_json(table1_lattice)
         again = lattice_from_json(text)

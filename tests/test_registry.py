@@ -293,6 +293,14 @@ class TestReadTextAsPathlibRead:
             errno = "[Errno 2] No such file or directory" if kind == "missing" else "[Errno 21] Is a directory"
             assert str(got) == f"cannot read {what} file {str(path)!r}: {errno}: {str(path)!r}"
 
+    def test_a_path_holding_a_nul_is_a_registry_error_where_pathlib_raised_value_error(self):
+        for what in ("record", "context", "lattice", "ontology"):
+            assert str(read("x\0y", what)) == f"cannot read {what} file 'x\\x00y': embedded null byte"
+            with pytest.raises(ValueError, match="embedded null byte"):
+                pathlib_read("x\0y", what)
+        with pytest.raises(RegistryError, match="^cannot read record file 'x\\\\x00y': embedded null byte$"):
+            load_records("x\0y")
+
     def test_an_empty_path_names_no_file_where_pathlib_read_the_working_directory(self):
         # Path("") is ".", a directory; open("") finds no file
         assert str(read("", "lattice")) == "cannot read lattice file '': [Errno 2] No such file or directory: ''"

@@ -331,24 +331,49 @@ class TestSearch:
                 twin = rng.choice(sorted(terms, key=lambda a: a.key))
                 terms = (terms - {twin}) | {Attribute(term=twin.term, prefix="")}
             query = Query(terms=frozenset(terms))
-            sub, groups = ctx._query_context(query.terms, query.label)
+            sub, groups = ctx._query_context(query.terms)
             members = {name: ctx._objects_from_mask(mask) for name, mask in zip(sub.objects, groups)}
-            members[query.label] = {query.label}
             up = build_lattice(sub)
             grown, query_concept = insert_query(lat, query)
             # a full build of the grown context: insert_query merges the same up-set
             assert grown == build_lattice(ctx.add_object(query.label, query.terms, allow_reserved=True))
             above = [c for c in grown.concepts if c.extent >= query_concept.extent]
             assert up.bottom.intent == frozenset(sub.attributes) and key(up.bottom.intent) == key(query.terms)
+            # the grown extents without the query's label
             assert {
                 key(c.intent): frozenset(g for name in c.extent for g in members[name]) for c in up.concepts
-            } == {key(c.intent): c.extent for c in above}
+            } == {key(c.intent): c.extent - {query.label} for c in above}
             assert len(up.concepts) == len(above)
             assert {(key(c.intent), key(p.intent)) for c, p in up.cover_concepts()} == {
                 (key(c.intent), key(p.intent))
                 for c, p in grown.cover_concepts()
                 if c.extent >= query_concept.extent
             }
+
+    def test_the_restricted_bottom_holds_exactly_the_full_matches(self):
+        """The bottom of the restricted context's lattice has every term as
+        its intent; its groups hold the sources with every term, and none
+        when a term is unknown."""
+        rng = random.Random(67)
+        unknown = [Attribute(term=f"u{j}") for j in range(2)]
+        seen = collections.Counter()
+        for _ in range(300):
+            ctx = edge_case_context(rng)
+            terms = set(rng.sample(ctx.attributes, rng.randint(1, len(ctx.attributes))))
+            if rng.random() < 0.3:
+                terms |= set(rng.sample(unknown, rng.randint(1, 2)))
+            sub, groups = ctx._query_context(terms)
+            bottom = build_lattice(sub).bottom
+            members = dict(zip(sub.objects, map(ctx._objects_from_mask, groups)))
+            full = {g for g in ctx.objects if terms <= ctx.intent_of(g)}
+            assert {a.key for a in bottom.intent} == {a.key for a in terms}
+            assert {g for name in bottom.extent for g in members[name]} == full
+            if terms & set(unknown):
+                assert bottom.extent == frozenset()
+                seen["an unknown term"] += 1
+            else:
+                seen["every term known, a full match" if full else "every term known, no full match"] += 1
+        assert min(seen.values()) >= 20 and len(seen) == 3, seen
 
     def test_unknown_term_puts_full_matches_at_rank_one(self):
         a, b = Attribute("a"), Attribute("b")
